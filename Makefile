@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test test-equivalence test-chaos test-io-fuzz test-conformance bench bench-smoke bench-bucketing bench-dedup bench-parallel bench-serve bench-ensemble bench-full report examples clean
+.PHONY: install test test-equivalence test-chaos test-io-fuzz test-conformance bench bench-smoke bench-dedup bench-serve bench-ensemble bench-full report examples clean
 
 install:
 	pip install -e .
@@ -29,30 +29,19 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # Fast regression gates: fused RNN kernels must be >= 2x faster than the
-# graph backend (benchmarks/results/backend_speedup.txt), bucketed
-# trimmed batches >= 1.3x faster than full padding on both backends
-# (benchmarks/results/BENCH_bucketing.json), and dedup-memoized
-# prediction >= 3x faster than the naive forward on both backends
-# (benchmarks/results/BENCH_dedup_infer.json).  The bucketed-vs-full
-# and memoized-vs-naive equivalence suites then run under each backend.
+# graph backend (benchmarks/results/backend_speedup.txt) and
+# dedup-memoized prediction >= 3x faster than the naive forward on both
+# backends (benchmarks/results/BENCH_dedup_infer.json).  The
+# trimmed-vs-full-padding and memoized-vs-naive equivalence suites then
+# run under each backend.
 bench-smoke:
-	pytest benchmarks/test_substrate_microbench.py benchmarks/test_bucketing_bench.py benchmarks/test_dedup_bench.py -m bench_smoke -q
-	REPRO_NN_BACKEND=fused pytest tests/nn/test_bucketing.py tests/inference/ -q
-	REPRO_NN_BACKEND=graph pytest tests/nn/test_bucketing.py tests/inference/ -q
-
-# Bucketed-batching speedup gate alone (writes BENCH_bucketing.json).
-bench-bucketing:
-	pytest benchmarks/test_bucketing_bench.py -m bench_smoke -q
+	pytest benchmarks/test_substrate_microbench.py benchmarks/test_dedup_bench.py -m bench_smoke -q
+	REPRO_NN_BACKEND=fused pytest tests/nn/test_trimming.py tests/inference/ -q
+	REPRO_NN_BACKEND=graph pytest tests/nn/test_trimming.py tests/inference/ -q
 
 # Dedup-inference speedup gate alone (writes BENCH_dedup_infer.json).
 bench-dedup:
 	pytest benchmarks/test_dedup_bench.py -m bench_smoke -q
-
-# Work-plane + precision speedup gates alone: fused LSTM level >= 1.4x
-# at 2 workers (monotone at 4) and float32 inference faster than the
-# float64 graph forward (writes BENCH_parallel.json).
-bench-parallel:
-	pytest benchmarks/test_parallel_bench.py -m bench_smoke -q
 
 # Online-serving gates: micro-batched daemon throughput >= 3x the
 # per-request baseline at 8 concurrent clients, a one-cell update

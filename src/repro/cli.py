@@ -95,15 +95,6 @@ def _add_serving_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-size", type=int, default=None,
                         help="prediction-cache capacity in unique cells "
                              "(default: 65536)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="worker threads for the kernel work plane "
-                             "(0 = serial; predictions are bit-identical "
-                             "at any count)")
-    parser.add_argument("--precision", choices=("float64", "float32", "int8"),
-                        default="float64",
-                        help="inference numeric mode (float32/int8 are the "
-                             "tolerance-gated fast paths; float64 is the "
-                             "bit-exact reference)")
 
 
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
@@ -314,20 +305,10 @@ def _score_csv(detector: ErrorDetector, dirty: Table) -> Table | None:
 
 
 def _configure_inference(detector: ErrorDetector, args) -> None:
-    """Apply the shared serving flags (--no-dedup, --cache-size,
-    --workers, --precision)."""
+    """Apply the shared serving flags (--no-dedup, --cache-size)."""
     detector.deduplicate = not args.no_dedup
     if args.cache_size is not None:
         detector.prediction_cache.resize(args.cache_size)
-    if args.workers < 0:
-        raise ConfigurationError(
-            f"--workers must be >= 0, got {args.workers}")
-    detector.inference_workers = args.workers
-    if args.no_dedup and args.precision != "float64":
-        raise ConfigurationError(
-            "--precision float32/int8 requires the dedup engine; "
-            "drop --no-dedup")
-    detector.inference_precision = args.precision
 
 
 def cmd_predict(args) -> int:
@@ -374,7 +355,6 @@ def cmd_serve_daemon(args) -> int:
         batch_delay_ms=args.batch_delay_ms,
         max_queue_rows=args.max_queue_rows,
         cache_size=args.cache_size if args.cache_size is not None else 65536,
-        workers=args.workers, precision=args.precision,
     )
     print(f"serving daemon listening on {daemon.host}:{daemon.port} "
           f"(micro-batch <= {args.max_batch_rows} rows / "

@@ -38,9 +38,9 @@ class EncodedCells:
         Attribute name of each cell (parallel to rows).
     lengths:
         ``(n,)`` int64 true (unpadded) sequence length of each ``values``
-        row, stored at encoding time so downstream consumers (bucketed
-        batching, sorted inference chunking) never re-derive it from the
-        padding.  ``None`` only for hand-built instances.
+        row, stored at encoding time so sorted-by-length inference
+        chunking never re-derives it from the padding.  ``None`` only for
+        hand-built instances.
     dedup:
         Unique-cell index over the feature rows (first-occurrence
         representatives + inverse scatter map), computed at encoding time

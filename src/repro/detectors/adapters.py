@@ -30,6 +30,7 @@ from repro.detectors.base import (
 from repro.detectors.registry import register
 from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.models import ErrorDetector, ModelConfig, TrainingConfig
+from repro.models.config import training_config_from_dict
 from repro.models.serialization import (
     encode_values_for,
     load_detector,
@@ -121,7 +122,7 @@ class NeuralDetector(Detector):
         if isinstance(model_config, dict):
             model_config = ModelConfig(**model_config)
         if isinstance(training_config, dict):
-            training_config = TrainingConfig(**training_config)
+            training_config = training_config_from_dict(training_config)
         self.n_label_tuples = n_label_tuples
         self.model_config = model_config
         self.training_config = training_config
@@ -161,9 +162,7 @@ class NeuralDetector(Detector):
         features = encode_values_for(detector, values, attributes)
         assert detector.trainer is not None
         probabilities = detector.trainer.predict_proba(
-            features, deduplicate=detector.deduplicate,
-            workers=detector.inference_workers,
-            precision=detector.inference_precision)
+            features, deduplicate=detector.deduplicate)
         return probabilities[:, 1].reshape(table.n_rows, table.n_cols)
 
     def config(self) -> dict:

@@ -180,9 +180,7 @@ def _execute_run(pair: DatasetPair, architecture: str,
                  sampler: Sampler | None, n_label_tuples: int,
                  model_config: ModelConfig | None,
                  training_config: TrainingConfig,
-                 seed: int, track_curves: bool,
-                 inference_workers: int = 0,
-                 inference_precision: str = "float64") -> RunResult:
+                 seed: int, track_curves: bool) -> RunResult:
     """Train and evaluate one detector run (one task of the matrix).
 
     A module-level function so a :class:`ProcessPoolExecutor` can pickle
@@ -202,8 +200,7 @@ def _execute_run(pair: DatasetPair, architecture: str,
         with telemetry.use_registry(registry):
             result = _execute_run_body(
                 pair, architecture, sampler, n_label_tuples, model_config,
-                training_config, seed, track_curves,
-                inference_workers, inference_precision)
+                training_config, seed, track_curves)
         snapshot = registry.snapshot()
         # Piggyback the raw records so the parent can re-emit them into
         # its own sinks; merge_snapshot ignores the extra key.
@@ -211,17 +208,14 @@ def _execute_run(pair: DatasetPair, architecture: str,
         return replace(result, telemetry=snapshot)
     return _execute_run_body(pair, architecture, sampler, n_label_tuples,
                              model_config, training_config, seed,
-                             track_curves, inference_workers,
-                             inference_precision)
+                             track_curves)
 
 
 def _execute_run_body(pair: DatasetPair, architecture: str,
                       sampler: Sampler | None, n_label_tuples: int,
                       model_config: ModelConfig | None,
                       training_config: TrainingConfig,
-                      seed: int, track_curves: bool,
-                      inference_workers: int = 0,
-                      inference_precision: str = "float64") -> RunResult:
+                      seed: int, track_curves: bool) -> RunResult:
     detector = ErrorDetector(
         architecture=architecture,
         sampler=sampler if sampler is not None else DiverSet(),
@@ -229,8 +223,6 @@ def _execute_run_body(pair: DatasetPair, architecture: str,
         model_config=model_config,
         training_config=training_config,
         seed=seed,
-        inference_workers=inference_workers,
-        inference_precision=inference_precision,
     )
     callbacks = []
     curve_logs: dict[str, list[float]] = {"train_acc": [], "test_acc": []}
@@ -260,28 +252,21 @@ def _execute_run_body(pair: DatasetPair, architecture: str,
 def _journal_fingerprint(architecture: str, n_label_tuples: int,
                          model_config: ModelConfig | None,
                          training_config: TrainingConfig,
-                         track_curves: bool,
-                         inference_precision: str = "float64") -> dict:
+                         track_curves: bool) -> dict:
     """The configuration identity a journal is valid for.
 
-    Deliberately excludes the dataset list, seed range and worker counts
-    (both process fan-out and the kernel work plane): those select *which*
-    tasks run or how fast, not what any one task computes, so e.g.
-    widening ``n_runs`` keeps every journalled task reusable.  The
-    inference precision *is* part of the identity -- reduced-precision
-    metrics are only tolerance-close to float64 -- but the default is
-    omitted so pre-existing float64 journals stay valid.
+    Deliberately excludes the dataset list, seed range and worker count:
+    those select *which* tasks run or how fast, not what any one task
+    computes, so e.g. widening ``n_runs`` keeps every journalled task
+    reusable.
     """
-    fingerprint = {
+    return {
         "architecture": architecture,
         "n_label_tuples": n_label_tuples,
         "model_config": None if model_config is None else asdict(model_config),
         "training_config": asdict(training_config),
         "track_curves": track_curves,
     }
-    if inference_precision != "float64":
-        fingerprint["inference_precision"] = inference_precision
-    return fingerprint
 
 
 def run_experiment(pair: DatasetPair, architecture: str = "etsb",
@@ -296,9 +281,7 @@ def run_experiment(pair: DatasetPair, architecture: str = "etsb",
                    retry_backoff: float = 0.5,
                    task_timeout: float | None = None,
                    journal_path: str | Path | None = None,
-                   fail_fast: bool = True,
-                   inference_workers: int = 0,
-                   inference_precision: str = "float64") -> ExperimentResult:
+                   fail_fast: bool = True) -> ExperimentResult:
     """Train and evaluate a detector ``n_runs`` times on one dataset.
 
     Parameters
@@ -314,8 +297,7 @@ def run_experiment(pair: DatasetPair, architecture: str = "etsb",
     n_label_tuples, epochs:
         The paper's 20 tuples and 120 epochs by default.
     training_config:
-        Full training configuration (e.g. with ``bucket_batches=True``);
-        overrides ``epochs`` when given.
+        Full training configuration; overrides ``epochs`` when given.
     track_curves:
         Record per-epoch train/test accuracy (needed for Figures 6/7;
         costs one extra evaluation pass per epoch).
@@ -335,11 +317,6 @@ def run_experiment(pair: DatasetPair, architecture: str = "etsb",
         ``True`` raises on the first task that exhausts its retries;
         ``False`` degrades gracefully, returning the successful runs
         plus :class:`TaskFailure` records.
-    inference_workers, inference_precision:
-        Prediction-pass knobs passed to every run's
-        :class:`~repro.models.detector.ErrorDetector` (thread workers
-        keep results bit-identical; reduced precision changes the
-        journal fingerprint).
     """
     if n_runs < 1:
         raise ExperimentError(f"n_runs must be >= 1, got {n_runs}")
@@ -347,15 +324,13 @@ def run_experiment(pair: DatasetPair, architecture: str = "etsb",
               else TrainingConfig(epochs=epochs))
     tasks = [
         (pair, architecture, sampler, n_label_tuples, model_config, config,
-         base_seed + run_index, track_curves, inference_workers,
-         inference_precision)
+         base_seed + run_index, track_curves)
         for run_index in range(n_runs)
     ]
     journal = None
     if journal_path is not None:
         journal = TaskJournal(journal_path, _journal_fingerprint(
-            architecture, n_label_tuples, model_config, config, track_curves,
-            inference_precision))
+            architecture, n_label_tuples, model_config, config, track_curves))
     runs, failures = _execute_tasks(
         tasks, n_workers, max_retries=max_retries,
         retry_backoff=retry_backoff, task_timeout=task_timeout,
@@ -382,8 +357,6 @@ def run_experiment_matrix(pairs: Sequence[DatasetPair],
                           task_timeout: float | None = None,
                           journal_path: str | Path | None = None,
                           fail_fast: bool = True,
-                          inference_workers: int = 0,
-                          inference_precision: str = "float64",
                           ) -> dict[str, ExperimentResult]:
     """Run the full dataset x seed grid, optionally over a process pool.
 
@@ -407,16 +380,14 @@ def run_experiment_matrix(pairs: Sequence[DatasetPair],
               else TrainingConfig(epochs=epochs))
     tasks = [
         (pair, architecture, sampler, n_label_tuples, model_config, config,
-         base_seed + run_index, False, inference_workers,
-         inference_precision)
+         base_seed + run_index, False)
         for pair in pairs
         for run_index in range(n_runs)
     ]
     journal = None
     if journal_path is not None:
         journal = TaskJournal(journal_path, _journal_fingerprint(
-            architecture, n_label_tuples, model_config, config, False,
-            inference_precision))
+            architecture, n_label_tuples, model_config, config, False))
     runs, failures = _execute_tasks(
         tasks, n_workers, max_retries=max_retries,
         retry_backoff=retry_backoff, task_timeout=task_timeout,

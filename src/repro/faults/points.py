@@ -72,19 +72,6 @@ INJECTION_POINTS: dict[str, InjectionPoint] = {
             "unreadable source data).",
             ("dataset",),
         ),
-        InjectionPoint(
-            "parallel.broadcast",
-            "SharedWeights.publish, after the shared-memory segment is "
-            "created but before the weights are written (a kill here "
-            "must not leak the segment).",
-            ("version", "n_bytes"),
-        ),
-        InjectionPoint(
-            "parallel.task",
-            "SharedModelPool worker, before a scoring chunk runs "
-            "(simulates a pool worker dying mid-batch).",
-            ("chunk_index",),
-        ),
     )
 }
 

@@ -18,7 +18,6 @@ allocation beyond the returned output.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import time
 
@@ -32,13 +31,6 @@ from repro.autograd import no_grad
 from repro.errors import ConfigurationError
 from repro.inference.cache import PredictionCache
 from repro.inference.index import DedupIndex, build_dedup_index
-
-# repro.nn.lowp / repro.nn.parallel are imported lazily inside methods:
-# importing any repro.nn submodule runs the repro.nn package init, which
-# imports training, which imports this package -- a cycle at import time.
-
-#: How representative chunks are evaluated when ``workers`` is set.
-WORKER_MODES = ("thread", "process")
 
 #: Feature keys with a (batch, time) layout whose padded tails may be
 #: trimmed to the chunk maximum (mirrors repro.nn.training.SEQUENCE_KEYS).
@@ -125,13 +117,6 @@ class InferenceStats:
         }
 
 
-def _validate_precision(precision: str) -> None:
-    from repro.nn.lowp import PRECISION_MODES
-    if precision not in PRECISION_MODES:
-        raise ConfigurationError(
-            f"precision must be one of {PRECISION_MODES}, got {precision!r}")
-
-
 def _validate_rows(features: Mapping[str, np.ndarray]) -> int:
     if not features:
         raise ConfigurationError("at least one feature array is required")
@@ -181,20 +166,6 @@ class InferenceEngine:
         Representative chunk size for the network forward.
     trim_keys:
         Feature keys whose padded time axis is trimmed per chunk.
-    workers:
-        Default worker count for chunk evaluation (0 = serial).  In
-        ``"thread"`` mode the kernel work plane splits each forward's
-        length groups across a thread pool (bit-identical results at any
-        count); in ``"process"`` mode chunks fan out to a
-        :class:`~repro.nn.parallel.procpool.SharedModelPool` whose
-        workers read weights from shared memory.
-    precision:
-        Default numeric mode: ``"float64"`` (the reference graph),
-        ``"float32"`` or ``"int8"`` (the
-        :class:`~repro.nn.lowp.LowPrecisionEvaluator` fast path, gated
-        by tolerance tests rather than bit equality).
-    worker_mode:
-        ``"thread"`` (default) or ``"process"``.
     fingerprint:
         Identity prefixed to every cache key (default: derived from the
         model's class and parameter topology via
@@ -205,24 +176,11 @@ class InferenceEngine:
     def __init__(self, model, cache: PredictionCache | None = None,
                  batch_size: int = 256,
                  trim_keys: tuple[str, ...] = TRIM_KEYS,
-                 workers: int = 0, precision: str = "float64",
-                 worker_mode: str = "thread",
                  fingerprint: str | None = None):
-        _validate_precision(precision)
-        if worker_mode not in WORKER_MODES:
-            raise ConfigurationError(
-                f"worker_mode must be one of {WORKER_MODES}, "
-                f"got {worker_mode!r}")
-        if workers < 0:
-            raise ConfigurationError(
-                f"workers must be >= 0, got {workers}")
         self.model = model
         self.cache = cache
         self.batch_size = batch_size
         self.trim_keys = trim_keys
-        self.workers = workers
-        self.precision = precision
-        self.worker_mode = worker_mode
         self.fingerprint = (fingerprint if fingerprint is not None
                             else model_fingerprint(model))
         self._key_tag = self.fingerprint.encode() + b"|"
@@ -230,39 +188,6 @@ class InferenceEngine:
         self.total_stats = InferenceStats()
         self._gather_buffers: dict[str, np.ndarray] = {}
         self._rep_probs: np.ndarray | None = None
-        self._lowp_evaluators: dict = {}
-        self._process_pool = None
-
-    def close(self) -> None:
-        """Release pooled resources (the process pool, if one started)."""
-        if self._process_pool is not None:
-            self._process_pool.shutdown()
-            self._process_pool = None
-
-    def _lowp(self, mode: str):
-        from repro.nn.lowp import LowPrecisionEvaluator
-        evaluator = self._lowp_evaluators.get(mode)
-        if evaluator is None:
-            evaluator = LowPrecisionEvaluator(self.model, mode)
-            self._lowp_evaluators[mode] = evaluator
-        return evaluator
-
-    def _evaluator(self, precision: str):
-        """The chunk -> probabilities callable for one precision mode."""
-        if precision == "float64":
-            return lambda chunk: self.model(chunk).numpy()
-        return self._lowp(precision).predict_proba
-
-    def _pool(self, workers: int):
-        """The lazily started (and resized) shared-weights process pool."""
-        from repro.nn.parallel import SharedModelPool
-        if self._process_pool is not None \
-                and self._process_pool.workers != workers:
-            self._process_pool.shutdown()
-            self._process_pool = None
-        if self._process_pool is None:
-            self._process_pool = SharedModelPool(self.model, workers)
-        return self._process_pool
 
     # -- scratch management -------------------------------------------------
 
@@ -279,24 +204,18 @@ class InferenceEngine:
 
     def _build_chunk(self, features: Mapping[str, np.ndarray],
                      rows: np.ndarray, row_lengths: np.ndarray | None,
-                     start: int, copy: bool = False
-                     ) -> tuple[dict[str, np.ndarray], int]:
+                     start: int) -> tuple[dict[str, np.ndarray], int]:
         """One evaluation chunk plus its true row count.
 
-        Gathers into the reusable buffers by default; ``copy=True``
-        materialises fresh arrays (required when the chunk outlives the
-        loop iteration, e.g. queued for a process pool).  Sequence keys
-        are trimmed to the chunk's maximum true length, and one-row
-        chunks come back duplicate-padded to two rows (hence the
-        returned count: the caller slices the padding back off).
+        Gathers into the reusable buffers.  Sequence keys are trimmed to
+        the chunk's maximum true length, and one-row chunks come back
+        duplicate-padded to two rows (hence the returned count: the
+        caller slices the padding back off).
         """
         chunk_rows = rows[start:start + self.batch_size]
         chunk = {}
         for name, arr in features.items():
-            if copy:
-                part = np.take(arr, chunk_rows, axis=0)
-            else:
-                part = self._gather(name, arr, chunk_rows)
+            part = self._gather(name, arr, chunk_rows)
             if row_lengths is not None and name in self.trim_keys \
                     and part.ndim >= 2:
                 width = max(int(
@@ -326,9 +245,7 @@ class InferenceEngine:
 
     def predict_proba(self, features: Mapping[str, np.ndarray],
                       lengths: np.ndarray | None = None,
-                      dedup: DedupIndex | None = None,
-                      workers: int | None = None,
-                      precision: str | None = None) -> np.ndarray:
+                      dedup: DedupIndex | None = None) -> np.ndarray:
         """Probabilities for every row, predicting once per unique cell.
 
         Parameters
@@ -342,27 +259,7 @@ class InferenceEngine:
             Precomputed unique-cell index (e.g.
             :attr:`~repro.dataprep.encoding.EncodedCells.dedup`); built
             on the fly when omitted.
-        workers:
-            Per-call worker-count override (``None`` = the engine
-            default).
-        precision:
-            Per-call numeric-mode override (``None`` = the engine
-            default).  Non-``float64`` probabilities are cached under
-            precision-tagged keys, so modes never serve each other's
-            entries.
         """
-        workers = self.workers if workers is None else workers
-        precision = self.precision if precision is None else precision
-        _validate_precision(precision)
-        if workers < 0:
-            raise ConfigurationError(
-                f"workers must be >= 0, got {workers}")
-        process_mode = self.worker_mode == "process" and workers > 0
-        if process_mode and precision != "float64":
-            raise ConfigurationError(
-                "process worker mode evaluates with the float64 model; "
-                f"combine precision={precision!r} with thread workers "
-                "instead")
         n = _validate_rows(features)
         if dedup is None:
             dedup = build_dedup_index(features)
@@ -381,13 +278,8 @@ class InferenceEngine:
             # Keys carry the engine's model fingerprint, so two detector
             # families sharing a tenant cache can never collide on the
             # same feature bytes.
-            tag = self._key_tag
-            if precision != "float64":
-                # Reduced-precision results are only tolerance-close to
-                # the reference; tag their keys so a float64 caller can
-                # never be served a float32/int8 entry (or vice versa).
-                tag = precision.encode() + b":" + tag
-            keys = [tag + key for key in _row_key_bytes(features, reps)]
+            keys = [self._key_tag + key
+                    for key in _row_key_bytes(features, reps)]
             misses = []
             for position, key in enumerate(keys):
                 entry = self.cache.get(key)
@@ -419,41 +311,19 @@ class InferenceEngine:
             tele = telemetry.enabled()
             forward_hist = (telemetry.get_registry().histogram(
                 "inference.forward_seconds") if tele else None)
-            starts = range(0, rows.shape[0], self.batch_size)
-            if process_mode:
-                # Fan whole chunks out to forked workers.  Chunks are
-                # materialised with fresh arrays: submission pickles them
-                # on a background thread, so the reusable gather buffers
-                # (overwritten by the next chunk) must not be shared.
-                built = [self._build_chunk(features, rows, row_lengths,
-                                           start, copy=True)
-                         for start in starts]
-                results = self._pool(workers).map_chunks(
-                    [chunk for chunk, _ in built])
-                for start, (_, k), probs in zip(starts, built, results):
-                    probs = probs[:k]
+            with no_grad():
+                for start in range(0, rows.shape[0], self.batch_size):
+                    chunk, k = self._build_chunk(features, rows,
+                                                 row_lengths, start)
+                    chunk_started = time.perf_counter() if tele else 0.0
+                    probs = self.model(chunk).numpy()[:k]
+                    if forward_hist is not None:
+                        forward_hist.observe(
+                            time.perf_counter() - chunk_started)
                     if rep_probs is None:
                         rep_probs = self._representative_buffer(
                             n_unique, probs.shape[1], probs.dtype)
                     rep_probs[todo[start:start + self.batch_size]] = probs
-            else:
-                from repro.nn.parallel import use_workers
-                evaluate = self._evaluator(precision)
-                plane = (use_workers(workers) if workers
-                         else contextlib.nullcontext())
-                with no_grad(), plane:
-                    for start in starts:
-                        chunk, k = self._build_chunk(features, rows,
-                                                     row_lengths, start)
-                        chunk_started = time.perf_counter() if tele else 0.0
-                        probs = evaluate(chunk)[:k]
-                        if forward_hist is not None:
-                            forward_hist.observe(
-                                time.perf_counter() - chunk_started)
-                        if rep_probs is None:
-                            rep_probs = self._representative_buffer(
-                                n_unique, probs.shape[1], probs.dtype)
-                        rep_probs[todo[start:start + self.batch_size]] = probs
             if self.cache is not None and keys is not None:
                 for position in miss_positions:
                     self.cache.put(keys[position], rep_probs[position])
@@ -483,10 +353,6 @@ class InferenceEngine:
             registry.counter("inference.cache_hits").inc(stats.cache_hits)
             registry.counter("inference.cache_misses").inc(stats.cache_misses)
             registry.counter("inference.evaluated").inc(stats.n_evaluated)
-            registry.counter(f"inference.precision.{precision}").inc()
-            if workers:
-                registry.counter("inference.parallel_calls").inc()
             registry.gauge("inference.unique_ratio").set(stats.unique_ratio)
-            registry.emit({"type": "inference", "precision": precision,
-                           "workers": workers, **stats.as_dict()})
+            registry.emit({"type": "inference", **stats.as_dict()})
         return dedup.scatter(rep_probs)

@@ -133,9 +133,7 @@ def _score_with_model(item: IngestedTable,
             cell_values.append("" if value is None else str(value))
     features = encode_values_for(detector, cell_values, attrs)
     probabilities = detector.trainer.predict_proba(
-        features, deduplicate=detector.deduplicate,
-        workers=detector.inference_workers,
-        precision=detector.inference_precision)
+        features, deduplicate=detector.deduplicate)
     return tuple(
         CellScore(table=item.name, row=rows[i], attribute=attrs[i],
                   value=cell_values[i], score=float(probabilities[i, 1]),

@@ -13,8 +13,7 @@ fed through the same dense -> batch-norm -> softmax head.
 The attention and fused-embedding kernels live in
 :mod:`repro.nn.attention`; both compute backends produce bit-identical
 forwards and the kernels keep the dedup engine's batch-composition
-invariance (see that module's docstring).  Reduced-precision inference
-is not implemented for this family -- ``float64`` only.
+invariance (see that module's docstring).
 """
 
 from __future__ import annotations

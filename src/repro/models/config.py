@@ -7,6 +7,7 @@ value RNN, 8-unit attribute RNN, 64-wide length branch, 32-wide head,
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -77,26 +78,12 @@ class TrainingConfig:
         RMSprop step size.
     max_grad_norm:
         Global-norm gradient clipping (``None`` disables).
-    bucket_batches:
-        Train with length-bucketed batches whose padded tails are trimmed
-        (:class:`~repro.nn.training.BucketBatchSampler`).  Equivalent to
-        the full-padding path up to float accumulation order, and much
-        faster on skewed-length datasets.  Off by default so the paper's
-        exact batch-shuffling protocol stays the reference.
-    n_length_buckets:
-        Auto-quantile bucket count when ``bucket_edges`` is ``None``.
-    bucket_edges:
-        Explicit ascending bucket upper edges (inclusive); overrides the
-        quantile heuristic.
     """
 
     epochs: int = 120
     batch_fraction: float = 0.25
     learning_rate: float = 0.001
     max_grad_norm: float | None = 5.0
-    bucket_batches: bool = False
-    n_length_buckets: int = 4
-    bucket_edges: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -109,11 +96,22 @@ class TrainingConfig:
             raise ConfigurationError(
                 f"learning_rate must be positive, got {self.learning_rate}"
             )
-        if self.n_length_buckets < 1:
-            raise ConfigurationError(
-                f"n_length_buckets must be >= 1, got {self.n_length_buckets}"
-            )
 
     def batch_size(self, train_size: int) -> int:
         """Batch size for a given trainset size (at least 1)."""
         return max(int(train_size * self.batch_fraction), 1)
+
+
+#: Fields of the retired length-bucketed batching that archives written
+#: before its removal still carry in their ``training_config``.
+RETIRED_TRAINING_KEYS = ("bucket_batches", "n_length_buckets", "bucket_edges")
+
+
+def training_config_from_dict(data: Mapping[str, object]) -> TrainingConfig:
+    """Rebuild a :class:`TrainingConfig` from its archived dict form.
+
+    Drops exactly the :data:`RETIRED_TRAINING_KEYS`, so older archives
+    keep loading; any other unknown key still raises ``TypeError``.
+    """
+    return TrainingConfig(**{key: value for key, value in data.items()
+                             if key not in RETIRED_TRAINING_KEYS})

@@ -31,14 +31,12 @@ from repro.models.etsb_rnn import ETSBRNN
 from repro.models.tsb_rnn import TSBRNN
 from repro.nn import (
     BestWeightsCheckpoint,
-    BucketBatchSampler,
     Callback,
     RMSprop,
     Trainer,
     categorical_cross_entropy,
 )
 from repro.nn.losses import one_hot
-from repro.nn.lowp import PRECISION_MODES
 from repro.nn.module import Module
 from repro.sampling import DiverSet, Sampler
 from repro.table import Table
@@ -143,14 +141,6 @@ class ErrorDetector:
     prediction_cache_size:
         Capacity of the cross-call :class:`~repro.inference.PredictionCache`
         shared by every prediction this detector serves.
-    inference_workers:
-        Worker count for prediction (0 = serial).  Thread workers split
-        each forward's length groups across the kernel work plane;
-        predictions stay bit-identical at any count.
-    inference_precision:
-        ``"float64"`` (default, the reference), ``"float32"`` or
-        ``"int8"`` -- the reduced-precision fast inference mode
-        (tolerance-gated, requires ``deduplicate``).
     """
 
     def __init__(self, architecture: str = "etsb",
@@ -161,28 +151,11 @@ class ErrorDetector:
                  seed: int = 0,
                  extra_callbacks: Sequence[Callback] = (),
                  deduplicate: bool = True,
-                 prediction_cache_size: int = 65536,
-                 inference_workers: int = 0,
-                 inference_precision: str = "float64"):
+                 prediction_cache_size: int = 65536):
         if architecture not in ARCHITECTURES:
             raise ConfigurationError(
                 f"architecture must be one of {ARCHITECTURES}, got {architecture!r}"
             )
-        if inference_precision not in PRECISION_MODES:
-            raise ConfigurationError(
-                f"inference_precision must be one of {PRECISION_MODES}, "
-                f"got {inference_precision!r}")
-        if architecture == "attn" and inference_precision != "float64":
-            raise ConfigurationError(
-                "the attention family has no reduced-precision evaluator; "
-                "use inference_precision='float64'")
-        if not deduplicate and inference_precision != "float64":
-            raise ConfigurationError(
-                "reduced-precision inference requires the dedup engine; "
-                "drop deduplicate=False or use float64")
-        if inference_workers < 0:
-            raise ConfigurationError(
-                f"inference_workers must be >= 0, got {inference_workers}")
         self.architecture = architecture
         self.sampler = sampler if sampler is not None else DiverSet()
         self.n_label_tuples = n_label_tuples
@@ -192,8 +165,6 @@ class ErrorDetector:
         self.seed = seed
         self.extra_callbacks = tuple(extra_callbacks)
         self.deduplicate = deduplicate
-        self.inference_workers = inference_workers
-        self.inference_precision = inference_precision
         self.prediction_cache = PredictionCache(capacity=prediction_cache_size)
         self.model: Module | None = None
         self.prepared: PreparedData | None = None
@@ -293,12 +264,6 @@ class ErrorDetector:
         optimizer = RMSprop(model.parameters(),
                             learning_rate=self.training_config.learning_rate)
         checkpoint = BestWeightsCheckpoint(monitor="loss", mode="min")
-        batch_sampler = None
-        if self.training_config.bucket_batches:
-            batch_sampler = BucketBatchSampler(
-                edges=self.training_config.bucket_edges,
-                n_buckets=self.training_config.n_length_buckets,
-            )
         trainer = Trainer(
             model=model,
             optimizer=optimizer,
@@ -306,7 +271,6 @@ class ErrorDetector:
             max_grad_norm=self.training_config.max_grad_norm,
             rng=rng,
             callbacks=(checkpoint, *self.extra_callbacks),
-            batch_sampler=batch_sampler,
             prediction_cache=self.prediction_cache,
         )
         batch_size = self.training_config.batch_size(split.train_size)
@@ -319,7 +283,6 @@ class ErrorDetector:
         self.checkpoint = checkpoint
         trainer.fit(split.train.features, split.train.labels,
                     epochs=self.training_config.epochs, batch_size=batch_size,
-                    lengths=split.train.lengths,
                     checkpoint_path=checkpoint_path, resume_from=resume_from)
         return self
 
@@ -350,9 +313,7 @@ class ErrorDetector:
             raise NotFittedError("fit() has not been called")
         probabilities = self.trainer.predict_proba(
             features, lengths=lengths, dedup=dedup,
-            deduplicate=self.deduplicate,
-            workers=self.inference_workers,
-            precision=self.inference_precision)
+            deduplicate=self.deduplicate)
         return probabilities.argmax(axis=1).astype(np.int64)
 
     @property
@@ -403,9 +364,7 @@ class ErrorDetector:
         probabilities = trainer.predict_proba(encoded.features,
                                               lengths=encoded.lengths,
                                               dedup=encoded.dedup,
-                                              deduplicate=self.deduplicate,
-                                              workers=self.inference_workers,
-                                              precision=self.inference_precision)
+                                              deduplicate=self.deduplicate)
         predictions = probabilities.argmax(axis=1)
         return [
             (int(tid), attr)

@@ -33,7 +33,7 @@ import numpy as np
 from repro.dataprep import PreparedData
 from repro.dataprep.dictionaries import AttributeDictionary, CharDictionary
 from repro.errors import ConfigurationError, DataError, NotFittedError
-from repro.models.config import ModelConfig, TrainingConfig
+from repro.models.config import ModelConfig, training_config_from_dict
 from repro.models.detector import ErrorDetector, build_model
 from repro.nn.callbacks import Callback
 from repro.nn.module import Module
@@ -146,10 +146,7 @@ def load_detector(path: str | Path) -> ErrorDetector:
     config = ModelConfig(**meta["model_config"])
     training_config = None
     if meta.get("training_config") is not None:
-        tc = dict(meta["training_config"])
-        if tc.get("bucket_edges") is not None:
-            tc["bucket_edges"] = tuple(tc["bucket_edges"])
-        training_config = TrainingConfig(**tc)
+        training_config = training_config_from_dict(meta["training_config"])
     detector = ErrorDetector(architecture=meta["architecture"],
                              model_config=config,
                              training_config=training_config,

@@ -12,9 +12,7 @@ paper's two architectures (Figure 5) are made of:
   :class:`Adam`;
 * a :class:`Trainer` with Keras-style callbacks, including
   :class:`BestWeightsCheckpoint`, which restores the weights from the
-  epoch with the lowest training loss exactly as Section 5.2 describes,
-  plus :class:`BucketBatchSampler` for length-bucketed batching that
-  trims padded tails so step cost tracks real characters;
+  epoch with the lowest training loss exactly as Section 5.2 describes;
 * compute backends (:mod:`repro.nn.backend`): the default ``"fused"``
   backend runs each recurrence level as one autograd node
   (:mod:`repro.nn.kernels`), the ``"graph"`` backend is the per-step
@@ -58,7 +56,6 @@ from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, Optimizer, RMSprop, clip_gradients
 from repro.nn.training import (
     Batch,
-    BucketBatchSampler,
     Trainer,
     iterate_batches,
     predict_proba,
@@ -99,7 +96,6 @@ __all__ = [
     "EpochEvaluator",
     "Trainer",
     "Batch",
-    "BucketBatchSampler",
     "iterate_batches",
     "predict_proba",
     "glorot_uniform",

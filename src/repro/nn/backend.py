@@ -18,8 +18,8 @@ Both produce bit-for-bit identical forward values (the fused kernels run
 the same numpy expressions in the same order), so reproduction results do
 not depend on the active backend.  Both are also padding-aware: the time
 loop stops at the batch's effective width (the last step that is live for
-any row), so trimmed bucketed batches and full-padding batches cost what
-their real characters cost, on either backend.
+any row), so the padded tail of a batch of short values costs nothing, on
+either backend.
 
 Selection, in order of precedence: :func:`set_backend` /
 :func:`use_backend` at runtime, then the ``REPRO_NN_BACKEND`` environment

@@ -50,7 +50,6 @@ import numpy as np
 from repro import telemetry
 from repro.autograd.function import Function, FunctionCtx
 from repro.errors import ShapeError
-from repro.nn.parallel.plane import parallel_level_active, parallel_level
 
 __all__ = [
     "RNNLevelFunction",
@@ -187,8 +186,8 @@ class _ScratchPool(threading.local):
     same key *on the same thread*; nothing handed to the autograd graph
     (outputs, returned gradients, ``ctx`` state) may ever live here.
     Kernel calls never nest on a thread, so sequential reuse is safe, and
-    each worker of the parallel plane gets its own buffers -- concurrent
-    kernel calls never alias.
+    each thread gets its own buffers -- the serving daemon's handler
+    threads run forwards concurrently without aliasing.
     """
 
     def __init__(self) -> None:
@@ -343,19 +342,6 @@ class RNNLevelFunction(Function):
     @staticmethod
     def backward(ctx: FunctionCtx, grad: np.ndarray
                  ) -> tuple[np.ndarray | None, ...]:
-        (dproj,) = RNNLevelFunction._local_grads(ctx, grad)
-        return RNNLevelFunction._finish(ctx, dproj)
-
-    @staticmethod
-    def _local_grads(ctx: FunctionCtx, grad: np.ndarray
-                     ) -> tuple[np.ndarray, ...]:
-        """Row-local half of the backward: the BPTT time loop.
-
-        Produces the pre-activation gradient ``dproj`` (scratch) over the
-        live window.  Every operation here is row-wise, so the parallel
-        plane can run it per length group and assemble the groups' results
-        into the full-batch ``dproj`` the serial path would have built.
-        """
         states, mask, order = ctx.states, ctx.mask, ctx.order
         w_h, width = ctx.w_h, ctx.width
         batch, _, units = states.shape
@@ -385,21 +371,10 @@ class RNNLevelFunction(Function):
                 live = mask[:, t:t + 1]
                 dpre *= live
                 dh = dpre @ w_h_t + dh * ~live
-        return (dproj,)
 
-    @staticmethod
-    def _finish(ctx: FunctionCtx, dproj: np.ndarray
-                ) -> tuple[np.ndarray | None, ...]:
-        """Batch-level tail: weight and input gradients from ``dproj``.
-
-        The exact GEMM expressions of the serial backward, so calling this
-        on an assembled full-batch ``dproj`` (parallel plane) reproduces
-        the serial gradients.
-        """
-        states_w = ctx.states[:, :ctx.width]
         if ctx.needs_input_grad[2]:
             dw_h = _recurrent_weight_grad(
-                _shift_prev(states_w, ctx.order, "rnn.prev"), dproj)
+                _shift_prev(states_w, order, "rnn.prev"), dproj)
         else:
             dw_h = None
         dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx, ctx.x_shape)
@@ -473,13 +448,6 @@ class LSTMLevelFunction(Function):
     @staticmethod
     def backward(ctx: FunctionCtx, grad: np.ndarray
                  ) -> tuple[np.ndarray | None, ...]:
-        (dproj,) = LSTMLevelFunction._local_grads(ctx, grad)
-        return LSTMLevelFunction._finish(ctx, dproj)
-
-    @staticmethod
-    def _local_grads(ctx: FunctionCtx, grad: np.ndarray
-                     ) -> tuple[np.ndarray, ...]:
-        """Row-local half of the backward (see ``RNNLevelFunction``)."""
         h_seq, c_seq, acts, tanh_c = ctx.h_seq, ctx.c_seq, ctx.acts, ctx.tanh_c
         mask, order, w_h, width = ctx.mask, ctx.order, ctx.w_h, ctx.width
         batch, _, units = h_seq.shape
@@ -530,16 +498,10 @@ class LSTMLevelFunction(Function):
             dgates[:, 3 * units:] = do * sig_deriv[:, t, 3 * units:]
             dh = dgates @ w_h_t + dh_dead
             dc = dc_raw * f + dc_dead
-        return (dproj,)
 
-    @staticmethod
-    def _finish(ctx: FunctionCtx, dproj: np.ndarray
-                ) -> tuple[np.ndarray | None, ...]:
-        """Batch-level tail (see ``RNNLevelFunction._finish``)."""
-        h_seq_w = ctx.h_seq[:, :ctx.width]
         if ctx.needs_input_grad[2]:
             dw_h = _recurrent_weight_grad(
-                _shift_prev(h_seq_w, ctx.order, "lstm.hprev"), dproj)
+                _shift_prev(h_seq[:, :width], order, "lstm.hprev"), dproj)
         else:
             dw_h = None
         dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx, ctx.x_shape)
@@ -595,20 +557,6 @@ class GRULevelFunction(Function):
     @staticmethod
     def backward(ctx: FunctionCtx, grad: np.ndarray
                  ) -> tuple[np.ndarray | None, ...]:
-        dproj, drec_seq = GRULevelFunction._local_grads(ctx, grad)
-        return GRULevelFunction._finish(ctx, dproj, drec_seq)
-
-    @staticmethod
-    def _local_grads(ctx: FunctionCtx, grad: np.ndarray
-                     ) -> tuple[np.ndarray, ...]:
-        """Row-local half of the backward (see ``RNNLevelFunction``).
-
-        Also builds the recurrent-projection gradient ``drec_seq`` (the
-        candidate slice of ``dproj`` re-scaled by the reset gate), which
-        depends on the row-local gate activations and so belongs to the
-        group-local half; ``None`` when the recurrent weight needs no
-        gradient.
-        """
         states, gates, rec_n = ctx.states, ctx.gates, ctx.rec_n
         mask, order, w_h, width = ctx.mask, ctx.order, ctx.w_h, ctx.width
         batch, _, units = states.shape
@@ -668,19 +616,7 @@ class GRULevelFunction(Function):
             np.copyto(drec_seq, dproj)
             np.multiply(dproj[:, :, 2 * units:], gates[:, :, units:2 * units],
                         out=drec_seq[:, :, 2 * units:])
-        else:
-            drec_seq = None
-        return dproj, drec_seq
-
-    @staticmethod
-    def _finish(ctx: FunctionCtx, dproj: np.ndarray,
-                drec_seq: np.ndarray | None
-                ) -> tuple[np.ndarray | None, ...]:
-        """Batch-level tail (see ``RNNLevelFunction._finish``)."""
-        if ctx.needs_input_grad[2]:
-            dw_h = _recurrent_weight_grad(
-                _shift_prev(ctx.states[:, :ctx.width], ctx.order, "gru.prev"),
-                drec_seq)
+            dw_h = _recurrent_weight_grad(h_prev_seq, drec_seq)
         else:
             dw_h = None
         dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx, ctx.x_shape)
@@ -738,30 +674,19 @@ class DenseSoftmaxBCEFunction(Function):
 
 
 # -- functional wrappers --------------------------------------------------------
-#
-# Each wrapper dispatches to the parallel work plane when it is enabled
-# (``repro.nn.parallel``) and the batch is worth splitting; otherwise the
-# kernel runs inline as a single autograd node.
 
 def rnn_level(x, w_x, w_h, b_h, mask=None, reverse=False):
     """Fused tanh-RNN level; returns the state sequence ``(B, T, units)``."""
-    if parallel_level_active(mask):
-        return parallel_level(RNNLevelFunction, x, w_x, w_h, b_h, mask, reverse)
     return RNNLevelFunction.apply(x, w_x, w_h, b_h, mask, reverse)
 
 
 def lstm_level(x, w_x, w_h, b_h, mask=None, reverse=False):
     """Fused LSTM level; returns the hidden sequence ``(B, T, units)``."""
-    if parallel_level_active(mask):
-        return parallel_level(LSTMLevelFunction, x, w_x, w_h, b_h, mask,
-                              reverse)
     return LSTMLevelFunction.apply(x, w_x, w_h, b_h, mask, reverse)
 
 
 def gru_level(x, w_x, w_h, b_h, mask=None, reverse=False):
     """Fused GRU level; returns the state sequence ``(B, T, units)``."""
-    if parallel_level_active(mask):
-        return parallel_level(GRULevelFunction, x, w_x, w_h, b_h, mask, reverse)
     return GRULevelFunction.apply(x, w_x, w_h, b_h, mask, reverse)
 
 

@@ -4,15 +4,12 @@ Works with multi-input models: a training example is a dict of named
 feature arrays (the paper's models take up to three inputs -- character
 indices, attribute index and normalised length) plus integer labels.
 
-Cell values have wildly skewed lengths (a beer name vs. a tax-record
-field), yet every ``values`` row is padded to the dataset-wide maximum.
-:class:`BucketBatchSampler` makes the hot path proportional to real
-characters instead of padding: examples are grouped into length buckets,
-shuffled within and across buckets, and each batch's padded arrays are
-trimmed to the batch's own maximum length.  Trimming only removes steps
-that are padding for every row, so training is equivalent to the
-full-padding path up to float accumulation order (and forward values are
-bit-for-bit identical -- see :mod:`repro.nn.kernels`).
+Training draws plain shuffled batches (the paper's protocol).  Inference
+(:func:`predict_proba`) can take per-example lengths: it then runs
+sorted-by-length chunks whose padded ``values`` tails are trimmed to the
+chunk maximum.  Trimming only removes steps that are padding for every
+row, so forward values are bit-for-bit identical to the full-padding
+path (see :mod:`repro.nn.kernels`).
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from repro.inference.index import DedupIndex
 from repro.nn.callbacks import Callback, History
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer, clip_gradients
-from repro.nn.parallel import use_workers
 
 Features = dict[str, np.ndarray]
 
@@ -131,114 +127,6 @@ def iterate_batches(features: Mapping[str, np.ndarray], labels: np.ndarray,
         )
 
 
-@dataclass(frozen=True)
-class BucketBatchSampler:
-    """Length-bucketed batching with padded-tail trimming.
-
-    Groups examples into buckets of similar sequence length, shuffles
-    within each bucket (so bucket membership, not example order, is the
-    only constraint), chunks each bucket into batches and shuffles the
-    batch order across buckets.  Each batch's sequence features (the
-    ``values`` array) are then trimmed to the batch's own maximum length,
-    so the RNN kernels never loop over steps that are padding for every
-    row.
-
-    Parameters
-    ----------
-    edges:
-        Explicit ascending bucket upper edges (inclusive).  Lengths above
-        the last edge fall into one extra overflow bucket.  ``None``
-        derives edges from quantiles of the observed lengths.
-    n_buckets:
-        Number of auto-quantile buckets when ``edges`` is ``None``.
-    trim_keys:
-        Feature keys carrying a ``(batch, time)``-like layout to trim.
-    trim:
-        ``False`` keeps full-width arrays (identical batch composition,
-        no trimming) -- the control arm used by the equivalence tests and
-        the bucketing benchmark.
-    """
-
-    edges: tuple[int, ...] | None = None
-    n_buckets: int = 4
-    trim_keys: tuple[str, ...] = SEQUENCE_KEYS
-    trim: bool = True
-
-    def __post_init__(self) -> None:
-        if self.n_buckets < 1:
-            raise ConfigurationError(
-                f"n_buckets must be >= 1, got {self.n_buckets}"
-            )
-        if self.edges is not None:
-            edges = tuple(self.edges)
-            if not edges or any(e < 1 for e in edges):
-                raise ConfigurationError(
-                    f"bucket edges must be positive, got {edges}"
-                )
-            if list(edges) != sorted(set(edges)):
-                raise ConfigurationError(
-                    f"bucket edges must be strictly ascending, got {edges}"
-                )
-
-    def resolve_edges(self, lengths: np.ndarray) -> tuple[int, ...]:
-        """The bucket upper edges used for ``lengths``.
-
-        Explicit edges are kept as given; auto-quantile edges are the
-        ``1/n .. n/n`` quantiles of the observed lengths (deduplicated,
-        so datasets with few distinct lengths get fewer buckets).  The
-        last auto edge always equals the maximum observed length.
-        """
-        if self.edges is not None:
-            return self.edges
-        quantiles = np.quantile(lengths, [(i + 1) / self.n_buckets
-                                          for i in range(self.n_buckets)])
-        edges = sorted({int(np.ceil(q)) for q in quantiles})
-        edges[-1] = max(edges[-1], int(lengths.max()))
-        return tuple(edges)
-
-    def batches(self, features: Mapping[str, np.ndarray], labels: np.ndarray,
-                lengths: np.ndarray, batch_size: int,
-                rng: np.random.Generator | None = None) -> Iterator[Batch]:
-        """Yield one epoch of bucketed (and optionally trimmed) batches.
-
-        Every example appears in exactly one batch per epoch.  With
-        ``rng=None`` the order is deterministic: buckets in edge order,
-        examples in dataset order within each bucket.
-        """
-        n = _validate(features, labels)
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        lengths = np.asarray(lengths).reshape(-1)
-        if lengths.shape[0] != n:
-            raise ConfigurationError(
-                f"lengths has {lengths.shape[0]} entries but features have {n} rows"
-            )
-        edges = self.resolve_edges(lengths)
-        # First bucket whose edge covers the length; lengths beyond the
-        # last explicit edge land in an overflow bucket.
-        bucket_of = np.searchsorted(np.asarray(edges), lengths, side="left")
-        order = np.arange(n)
-        if rng is not None:
-            rng.shuffle(order)  # within-bucket order (stable partition below)
-        batches: list[np.ndarray] = []
-        for bucket in range(len(edges) + 1):
-            members = order[bucket_of[order] == bucket]
-            for start in range(0, members.shape[0], batch_size):
-                batches.append(members[start:start + batch_size])
-        if rng is not None:
-            rng.shuffle(batches)  # across buckets
-        for index in batches:
-            width = max(int(lengths[index].max()), 1)
-            feats: Features = {}
-            for name, arr in features.items():
-                part = np.take(arr, index, axis=0)
-                if (self.trim and name in self.trim_keys and part.ndim >= 2
-                        and width < part.shape[1]):
-                    part = part[:, :width]
-                feats[name] = part
-            yield Batch(features=feats, labels=np.take(labels, index, axis=0))
-
-
 @dataclass
 class Trainer:
     """Gradient-descent trainer with callbacks.
@@ -263,10 +151,6 @@ class Trainer:
     callbacks:
         Extra callbacks; a :class:`History` is always appended and exposed
         as :attr:`history`.
-    batch_sampler:
-        Optional :class:`BucketBatchSampler`; used by :meth:`fit` when
-        per-example ``lengths`` are supplied, making each training step's
-        cost proportional to real characters instead of padding.
     prediction_cache:
         Optional cross-call :class:`~repro.inference.PredictionCache`
         used by :meth:`predict_proba`'s dedup fast path.  Entries are
@@ -281,7 +165,6 @@ class Trainer:
     max_grad_norm: float | None = 5.0
     rng: np.random.Generator | None = None
     callbacks: Sequence[Callback] = field(default_factory=tuple)
-    batch_sampler: BucketBatchSampler | None = None
     prediction_cache: PredictionCache | None = None
     history: History = field(init=False)
 
@@ -291,15 +174,11 @@ class Trainer:
         self._engine = InferenceEngine(self.model, cache=self.prediction_cache)
 
     def fit(self, features: Features, labels: np.ndarray, epochs: int,
-            batch_size: int, lengths: np.ndarray | None = None,
+            batch_size: int,
             checkpoint_path: str | Path | None = None,
             checkpoint_every: int = 1,
             resume_from: str | Path | None = None) -> History:
         """Train for ``epochs`` passes over the data; returns the history.
-
-        With both a :attr:`batch_sampler` and per-example ``lengths``,
-        batches are length-bucketed and trimmed; otherwise the plain
-        shuffled iteration is used (``lengths`` is then ignored).
 
         Crash safety: with ``checkpoint_path``, the full training state
         (weights, optimizer slots, shuffling RNG, callback state, epoch
@@ -336,10 +215,6 @@ class Trainer:
         # per-batch accounting below only runs when it is on.
         tele = telemetry.enabled()
         registry = telemetry.get_registry() if tele else None
-        full_width = None
-        if tele and SEQUENCE_KEYS[0] in features \
-                and features[SEQUENCE_KEYS[0]].ndim >= 2:
-            full_width = int(features[SEQUENCE_KEYS[0]].shape[1])
         with telemetry.span("train.fit", epochs=epochs, batch_size=batch_size):
             for epoch in range(start_epoch, epochs):
                 epoch_started = time.perf_counter() if tele else 0.0
@@ -347,15 +222,9 @@ class Trainer:
                 examples = 0
                 n_batches = 0
                 norm_sum = 0.0
-                width_sum = 0
                 backward_seconds = 0.0
-                if self.batch_sampler is not None and lengths is not None:
-                    batch_iter = self.batch_sampler.batches(
-                        features, labels, lengths, batch_size, rng=self.rng)
-                else:
-                    batch_iter = iterate_batches(features, labels, batch_size,
-                                                 rng=self.rng,
-                                                 reuse_buffers=True)
+                batch_iter = iterate_batches(features, labels, batch_size,
+                                             rng=self.rng, reuse_buffers=True)
                 for batch_index, batch in enumerate(batch_iter):
                     inject("trainer.batch_step", epoch=epoch,
                            batch=batch_index)
@@ -386,9 +255,6 @@ class Trainer:
                         n_batches += 1
                         if grad_norm is not None:
                             norm_sum += grad_norm
-                        if full_width is not None:
-                            width_sum += int(
-                                batch.features[SEQUENCE_KEYS[0]].shape[1])
                 logs = {"loss": epoch_loss / examples}
                 if tele:
                     wall = time.perf_counter() - epoch_started
@@ -409,13 +275,9 @@ class Trainer:
                         "n_batches": n_batches,
                         "examples": examples,
                         # Mean examples per batch over the nominal batch
-                        # size, and mean trimmed sequence width over the
-                        # full padded width: how much real work each batch
-                        # carried (bucketed epochs trim, so < 1.0).
+                        # size (< 1.0 when the last batch is partial).
                         "batch_fill": (examples / (n_batches * batch_size)
                                        if n_batches else None),
-                        "width_ratio": (width_sum / (n_batches * full_width)
-                                        if full_width and n_batches else None),
                         "backward_s": backward_seconds,
                         "wall_s": wall,
                     })
@@ -485,9 +347,7 @@ class Trainer:
     def predict_proba(self, features: Features, batch_size: int = 256,
                       lengths: np.ndarray | None = None,
                       dedup: DedupIndex | None = None,
-                      deduplicate: bool = True,
-                      workers: int | None = None,
-                      precision: str | None = None) -> np.ndarray:
+                      deduplicate: bool = True) -> np.ndarray:
         """Class probabilities in eval mode, without recording gradients.
 
         With ``deduplicate=True`` (the default) the dedup-memoized fast
@@ -498,29 +358,12 @@ class Trainer:
         The result is bit-for-bit identical to the naive chunked forward.
         ``dedup`` supplies a precomputed unique-cell index (e.g.
         :attr:`~repro.dataprep.encoding.EncodedCells.dedup`).
-
-        ``workers`` and ``precision`` pass through to
-        :meth:`~repro.inference.engine.InferenceEngine.predict_proba`
-        (``None`` keeps the engine defaults).  The naive path supports
-        ``workers`` (the kernel work plane is chunking-agnostic) but only
-        float64 -- reduced precision lives behind the dedup engine's
-        tolerance-gated, precision-tagged cache.
         """
         self.model.eval()
         if deduplicate:
             self._engine.batch_size = batch_size
             return self._engine.predict_proba(features, lengths=lengths,
-                                              dedup=dedup, workers=workers,
-                                              precision=precision)
-        if precision not in (None, "float64"):
-            raise ConfigurationError(
-                f"precision={precision!r} requires the dedup engine; "
-                "naive (deduplicate=False) prediction is float64 only")
-        if workers:
-            with use_workers(workers):
-                return predict_proba(self.model, features,
-                                     batch_size=batch_size,
-                                     lengths=lengths, deduplicate=False)
+                                              dedup=dedup)
         return predict_proba(self.model, features, batch_size=batch_size,
                              lengths=lengths, deduplicate=False)
 

@@ -45,6 +45,11 @@ class _Server(socketserver.ThreadingTCPServer):
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # TCP_NODELAY: a reply written while the client has not yet ACKed the
+    # previous one on this connection goes out at once instead of waiting
+    # out the client's delayed ACK (~40 ms on Linux).
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         daemon: ServingDaemon = self.server.serving_daemon
         for line in self.rfile:
@@ -78,8 +83,8 @@ class ServingDaemon:
     max_batch_rows, batch_delay_ms, max_queue_rows, coalesce:
         Micro-batcher bounds (see
         :class:`~repro.serving.batcher.MicroBatcher`).
-    cache_size, workers, precision:
-        Per-tenant engine construction (see
+    cache_size:
+        Per-tenant prediction-cache capacity (see
         :class:`~repro.serving.registry.ModelRegistry`).
     """
 
@@ -87,10 +92,8 @@ class ServingDaemon:
                  detector=None, host: str = "127.0.0.1", port: int = 0,
                  max_batch_rows: int = 256, batch_delay_ms: float = 4.0,
                  max_queue_rows: int = 4096, coalesce: bool = True,
-                 cache_size: int = 65536, workers: int = 0,
-                 precision: str = "float64"):
-        self.registry = ModelRegistry(cache_size=cache_size, workers=workers,
-                                      precision=precision)
+                 cache_size: int = 65536):
+        self.registry = ModelRegistry(cache_size=cache_size)
         if model_path is not None or detector is not None:
             self.registry.add(DEFAULT_TENANT, detector=detector,
                               path=model_path)
@@ -150,7 +153,7 @@ class ServingDaemon:
             self.close()
 
     def shutdown(self) -> None:
-        """Stop accepting, drain the batcher, release engines."""
+        """Stop accepting and drain the batcher."""
         self._server.shutdown()
         if self._server_thread is not None:
             self._server_thread.join()
@@ -160,7 +163,6 @@ class ServingDaemon:
     def close(self) -> None:
         self._server.server_close()
         self.batcher.close()
-        self.registry.close()
 
     def __enter__(self) -> "ServingDaemon":
         return self.start()

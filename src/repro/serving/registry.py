@@ -15,10 +15,8 @@ Hot swap (:meth:`ModelRegistry.publish`) comes in two flavours:
   the *existing* model object with ``load_state_dict``.  That bumps
   ``Module.weights_version``, which is the single signal every
   downstream consumer already honours: the prediction cache flushes on
-  its next lookup, a :class:`~repro.nn.parallel.SharedWeights` mirror
-  republishes lazily, and a :class:`~repro.nn.parallel.SharedModelPool`
-  has its forked workers reload from shared memory -- no pool restart,
-  no downtime.
+  its next lookup and sessions notice the swap -- no engine rebuild, no
+  downtime.
 * **replace** -- anything else (different architecture, vocabulary or
   shapes) swaps in a freshly built engine around the new model, still
   sharing the tenant's cache.  The new model's ``weights_version`` is
@@ -114,17 +112,10 @@ class ModelRegistry:
     ----------
     cache_size:
         Per-tenant :class:`~repro.inference.PredictionCache` capacity.
-    workers, precision, worker_mode:
-        Engine construction defaults (see
-        :class:`~repro.inference.InferenceEngine`).
     """
 
-    def __init__(self, cache_size: int = 65536, workers: int = 0,
-                 precision: str = "float64", worker_mode: str = "thread"):
+    def __init__(self, cache_size: int = 65536):
         self.cache_size = cache_size
-        self.workers = workers
-        self.precision = precision
-        self.worker_mode = worker_mode
         self._tenants: dict[str, TenantModel] = {}
         self._lock = threading.RLock()
 
@@ -141,10 +132,7 @@ class ModelRegistry:
 
     def _build_engine(self, detector, cache: PredictionCache) -> InferenceEngine:
         detector.model.eval()
-        return InferenceEngine(detector.model, cache=cache,
-                               workers=self.workers,
-                               precision=self.precision,
-                               worker_mode=self.worker_mode)
+        return InferenceEngine(detector.model, cache=cache)
 
     # -- lookup -------------------------------------------------------------
 
@@ -225,8 +213,7 @@ class ModelRegistry:
             if in_place:
                 # load_state_dict bumps weights_version -- the one
                 # signal that flushes the prediction cache (exactly
-                # once, on its next sync) and makes SharedWeights /
-                # SharedModelPool workers republish lazily.
+                # once, on its next sync).
                 entry.detector.model.load_state_dict(
                     loaded.model.state_dict())
                 entry.detector.model.eval()
@@ -259,10 +246,3 @@ class ModelRegistry:
         return {"tenant": tenant, "version": version,
                 "mode": "in-place" if in_place else "replace",
                 "swaps": entry.swaps}
-
-    def close(self) -> None:
-        """Release every tenant's engine resources."""
-        with self._lock:
-            entries = list(self._tenants.values())
-        for entry in entries:
-            entry.engine.close()

@@ -2,15 +2,13 @@
 
 The paper's data-preparation pipeline (Figure 3) relies on dataframe-style
 operations: wide-to-long reshaping, outer merges on ``(id_, attribute)``,
-group-by aggregation, de-duplication and row filtering.  The execution
-environment has no pandas, so this subpackage implements a minimal but
-complete substitute:
+de-duplication and row filtering.  The execution environment has no
+pandas, so this subpackage implements a minimal but complete substitute:
 
 * :class:`~repro.table.column.Column` -- an immutable named sequence of cell
   values with vectorised helpers,
 * :class:`~repro.table.table.Table` -- an ordered collection of equal-length
   columns with selection, filtering, sorting, reshaping and joins,
-* :class:`~repro.table.groupby.GroupBy` -- split-apply-combine aggregation,
 * :mod:`~repro.table.io` -- CSV reading and writing on top of :mod:`csv`,
 * :mod:`~repro.table.keys` -- candidate-key and functional-dependency
   discovery (used by the Raha-style baseline and the paper's future-work
@@ -18,14 +16,12 @@ complete substitute:
 """
 
 from repro.table.column import Column
-from repro.table.groupby import GroupBy
 from repro.table.io import read_csv, write_csv
 from repro.table.keys import discover_candidate_keys, discover_functional_dependencies
 from repro.table.table import Table
 
 __all__ = [
     "Column",
-    "GroupBy",
     "Table",
     "read_csv",
     "write_csv",

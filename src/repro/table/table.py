@@ -349,14 +349,7 @@ class Table:
             data[name] = [cells.get((key, name)) for key in row_order]
         return Table(data)
 
-    # -- grouping and joining -------------------------------------------------------
-
-    def groupby(self, names: Sequence[str] | str) -> "GroupBy":
-        """Group rows by one or more key columns."""
-        from repro.table.groupby import GroupBy
-        if isinstance(names, str):
-            names = [names]
-        return GroupBy(self, list(names))
+    # -- joining ------------------------------------------------------------------
 
     def merge(self, other: Table, on: Sequence[str] | str, how: str = "inner",
               suffixes: tuple[str, str] = ("_x", "_y")) -> Table:

@@ -91,10 +91,9 @@ class TestExperimentMatrix:
             run_experiment_matrix(pairs, n_runs=0)
 
     def test_training_config_override(self, pair):
-        """A full TrainingConfig (e.g. bucketed) flows through the matrix."""
+        """A full TrainingConfig flows through the matrix."""
         from repro.models import TrainingConfig
-        config = TrainingConfig(epochs=2, bucket_batches=True,
-                                n_length_buckets=3)
+        config = TrainingConfig(epochs=2, batch_fraction=0.5)
         matrix = run_experiment_matrix([pair], n_runs=1, n_label_tuples=6,
                                        model_config=TINY,
                                        training_config=config, n_workers=2)

@@ -37,6 +37,14 @@ class TestFaultsList:
         for name in INJECTION_POINTS:
             assert name in out
 
+    def test_no_retired_parallel_points(self, capsys):
+        """No ``parallel.*`` injection point is registered or listed."""
+        assert main(["faults", "list"]) == 0
+        out = capsys.readouterr().out
+        assert "parallel." not in out
+        assert not [name for name in INJECTION_POINTS
+                    if name.startswith("parallel.")]
+
 
 class TestFaultsRun:
     def test_clean_plan_exits_zero(self, tmp_path, capsys):

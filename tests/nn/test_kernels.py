@@ -1,4 +1,7 @@
-"""Finite-difference gradchecks for every fused sequence kernel."""
+"""Finite-difference gradchecks for every fused sequence kernel, plus
+thread isolation of the kernels' scratch buffers."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -112,3 +115,40 @@ class TestDenseSoftmaxBCE:
         x, w, b, targets = self._inputs()
         loss = dense_softmax_bce(x, w, b, targets)
         assert loss.size == 1 and np.isfinite(loss.item())
+
+
+class TestScratchIsolation:
+    def test_concurrent_threads_do_not_corrupt_scratch(self):
+        """Two application threads hammer different shapes concurrently;
+        thread-local scratch keeps every result equal to a quiet run."""
+        shapes = [(9, 7), (13, 5)]
+
+        def forward(shape, seed):
+            rng = np.random.default_rng(seed)
+            batch, n_steps = shape
+            x = Tensor(rng.normal(size=(batch, n_steps, 3)))
+            w_x = Tensor(0.5 * rng.normal(size=(3, 20)))
+            w_h = Tensor(0.5 * rng.normal(size=(5, 20)))
+            b_h = Tensor(0.1 * rng.normal(size=(20,)))
+            mask = np.ones(shape, dtype=bool)
+            return lstm_level(x, w_x, w_h, b_h, mask=mask).data.copy()
+
+        references = [forward(shape, seed)
+                      for seed, shape in enumerate(shapes)]
+        results = [[] for _ in shapes]
+        barrier = threading.Barrier(len(shapes))
+
+        def worker(index):
+            barrier.wait()
+            for _ in range(25):
+                results[index].append(forward(shapes[index], index))
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(shapes))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for reference, outs in zip(references, results):
+            for out in outs:
+                np.testing.assert_array_equal(out, reference)

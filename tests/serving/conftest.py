@@ -71,8 +71,7 @@ def dirty_table() -> Table:
 def registry(detector) -> ModelRegistry:
     registry = ModelRegistry(cache_size=4096)
     registry.add(detector=detector)
-    yield registry
-    registry.close()
+    return registry
 
 
 @pytest.fixture

@@ -51,14 +51,11 @@ class TestCoalescing:
         # Reference: each row alone through a fresh engine (same seed).
         reference_model = build_detector(prepared).model
         engine = InferenceEngine(reference_model)
-        try:
-            for i, result in enumerate(results):
-                solo = engine.predict_proba(
-                    {k: v[i:i + 1] for k, v in features.items()},
-                    lengths=lengths[i:i + 1])
-                np.testing.assert_array_equal(result.probabilities, solo)
-        finally:
-            engine.close()
+        for i, result in enumerate(results):
+            solo = engine.predict_proba(
+                {k: v[i:i + 1] for k, v in features.items()},
+                lengths=lengths[i:i + 1])
+            np.testing.assert_array_equal(result.probabilities, solo)
 
     def test_coalesce_off_means_one_request_per_batch(self, detector,
                                                       registry):

@@ -28,38 +28,32 @@ class TestCrossFamilySwap:
         features, lengths = encode_cells(etsb, values)
 
         reference_engine = InferenceEngine(attn.model)
-        try:
-            reference = reference_engine.predict_proba(features,
-                                                       lengths=lengths)
-        finally:
-            reference_engine.close()
+        reference = reference_engine.predict_proba(features,
+                                                   lengths=lengths)
 
         registry = ModelRegistry()
-        try:
-            entry = registry.add(detector=etsb)
-            before = entry.engine.predict_proba(features, lengths=lengths)
-            assert len(entry.cache) > 0
-            flushes_before = entry.cache.stats()["invalidations"]
-            old_version = entry.version
+        entry = registry.add(detector=etsb)
+        before = entry.engine.predict_proba(features, lengths=lengths)
+        assert len(entry.cache) > 0
+        flushes_before = entry.cache.stats()["invalidations"]
+        old_version = entry.version
 
-            outcome = registry.publish(DEFAULT_TENANT, detector=attn)
-            assert outcome["mode"] == "replace"
-            assert outcome["version"] > old_version
+        outcome = registry.publish(DEFAULT_TENANT, detector=attn)
+        assert outcome["mode"] == "replace"
+        assert outcome["version"] > old_version
 
-            entry = registry.get(DEFAULT_TENANT)
-            after = entry.engine.predict_proba(features, lengths=lengths)
-            np.testing.assert_array_equal(after, reference)
-            assert not np.array_equal(after, before)
-            assert (entry.cache.stats()["invalidations"]
-                    == flushes_before + 1)
+        entry = registry.get(DEFAULT_TENANT)
+        after = entry.engine.predict_proba(features, lengths=lengths)
+        np.testing.assert_array_equal(after, reference)
+        assert not np.array_equal(after, before)
+        assert (entry.cache.stats()["invalidations"]
+                == flushes_before + 1)
 
-            # A second scoring pass reuses the flushed cache: no
-            # further invalidations, warm hits instead.
-            entry.engine.predict_proba(features, lengths=lengths)
-            assert (entry.cache.stats()["invalidations"]
-                    == flushes_before + 1)
-        finally:
-            registry.close()
+        # A second scoring pass reuses the flushed cache: no
+        # further invalidations, warm hits instead.
+        entry.engine.predict_proba(features, lengths=lengths)
+        assert (entry.cache.stats()["invalidations"]
+                == flushes_before + 1)
 
     def test_no_batch_mixes_versions_across_families(self, prepared):
         etsb = build_detector(prepared, architecture="etsb", seed=0)
@@ -70,11 +64,8 @@ class TestCrossFamilySwap:
         references = {}
         for name, detector in (("etsb", etsb), ("attn", attn)):
             engine = InferenceEngine(detector.model)
-            try:
-                references[name] = engine.predict_proba(features,
-                                                        lengths=lengths)
-            finally:
-                engine.close()
+            references[name] = engine.predict_proba(features,
+                                                    lengths=lengths)
 
         registry = ModelRegistry()
         batcher = MicroBatcher(registry, max_delay_s=0.002).start()
@@ -104,7 +95,6 @@ class TestCrossFamilySwap:
                 thread.join()
         finally:
             batcher.close()
-            registry.close()
 
         assert not errors
         assert len(results) == 80
@@ -127,27 +117,17 @@ class TestSharedCacheFingerprintSegregation:
         assert etsb.model.weights_version == attn.model.weights_version
 
         bare = InferenceEngine(attn.model)
-        try:
-            reference = bare.predict_proba(features, lengths=lengths)
-        finally:
-            bare.close()
+        reference = bare.predict_proba(features, lengths=lengths)
 
         cache = PredictionCache(capacity=4096)
         first = InferenceEngine(etsb.model, cache=cache)
         second = InferenceEngine(attn.model, cache=cache)
-        try:
-            etsb_probs = first.predict_proba(features, lengths=lengths)
-            attn_probs = second.predict_proba(features, lengths=lengths)
-        finally:
-            first.close()
-            second.close()
+        etsb_probs = first.predict_proba(features, lengths=lengths)
+        attn_probs = second.predict_proba(features, lengths=lengths)
         np.testing.assert_array_equal(attn_probs, reference)
         assert not np.array_equal(attn_probs, etsb_probs)
 
     def test_explicit_fingerprint_overrides_the_derived_one(self, prepared):
         etsb = build_detector(prepared, architecture="etsb", seed=0)
         engine = InferenceEngine(etsb.model, fingerprint="member-a")
-        try:
-            assert engine.fingerprint == "member-a"
-        finally:
-            engine.close()
+        assert engine.fingerprint == "member-a"

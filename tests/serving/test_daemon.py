@@ -1,6 +1,7 @@
 """End-to-end daemon tests over a real local socket."""
 
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.inference import InferenceEngine
 from repro.models.serialization import save_detector
 from repro.serving import ServingClient, ServingDaemon
+from repro.serving import daemon as daemon_module
 from repro.serving import protocol
 from repro.table import write_csv
 
@@ -50,11 +52,8 @@ class TestRequestReply:
         assert reply["weights_version"] == 0
         reference = build_detector(prepared)
         engine = InferenceEngine(reference.model)
-        try:
-            features, lengths = encode_cells(reference, values, attribute)
-            expected = engine.predict_proba(features, lengths=lengths)
-        finally:
-            engine.close()
+        features, lengths = encode_cells(reference, values, attribute)
+        expected = engine.predict_proba(features, lengths=lengths)
         np.testing.assert_array_equal(np.array(reply["probabilities"]),
                                       expected)
         assert reply["flags"] == list(expected.argmax(axis=1))
@@ -84,6 +83,27 @@ class TestRequestReply:
     def test_error_counters(self, daemon, client):
         client.request({"op": "nope"})
         assert daemon.n_errors >= 1
+
+
+class TestSocketOptions:
+    def test_connections_disable_nagle(self, detector, monkeypatch):
+        """The accepted (server-side) socket carries TCP_NODELAY, so a
+        reply pipelined behind an un-ACKed one is sent at once instead of
+        waiting out the client's delayed ACK."""
+        seen = []
+        handle = daemon_module._Handler.handle
+
+        def recording_handle(self):
+            seen.append(self.connection.getsockopt(socket.IPPROTO_TCP,
+                                                   socket.TCP_NODELAY))
+            handle(self)
+
+        monkeypatch.setattr(daemon_module._Handler, "handle",
+                            recording_handle)
+        with ServingDaemon(detector=detector) as daemon, \
+                ServingClient(daemon.host, daemon.port) as client:
+            assert client.request({"op": "ping"})["ok"] is True
+        assert len(seen) == 1 and seen[0] != 0
 
 
 class TestSessions:

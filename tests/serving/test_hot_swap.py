@@ -37,11 +37,8 @@ class TestConcurrentHotSwap:
         for parity, seed in ((0, 0), (1, 1)):
             engine = InferenceEngine(build_detector(prepared,
                                                     seed=seed).model)
-            try:
-                references[parity] = engine.predict_proba(features,
-                                                          lengths=lengths)
-            finally:
-                engine.close()
+            references[parity] = engine.predict_proba(features,
+                                                      lengths=lengths)
 
         registry = ModelRegistry()
         registry.add(detector=detector)
@@ -73,7 +70,6 @@ class TestConcurrentHotSwap:
                 thread.join()
         finally:
             batcher.close()
-            registry.close()
 
         assert not errors
         assert len(results) == N_WORKERS * N_REQUESTS
@@ -108,7 +104,6 @@ class TestConcurrentHotSwap:
             batcher.predict(DEFAULT_TENANT, features, lengths)
         finally:
             batcher.close()
-            registry.close()
         # One flush per version bump, never more (the atomic
         # check-and-clear in PredictionCache.sync_version).
         assert entry.cache.stats()["invalidations"] == N_SWAPS

@@ -1,11 +1,10 @@
-"""Property tests: hash join and groupby against brute-force oracles.
+"""Property tests: hash join against a brute-force oracle.
 
 The paper's pipeline hinges on the long-format merge on
 ``(id_, attribute)`` (Figure 3) producing ``value_x`` / ``value_y``.
-These properties check :func:`repro.table.join.merge_tables` and
-:meth:`GroupBy.agg` against transparent nested-loop / dict oracles over
-arbitrary generated tables: duplicate keys, ``None`` keys, unmatched
-rows on either side.
+These properties check :func:`repro.table.join.merge_tables` against a
+transparent nested-loop oracle over arbitrary generated tables:
+duplicate keys, ``None`` keys, unmatched rows on either side.
 """
 
 import string
@@ -110,75 +109,3 @@ def test_outer_merge_loses_no_row(pair):
                    for r in merged.to_rows()}
     assert merged_keys == left_keys | right_keys
     assert merged.n_rows >= max(left.n_rows, right.n_rows, inner.n_rows)
-
-
-@st.composite
-def grouped_tables(draw, max_rows=10):
-    n = draw(st.integers(1, max_rows))
-    return Table({
-        "key": draw(st.lists(key_cell, min_size=n, max_size=n)),
-        "num": draw(st.lists(st.one_of(st.none(), st.integers(-20, 20)),
-                             min_size=n, max_size=n)),
-    })
-
-
-def oracle_groups(table, key):
-    """Key tuple -> row-index list, in first-seen order (dicts preserve
-    insertion order, matching the GroupBy contract)."""
-    groups = {}
-    for i, row in enumerate(table.to_rows()):
-        groups.setdefault((row[key],), []).append(i)
-    return groups
-
-
-ORACLE_AGGS = {
-    "count": len,
-    "sum": lambda vs: sum(v for v in vs if v is not None),
-    "min": lambda vs: min((v for v in vs if v is not None), default=None),
-    "max": lambda vs: max((v for v in vs if v is not None), default=None),
-    "mean": lambda vs: (sum(v for v in vs if v is not None)
-                        / sum(1 for v in vs if v is not None)
-                        if any(v is not None for v in vs) else None),
-    "first": lambda vs: vs[0],
-    "last": lambda vs: vs[-1],
-    "nunique": lambda vs: len(set(vs)),
-}
-
-
-@given(grouped_tables(), st.sampled_from(sorted(ORACLE_AGGS)))
-@settings(max_examples=100)
-def test_groupby_agg_matches_oracle(table, agg):
-    result = table.groupby("key").agg({"num": agg})
-    nums = table.column("num").values
-    expected_keys, expected_vals = [], []
-    for key, indices in oracle_groups(table, "key").items():
-        expected_keys.append(key[0])
-        expected_vals.append(ORACLE_AGGS[agg]([nums[i] for i in indices]))
-    assert list(result.column("key").values) == expected_keys
-    assert list(result.column("num").values) == expected_vals
-
-
-@given(grouped_tables())
-@settings(max_examples=50)
-def test_groupby_partitions_rows(table):
-    """Group index lists are a partition of range(n_rows)."""
-    indices = table.groupby("key").group_indices()
-    flat = [i for ix in indices.values() for i in ix]
-    assert sorted(flat) == list(range(table.n_rows))
-    assert list(indices) == list(oracle_groups(table, "key"))
-
-
-@given(grouped_tables())
-@settings(max_examples=50)
-def test_groupby_then_merge_round_trip(table):
-    """Joining per-group sums back onto the table gives every row the
-    sum of its own group -- groupby and join agree with each other."""
-    sums = table.groupby("key").sum("num", name="group_sum")
-    joined = table.merge(sums, on="key", how="left")
-    assert joined.n_rows == table.n_rows
-    groups = oracle_groups(table, "key")
-    nums = table.column("num").values
-    for row in joined.to_rows():
-        expected = sum(nums[i] for i in groups[(row["key"],)]
-                       if nums[i] is not None)
-        assert row["group_sum"] == expected

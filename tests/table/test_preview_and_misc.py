@@ -49,11 +49,3 @@ class TestOuterJoinMultiKey:
         assert rows[1]["w"] is None
         assert rows[2]["v"] is None
 
-
-class TestGroupsSubTables:
-    def test_groups_yield_row_subsets(self):
-        table = Table({"k": ["a", "b", "a"], "v": [1, 2, 3]})
-        groups = dict()
-        for key, sub in table.groupby("k").groups():
-            groups[key] = list(sub.column("v").values)
-        assert groups == {("a",): [1, 3], ("b",): [2]}

@@ -71,14 +71,6 @@ def test_melt_preserves_cells(table):
 
 @given(tables(min_rows=1, max_rows=6))
 @settings(max_examples=50)
-def test_groupby_sizes_sum_to_rows(table):
-    key = table.column_names[0]
-    sizes = table.groupby(key).size()
-    assert sum(sizes.column("size").values) == table.n_rows
-
-
-@given(tables(min_rows=1, max_rows=6))
-@settings(max_examples=50)
 def test_self_merge_contains_diagonal(table):
     """Self-join on a unique id column returns exactly the original rows."""
     wide = table.with_column("id_", range(table.n_rows))

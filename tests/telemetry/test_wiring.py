@@ -8,7 +8,6 @@ telemetry stream must agree with the numbers the code computes anyway.
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import telemetry
@@ -65,7 +64,6 @@ class TestTrainingRecords:
             assert record["grad_norm"] is None or record["grad_norm"] >= 0.0
             assert record["n_batches"] >= 1
             assert 0.0 < record["batch_fill"] <= 1.0
-            assert 0.0 < record["width_ratio"] <= 1.0
             assert record["wall_s"] > 0.0
             assert 0.0 <= record["backward_s"] <= record["wall_s"]
 
@@ -97,8 +95,7 @@ class TestInferenceRecords:
         stats = result.inference
         assert stats is not None
         last = _of_type(records, "inference")[-1]
-        assert last == {"type": "inference", "precision": "float64",
-                        "workers": 0, **stats.as_dict()}
+        assert last == {"type": "inference", **stats.as_dict()}
 
     def test_counters_match_inference_stats(self, traced_run):
         result, _, snapshot = traced_run
@@ -137,117 +134,6 @@ class TestInferenceRecords:
             round(result.report.recall, 4))
         assert record["f1"] == pytest.approx(round(result.report.f1, 4))
         assert record["inference"] == result.inference.as_dict()
-
-
-class TestParallelPlaneMetrics:
-    """The kernel work plane reports pool activity through the registry."""
-
-    @pytest.fixture()
-    def plane_snapshot(self):
-        from repro.autograd import Tensor
-        from repro.nn.kernels import lstm_level
-        from repro.nn.parallel import use_workers
-
-        rng = np.random.default_rng(7)
-        batch, n_steps, units = 32, 24, 5
-        lengths = np.full(batch, 2)
-        lengths[24:] = n_steps  # skewed: a short run plus a long tail
-        mask = np.arange(n_steps)[None, :] < lengths[:, None]
-        x = Tensor(rng.normal(size=(batch, n_steps, 3)), requires_grad=True)
-        w_x = Tensor(0.5 * rng.normal(size=(3, 4 * units)),
-                     requires_grad=True)
-        w_h = Tensor(0.5 * rng.normal(size=(units, 4 * units)),
-                     requires_grad=True)
-        b_h = Tensor(0.1 * rng.normal(size=(4 * units,)), requires_grad=True)
-        registry = MetricsRegistry()
-        with telemetry.use_telemetry(registry), use_workers(2):
-            out = lstm_level(x, w_x, w_h, b_h, mask=mask)
-            (out * out).sum().backward()
-        return registry.snapshot()
-
-    def test_tasks_dispatched_counted(self, plane_snapshot):
-        # At least one forward and one backward fan-out of >= 2 groups.
-        assert plane_snapshot["counters"]["parallel.tasks_dispatched"] >= 4
-
-    def test_worker_timers_cover_every_task(self, plane_snapshot):
-        dispatched = plane_snapshot["counters"]["parallel.tasks_dispatched"]
-        wall = plane_snapshot["timers"]["parallel.worker_wall_seconds"]
-        cpu = plane_snapshot["timers"]["parallel.worker_cpu_seconds"]
-        assert wall["count"] == dispatched
-        assert cpu["count"] == dispatched
-        assert wall["total"] > 0.0
-
-
-class TestSharedMemoryMetrics:
-    """Weight broadcasts report segment traffic through the registry."""
-
-    def test_publish_counts_broadcasts_and_bytes(self):
-        from repro.models.etsb_rnn import ETSBRNN
-        from repro.nn.parallel import SharedWeights
-
-        model = ETSBRNN(12, 4, TINY, np.random.default_rng(3))
-        registry = MetricsRegistry()
-        with telemetry.use_telemetry(registry):
-            with SharedWeights(model) as shared:
-                manifest = shared.publish()
-                shared.publish()  # same version: no new broadcast
-        counters = registry.snapshot()["counters"]
-        assert counters["parallel.shm_broadcasts"] == 1
-        assert counters["parallel.shm_broadcast_bytes"] == \
-            manifest["n_bytes"]
-
-
-class TestPrecisionMetrics:
-    """Inference precision and worker usage reach counters and records."""
-
-    @pytest.fixture()
-    def engine_parts(self):
-        from repro.inference import InferenceEngine, PredictionCache
-        from repro.models.etsb_rnn import ETSBRNN
-
-        rng = np.random.default_rng(5)
-        model = ETSBRNN(12, 4, TINY, rng)
-        model.eval()
-        n_rows, max_len = 12, 8
-        lengths = rng.integers(1, max_len + 1, size=n_rows)
-        values = np.zeros((n_rows, max_len), dtype=np.int64)
-        for i, ell in enumerate(lengths):
-            values[i, :ell] = rng.integers(1, 12, size=ell)
-        features = {
-            "values": values,
-            "attributes": rng.integers(1, 4, size=n_rows),
-            "length_norm": (lengths / max_len).reshape(-1, 1),
-        }
-        engine = InferenceEngine(model, cache=PredictionCache())
-        return engine, features
-
-    def test_precision_counter_and_weight_casts(self, engine_parts):
-        engine, features = engine_parts
-        registry = MetricsRegistry()
-        sink = MemorySink()
-        registry.add_sink(sink)
-        with telemetry.use_telemetry(registry):
-            engine.predict_proba(features, precision="float32")
-            engine.predict_proba(features, precision="float32")
-        counters = registry.snapshot()["counters"]
-        assert counters["inference.precision.float32"] == 2
-        # The float32 weight cast is cached across calls on one version.
-        assert counters["inference.precision.weight_casts"] == 1
-        last = [r for r in sink.records if r.get("type") == "inference"][-1]
-        assert last["precision"] == "float32"
-
-    def test_parallel_calls_counter_and_record(self, engine_parts):
-        engine, features = engine_parts
-        registry = MetricsRegistry()
-        sink = MemorySink()
-        registry.add_sink(sink)
-        with telemetry.use_telemetry(registry):
-            engine.predict_proba(features, workers=2)
-        counters = registry.snapshot()["counters"]
-        assert counters["inference.parallel_calls"] == 1
-        assert counters["inference.precision.float64"] == 1
-        [record] = [r for r in sink.records if r.get("type") == "inference"]
-        assert record["workers"] == 2
 
 
 class TestDisabledByDefault:

@@ -174,60 +174,21 @@ class TestServingFlags:
         assert "drop --no-dedup" in capsys.readouterr().err
 
 
-class TestParallelPrecisionFlags:
-    def test_defaults_are_serial_float64(self):
-        args = build_parser().parse_args(
-            ["serve", "--model", "m.npz", "a.csv"])
-        assert args.workers == 0
-        assert args.precision == "float64"
+class TestRetiredInferenceFlags:
+    """predict and serve take no --workers/--precision: argparse rejects
+    them with its usage-error exit code."""
 
-    def test_flags_parse_on_predict_and_serve(self):
-        for argv in (["predict", "--model", "m.npz", "--dirty", "d.csv"],
-                     ["serve", "--model", "m.npz", "a.csv"]):
-            args = build_parser().parse_args(
-                argv + ["--workers", "2", "--precision", "float32"])
-            assert args.workers == 2
-            assert args.precision == "float32"
-
-    def test_precision_choices_enforced(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["predict", "--model", "m.npz", "--dirty", "d.csv",
-                 "--precision", "float16"])
-
-    def test_flags_reach_the_detector(self):
-        from repro.cli import _configure_inference
-        from repro.models import ErrorDetector
-
-        args = build_parser().parse_args(
-            ["predict", "--model", "m.npz", "--dirty", "d.csv",
-             "--workers", "3", "--precision", "int8"])
-        detector = ErrorDetector(n_label_tuples=6)
-        _configure_inference(detector, args)
-        assert detector.inference_workers == 3
-        assert detector.inference_precision == "int8"
-
-    def test_negative_workers_rejected(self):
-        from repro.cli import _configure_inference
-        from repro.errors import ConfigurationError
-        from repro.models import ErrorDetector
-
-        args = build_parser().parse_args(
-            ["predict", "--model", "m.npz", "--dirty", "d.csv",
-             "--workers", "-1"])
-        with pytest.raises(ConfigurationError):
-            _configure_inference(ErrorDetector(n_label_tuples=6), args)
-
-    def test_no_dedup_excludes_reduced_precision(self):
-        from repro.cli import _configure_inference
-        from repro.errors import ConfigurationError
-        from repro.models import ErrorDetector
-
-        args = build_parser().parse_args(
-            ["predict", "--model", "m.npz", "--dirty", "d.csv",
-             "--no-dedup", "--precision", "float32"])
-        with pytest.raises(ConfigurationError):
-            _configure_inference(ErrorDetector(n_label_tuples=6), args)
+    @pytest.mark.parametrize("flag", [["--workers", "2"],
+                                      ["--precision", "float32"]])
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--model", "m.npz", "--dirty", "d.csv"],
+        ["serve", "--model", "m.npz", "a.csv"],
+    ], ids=["predict", "serve"])
+    def test_exits_with_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestServeCommand:
@@ -308,26 +269,6 @@ class TestServeCommand:
                      "--dirty", str(dirty), "--out", str(naive),
                      "--no-dedup"]) == 0
         assert fast.read_text() == naive.read_text()
-
-    def test_predict_with_workers_matches_serial(self, csv_pair, model_path,
-                                                 tmp_path):
-        dirty, _ = csv_pair
-        serial = tmp_path / "serial.csv"
-        workers = tmp_path / "workers.csv"
-        assert main(["predict", "--model", str(model_path),
-                     "--dirty", str(dirty), "--out", str(serial)]) == 0
-        assert main(["predict", "--model", str(model_path),
-                     "--dirty", str(dirty), "--out", str(workers),
-                     "--workers", "2"]) == 0
-        assert workers.read_text() == serial.read_text()
-
-    def test_predict_float32_runs(self, csv_pair, model_path, tmp_path):
-        dirty, _ = csv_pair
-        out = tmp_path / "fast32.csv"
-        assert main(["predict", "--model", str(model_path),
-                     "--dirty", str(dirty), "--out", str(out),
-                     "--precision", "float32"]) == 0
-        assert read_csv(out).column_names == ["row", "attribute", "value"]
 
 
 class TestTelemetryCli:
