@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test test-equivalence test-chaos test-io-fuzz test-conformance bench bench-smoke bench-dedup bench-serve bench-ensemble bench-full report examples clean
+.PHONY: install test test-equivalence test-chaos test-io-fuzz test-conformance bench bench-smoke bench-dedup bench-serve bench-ensemble bench-full bench-e2e report examples clean
 
 install:
 	pip install -e .
@@ -66,6 +66,11 @@ bench-ensemble:
 
 bench-full:
 	REPRO_FULL=1 pytest benchmarks/ --benchmark-only
+
+# One traced pass of the end-to-end benchmark's paper-fit workload
+# (perfbench/README.md): end-to-end metrics plus the per-layer breakdown.
+bench-e2e:
+	python3 perfbench/run.py --workload paper-fit --seed 1 --seconds 20 --trace 1
 
 report:
 	python -m repro.experiments.report benchmarks/results EXPERIMENTS.md

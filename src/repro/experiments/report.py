@@ -34,8 +34,12 @@ _SECTIONS: tuple[tuple[str, str, str], ...] = (
      "but preserve the ETSB >= TSB ordering."),
     ("table5_training_time.txt", "Table 5 — training time [s]",
      "Paper times are Colab-GPU seconds; measured times are CPU numpy. "
-     "The relative shape holds: the enriched model costs a few percent "
-     "more, and time scales with attributes x alphabet x value length."),
+     "In the paper the enriched model costs a few percent more, and time "
+     "scales with attributes x max value length: the GPU Keras model pads "
+     "every batch to the longest value. On CPU the fused kernels run "
+     "packed sequences, so measured cost follows the live characters of "
+     "each batch instead. The measured column was recorded before the "
+     "kernels ran packed sequences and has not been re-measured since."),
     ("fig6_learning_curves.csv", "Figure 6 — test accuracy during training",
      "Per-epoch mean test accuracy with 95% confidence intervals over "
      "repeated runs, plus the checkpoint-selected best epochs. Both "

@@ -58,19 +58,26 @@ def model_fingerprint(model) -> str:
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
-def pad_single_row(chunk: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Duplicate-pad a one-row feature chunk to two rows.
+#: Inference chunks are evaluated in whole blocks of this many rows.
+ROW_BLOCK = 4
 
-    BLAS dispatches a ``(1, k) @ (k, n)`` product to a vector kernel
-    whose accumulation order differs from the ``m >= 2`` matrix kernels,
-    so a row's forward bits would depend on how it happened to be
-    batched.  Every inference path therefore evaluates at least two rows
-    (the duplicated row's output is discarded), which keeps per-row
-    outputs independent of batch composition -- the invariant the dedup
-    fast path's bit-for-bit guarantee rests on.
+
+def row_block_index(n_rows: int) -> np.ndarray:
+    """Row indices ``0..n_rows-1``, duplicate-padded with the last row to
+    a multiple of :data:`ROW_BLOCK`.
+
+    BLAS rounds a GEMM row by where it lands: a ``(1, k) @ (k, n)``
+    product takes a vector kernel, and narrow products such as the
+    classifier's ``(m, 32) @ (32, 2)`` round a row differently unless it
+    sits in a full 4-row block.  A row's forward bits would then depend
+    on how it happened to be batched.  Every inference path therefore
+    evaluates whole row blocks (the duplicated rows' outputs are
+    discarded), which keeps per-row outputs independent of batch
+    composition -- the invariant the dedup fast path's bit-for-bit
+    guarantee rests on.  Copies of the last row keep a sorted chunk's
+    trimmed width unchanged.
     """
-    return {name: np.concatenate([part, part], axis=0)
-            for name, part in chunk.items()}
+    return np.minimum(np.arange(n_rows + -n_rows % ROW_BLOCK), n_rows - 1)
 
 
 @dataclass(frozen=True)
@@ -194,7 +201,7 @@ class InferenceEngine:
     def _gather(self, name: str, arr: np.ndarray,
                 rows: np.ndarray) -> np.ndarray:
         """Gather ``arr[rows]`` into a reusable per-feature chunk buffer."""
-        full = (self.batch_size,) + arr.shape[1:]
+        full = (self.batch_size + -self.batch_size % ROW_BLOCK,) + arr.shape[1:]
         buf = self._gather_buffers.get(name)
         if buf is None or buf.shape != full or buf.dtype != arr.dtype:
             buf = np.empty(full, dtype=arr.dtype)
@@ -208,14 +215,17 @@ class InferenceEngine:
         """One evaluation chunk plus its true row count.
 
         Gathers into the reusable buffers.  Sequence keys are trimmed to
-        the chunk's maximum true length, and one-row chunks come back
-        duplicate-padded to two rows (hence the returned count: the
-        caller slices the padding back off).
+        the chunk's maximum true length, and the chunk comes back
+        duplicate-padded to whole row blocks (:func:`row_block_index`;
+        hence the returned count: the caller slices the padding back
+        off).
         """
         chunk_rows = rows[start:start + self.batch_size]
+        n_rows = int(chunk_rows.shape[0])
+        padded_rows = chunk_rows[row_block_index(n_rows)]
         chunk = {}
         for name, arr in features.items():
-            part = self._gather(name, arr, chunk_rows)
+            part = self._gather(name, arr, padded_rows)
             if row_lengths is not None and name in self.trim_keys \
                     and part.ndim >= 2:
                 width = max(int(
@@ -223,9 +233,7 @@ class InferenceEngine:
                 if width < part.shape[1]:
                     part = part[:, :width]
             chunk[name] = part
-        if chunk_rows.shape[0] == 1:
-            return pad_single_row(chunk), 1
-        return chunk, int(chunk_rows.shape[0])
+        return chunk, n_rows
 
     def _representative_buffer(self, n_unique: int,
                                n_classes: int, dtype) -> np.ndarray:

@@ -20,8 +20,10 @@ true (non-padding) length and slice each group to exactly that length
 before any reduction -- a row's output depends only on its own
 characters, never on how it was batched or padded, which is the
 invariant the dedup inference engine's bit-for-bit guarantee rests on.
-Single-row groups are duplicate-padded (and the copy discarded) for the
-same BLAS reason as :func:`repro.inference.engine.pad_single_row`.
+Single-row groups are duplicate-padded (and the copy discarded): a
+one-row product takes BLAS's vector kernel, the same reason inference
+chunks are padded to whole row blocks
+(:func:`repro.inference.engine.row_block_index`).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Fused forward+backward sequence kernels.
+"""Fused forward+backward sequence kernels on packed sequences.
 
 Each kernel runs a whole recurrence level -- the full time loop of
 Eq. 1-4 -- in numpy inside a *single* autograd node (a
@@ -8,32 +8,28 @@ backward passes are hand-derived backpropagation-through-time sweeps,
 validated against finite differences and against the reference backend by
 the test suite.
 
-Numerical contract: every kernel evaluates exactly the same numpy
-expressions, in the same order, as the per-step graph implementation in
-:mod:`repro.nn.layers.rnn` / :mod:`repro.nn.layers.gated`, so forward
-values are bit-for-bit identical across backends.
+Packed layout: the kernels never see padding.  A :class:`SequencePlan`
+sorts a batch's rows once by live length and lays the sequence out
+time-major, so step ``t`` owns one contiguous block holding only the rows
+still live at ``t`` (PyTorch's ``PackedSequence`` layout).  The input
+projection, each step's ``h @ W_h``, the BPTT sweep and the weight
+gradients therefore touch live (row, step) pairs only, while every
+optimizer step still sees the batch it was given.
 
-Masking follows the repository-wide convention: ``mask`` is a boolean
-``(batch, time)`` array where ``False`` marks padding; on a padded step a
-row's state is carried over unchanged (and gradients flow straight
-through to the previous step).
-
-Effective lengths: the data-preparation pipeline right-pads, so a batch
-whose longest value is far shorter than the array width ends in a block
-of steps that are padding for *every* row.  Each kernel detects that
-block (:func:`_effective_width`), stops its time loop at the last step
-any row is live, and fills the tail analytically -- the carried state for
-the forward direction, the untouched zero initial state for the reverse
-direction.  The backward pass mirrors the trim: tail gradients are folded
-into the carried-state gradient in the same accumulation order the
-full-width loop would have used, so forward values stay bit-for-bit
-identical and gradients agree to float-accumulation order.
+Numerical contract: every kernel evaluates the same numpy expressions as
+the per-step graph implementation in :mod:`repro.nn.layers.rnn` /
+:mod:`repro.nn.layers.gated`, on fewer rows.  A row's GEMM result does not
+depend on how many other rows share the product as long as there are at
+least two (a one-row product takes BLAS's GEMV path, which rounds
+differently), so a per-step product with one live row is computed with a
+duplicate row that is discarded.  Forward values are therefore bit-for-bit
+identical across backends; gradients agree to float-accumulation order.
 
 Kernels
 -------
-:func:`rnn_level`
+:class:`RNNLevelFunction`
     Whole-sequence tanh recurrence (the paper's Eq. 1-2).
-:func:`lstm_level` / :func:`gru_level`
+:class:`LSTMLevelFunction` / :class:`GRULevelFunction`
     Gated counterparts for the cell-type ablation.
 :func:`dense_softmax_bce`
     The classifier head fused with its loss: dense + softmax + binary
@@ -42,23 +38,23 @@ Kernels
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
 import numpy as np
 
 from repro import telemetry
+from repro.autograd import Tensor
 from repro.autograd.function import Function, FunctionCtx
 from repro.errors import ShapeError
 
 __all__ = [
+    "SequencePlan",
     "RNNLevelFunction",
     "LSTMLevelFunction",
     "GRULevelFunction",
     "DenseSoftmaxBCEFunction",
-    "rnn_level",
-    "lstm_level",
-    "gru_level",
     "dense_softmax_bce",
 ]
 
@@ -107,81 +103,15 @@ def _instrumented(cls: type[Function]) -> type[Function]:
     return cls
 
 
-def _classify_steps(mask: np.ndarray | None, n_steps: int
-                    ) -> tuple[list[bool], list[bool]]:
-    """Per-step liveness: (any row live, all rows live)."""
-    if mask is None:
-        live = [True] * n_steps
-        return live, live
-    return mask.any(axis=0).tolist(), mask.all(axis=0).tolist()
-
-
-def _check_sequence(x: np.ndarray, mask: np.ndarray | None) -> None:
-    if x.ndim != 3:
-        raise ShapeError(f"sequence kernels expect (batch, time, dim), got {x.shape}")
-    if mask is not None and mask.shape != x.shape[:2]:
-        raise ShapeError(
-            f"mask shape {mask.shape} does not match sequence {x.shape[:2]}"
-        )
-
-
-def _time_order(n_steps: int, reverse: bool) -> list[int]:
-    return list(range(n_steps - 1, -1, -1)) if reverse else list(range(n_steps))
-
-
-def _effective_width(any_live: list[bool], n_steps: int) -> int:
-    """Steps up to (and including) the last one where any row is live.
-
-    Steps beyond the width are padding for every row: the forward pass
-    carries state straight through them and the backward pass passes
-    gradients through unchanged, so the kernels handle the whole tail in
-    closed form instead of looping over it.  A fully padded batch keeps a
-    width of 1 so the (dead) loop still establishes the initial state.
-    """
-    for t in range(n_steps - 1, -1, -1):
-        if any_live[t]:
-            return t + 1
-    return 1
-
-
-def _fill_tail(states: np.ndarray, width: int, reverse: bool,
-               h: np.ndarray) -> None:
-    """Write the analytic tail states for steps beyond ``width``.
-
-    Forward order carries the final live state through the dead tail;
-    reverse order visits the tail first and never leaves the zero initial
-    state.  Matches the full-width loop bit for bit.
-    """
-    if width >= states.shape[1]:
-        return
-    if reverse:
-        states[:, width:] = 0.0
-    else:
-        states[:, width:] = h[:, None, :]
-
-
-def _tail_grad(dh: np.ndarray, grad: np.ndarray, width: int,
-               reverse: bool) -> None:
-    """Fold the dead tail's incoming gradients into the carried ``dh``.
-
-    For the forward direction the full-width backward loop would visit
-    the tail first (descending t) and accumulate ``grad[:, t]`` into the
-    pass-through state gradient; replicate that order exactly.  For the
-    reverse direction the tail states are the constant initial state, so
-    their gradients are discarded -- as the full loop does.
-    """
-    if reverse:
-        return
-    for t in range(grad.shape[1] - 1, width - 1, -1):
-        dh += grad[:, t]
-
-
 class _ScratchPool(threading.local):
     """Per-thread, per-key scratch arrays reused across kernel calls.
 
     Fresh large allocations are page-fault bound on this workload, so the
     kernels stage their *call-local* intermediates (input projection, BPTT
     derivative tables, pre-activation gradients) in warm buffers instead.
+    Each key owns one grow-only flat buffer and every request gets a view
+    of its prefix, so the pool never holds more than the largest request
+    per key, however many distinct packed lengths a process sees.
     An array from the pool is only valid until the next ``get`` with the
     same key *on the same thread*; nothing handed to the autograd graph
     (outputs, returned gradients, ``ctx`` state) may ever live here.
@@ -191,64 +121,245 @@ class _ScratchPool(threading.local):
     """
 
     def __init__(self) -> None:
-        self._arrays: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+        self._arrays: dict[str, np.ndarray] = {}
 
     def get(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        slot = (key, shape)
-        array = self._arrays.get(slot)
-        if array is None:
-            array = np.empty(shape)
-            self._arrays[slot] = array
-        return array
+        size = math.prod(shape)
+        array = self._arrays.get(key)
+        if array is None or array.size < size:
+            array = np.empty(size)
+            self._arrays[key] = array
+        return array[:size].reshape(shape)
 
 
 _scratch = _ScratchPool()
 
 
-def _shift_prev(sequence: np.ndarray, order: list[int], key: str) -> np.ndarray:
-    """``prev[:, t]`` = the state one *iteration* before step ``t``.
+class _PackFunction(Function):
+    """``(batch, time, dim)`` -> packed ``(n_packed, dim)`` by flat position."""
 
-    The earliest step in iteration order gets the all-zeros initial state.
-    Dead (fully padded) steps may hold stale values; their ``dproj`` rows
-    are zero, so they never contribute to the weight gradient.
+    @staticmethod
+    def forward(ctx: FunctionCtx, x: np.ndarray,
+                source: np.ndarray) -> np.ndarray:
+        ctx.shape, ctx.source = x.shape, source
+        return np.take(x.reshape(-1, x.shape[-1]), source, axis=0)
+
+    @staticmethod
+    def backward(ctx: FunctionCtx, grad: np.ndarray) -> tuple[np.ndarray]:
+        dx = np.zeros(ctx.shape)
+        # Packed positions are distinct, so a plain scatter suffices.
+        dx.reshape(-1, ctx.shape[-1])[ctx.source] = grad
+        return (dx,)
+
+
+class _UnpackFunction(Function):
+    """Packed rows gathered by position; position ``-1`` reads the zero
+    initial state."""
+
+    @staticmethod
+    def forward(ctx: FunctionCtx, packed: np.ndarray,
+                index: np.ndarray) -> np.ndarray:
+        live = index >= 0
+        if live.all():
+            out = np.take(packed, index, axis=0)
+        else:
+            out = np.zeros(index.shape + packed.shape[1:])
+            out[live] = packed[index[live]]
+        ctx.n_packed, ctx.index, ctx.live = packed.shape[0], index, live
+        return out
+
+    @staticmethod
+    def backward(ctx: FunctionCtx, grad: np.ndarray) -> tuple[np.ndarray]:
+        dpacked = np.zeros((ctx.n_packed, grad.shape[-1]))
+        np.add.at(dpacked, ctx.index[ctx.live], grad[ctx.live])
+        return (dpacked,)
+
+
+class SequencePlan:
+    """Packed, time-major layout of one right-padded ``(batch, time)`` batch.
+
+    Rows are sorted once by live length, longest first (stable), and step
+    ``t`` owns the contiguous block ``offsets[t]:offsets[t + 1]`` of the
+    packed sequence, holding the sorted rows still live at ``t`` in sorted
+    order.  Liveness is "length > t" in both directions, so one plan
+    serves every level and both directions of a stack: a row's previous
+    state in iteration order always sits in the first rows of the
+    neighbouring block, and in reverse order the rows whose last live
+    step is ``t`` start from the zero initial state.
+
+    Parameters
+    ----------
+    mask:
+        Boolean ``(batch, time)`` padding mask (``False`` marks padding),
+        or ``None`` when every step is live.  Each row's live steps must
+        be a prefix of the row -- the right padding every encoder
+        produces -- otherwise :class:`ShapeError` is raised.
+    shape:
+        ``(batch, time)`` of the padded sequence.
     """
-    prev = _scratch.get(key, sequence.shape)
-    if order[0] == 0:  # forward iteration order
-        prev[:, 0] = 0.0
-        prev[:, 1:] = sequence[:, :-1]
-    else:  # reverse iteration order
-        prev[:, -1] = 0.0
-        prev[:, :-1] = sequence[:, 1:]
+
+    def __init__(self, mask: np.ndarray | None, shape: tuple[int, int]):
+        batch, n_steps = shape
+        if mask is None:
+            lengths = np.full(batch, n_steps, dtype=np.int64)
+        else:
+            if mask.shape != (batch, n_steps):
+                raise ShapeError(
+                    f"mask shape {mask.shape} does not match sequence "
+                    f"{(batch, n_steps)}")
+            lengths = mask.sum(axis=1)
+            if not np.array_equal(mask, np.arange(n_steps) < lengths[:, None]):
+                raise ShapeError(
+                    "fused kernels need right-padded sequences: each row's "
+                    "live steps must be a prefix of the row")
+        order = np.argsort(-lengths, kind="stable")
+        rank = np.empty(batch, dtype=np.int64)
+        rank[order] = np.arange(batch)
+        max_len = int(lengths.max()) if batch else 0
+        counts = np.bincount(lengths, minlength=max_len + 1)
+        sizes = batch - np.cumsum(counts)[:max_len]  # rows live at each step
+        offsets = np.zeros(max_len + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        n_packed = int(offsets[-1])
+        steps = np.repeat(np.arange(max_len), sizes)
+        ranks = np.arange(n_packed) - offsets[steps]
+
+        self.batch, self.n_steps, self.n_packed = batch, n_steps, n_packed
+        #: Rows of every per-step forward product: a one-row product in a
+        #: batch of two or more takes a duplicate row (see module notes).
+        self.min_rows = min(2, batch)
+        self._source = order[ranks] * n_steps + steps
+        self._lengths, self._rank, self._offsets = lengths, rank, offsets
+        self._sizes, self._steps, self._ranks = sizes, steps, ranks
+        self._prev: dict[bool, np.ndarray] = {}
+
+        # Iteration schedule per direction: (block lo, block hi, prev lo,
+        # prev hi), where ``prev`` holds the previous states of the
+        # block's first rows; the remaining rows start from zeros.
+        size, off = sizes.tolist(), offsets.tolist()
+        forward = [(off[t], off[t + 1], off[t - 1], off[t - 1] + size[t])
+                   for t in range(1, max_len)]
+        backward = [(off[t], off[t + 1], off[t + 1], off[t + 1] + size[t + 1])
+                    for t in range(max_len - 2, -1, -1)]
+        if max_len:
+            forward.insert(0, (0, off[1], 0, 0))
+            backward.insert(0, (off[-2], off[-1], 0, 0))
+        self._schedule = {False: forward, True: backward}
+
+    def schedule(self, reverse: bool) -> list[tuple[int, int, int, int]]:
+        """Per-step ``(lo, hi, prev_lo, prev_hi)`` in iteration order."""
+        return self._schedule[reverse]
+
+    def prev_index(self, reverse: bool) -> np.ndarray:
+        """Packed position of each position's previous state, ``n_packed``
+        where it is the zero initial state (built on first use: only the
+        backward passes gather whole previous-state sequences)."""
+        if reverse not in self._prev:
+            steps, ranks, offsets = self._steps, self._ranks, self._offsets
+            if reverse:
+                has_prev = ranks < np.append(self._sizes, 0)[steps + 1]
+                prev = offsets[steps + 1]
+            else:
+                has_prev = steps > 0
+                prev = offsets[steps - 1]
+            self._prev[reverse] = np.where(has_prev, prev + ranks,
+                                           self.n_packed)
+        return self._prev[reverse]
+
+    def pack(self, x: Tensor) -> Tensor:
+        """``(batch, time, dim)`` -> packed ``(n_packed, dim)``."""
+        if x.shape[:2] != (self.batch, self.n_steps):
+            raise ShapeError(
+                f"sequence {x.shape} does not match plan "
+                f"{(self.batch, self.n_steps)}")
+        return _PackFunction.apply(x, self._source)
+
+    def _position(self, step: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Packed position of each row at ``step``; ``-1`` where not live."""
+        rank = self._rank if step.ndim < 2 else self._rank[:, None]
+        return np.where(live, self._offsets[np.maximum(step, 0)] + rank, -1)
+
+    def unpack(self, packed: Tensor, reverse: bool) -> Tensor:
+        """Each row's state at every step, ``(batch, time, units)``.
+
+        Padded steps carry the state as the masked loop does: the last
+        live state forward, the zero initial state in reverse (where they
+        come first).
+        """
+        steps = np.arange(self.n_steps)
+        lengths = self._lengths[:, None]
+        if reverse:
+            live = steps < lengths
+            at = np.where(live, steps, 0)
+        else:
+            live = lengths > 0
+            at = np.minimum(steps, lengths - 1)
+        return _UnpackFunction.apply(packed, self._position(at, live))
+
+    def final_states(self, packed: Tensor, reverse: bool) -> Tensor:
+        """Each row's final state ``(batch, units)``: after its last live
+        step going forward, after step 0 in reverse."""
+        last = np.zeros_like(self._lengths) if reverse else self._lengths - 1
+        return _UnpackFunction.apply(
+            packed, self._position(last, self._lengths > 0))
+
+
+def _check_packed(x: np.ndarray, plan: SequencePlan) -> None:
+    if x.ndim != 2 or x.shape[0] != plan.n_packed:
+        raise ShapeError(
+            f"level kernels expect a packed ({plan.n_packed}, dim) sequence, "
+            f"got {x.shape}")
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+            min_rows: int) -> np.ndarray:
+    """``a @ b`` into ``out``, on the GEMM path for fewer than ``min_rows``.
+
+    A one-row product takes BLAS's GEMV path, whose rounding differs from
+    the GEMM every wider batch uses; multiplying a duplicate row (and
+    discarding it) keeps a row's bits independent of its company.
+    """
+    if 0 < a.shape[0] < min_rows:
+        out[...] = (np.concatenate([a, a]) @ b)[:a.shape[0]]
+        return out
+    return np.matmul(a, b, out=out)
+
+
+def _previous(seq: np.ndarray, lo: int, hi: int, n: int,
+              buf: np.ndarray) -> np.ndarray:
+    """A block's ``n`` previous states: ``seq[lo:hi]`` for its first rows,
+    the zero initial state for the rest."""
+    if hi - lo == n:
+        return seq[lo:hi]
+    prev = buf[:n]
+    prev[:hi - lo] = seq[lo:hi]
+    prev[hi - lo:] = 0.0
     return prev
 
 
-def _dproj_scratch(key: str, shape: tuple[int, ...],
-                   any_live: list[bool]) -> np.ndarray:
-    """Pre-activation grad buffer: live steps are fully overwritten by the
-    backward loops, so only dead (fully padded) steps need explicit zeros."""
-    dproj = _scratch.get(key, shape)
-    for t, live in enumerate(any_live):
-        if not live:
-            dproj[:, t] = 0.0
-    return dproj
-
-
 def _projection(x: np.ndarray, w_x: np.ndarray, b_h: np.ndarray,
-                key: str) -> np.ndarray:
-    """``x @ w_x + b`` for the whole sequence, staged in scratch."""
-    batch, n_steps, _ = x.shape
-    proj = _scratch.get(key, (batch, n_steps, w_x.shape[-1]))
-    if n_steps == 1:
-        # The batched (batch, 1, in) @ (in, out) matmul runs one GEMV per
-        # row, whose accumulation can differ from the m >= 2 GEMM path by
-        # an ulp.  One flat (batch, in) GEMM keeps a row's projection
-        # bits identical to its value inside any wider chunk, so results
-        # cannot depend on how rows were grouped into batches.
-        np.matmul(x[:, 0], w_x, out=proj[:, 0])
-    else:
-        np.matmul(x, w_x, out=proj)
+                plan: SequencePlan, key: str) -> np.ndarray:
+    """``x @ w_x + b`` for every packed position, staged in scratch."""
+    proj = _scratch.get(key, (x.shape[0], w_x.shape[-1]))
+    _matmul(x, w_x, proj, plan.min_rows)
     proj += b_h
     return proj
+
+
+def _states_with_initial(n_packed: int, units: int) -> np.ndarray:
+    """State table with one extra zero row: position ``n_packed`` is the
+    initial state that :meth:`SequencePlan.prev_index` points at."""
+    states = np.empty((n_packed + 1, units))
+    states[n_packed] = 0.0
+    return states
+
+
+def _previous_states(seq: np.ndarray, plan: SequencePlan, reverse: bool,
+                     key: str) -> np.ndarray:
+    """Every position's previous state (zeros where it is the initial
+    state), gathered from a table made by :func:`_states_with_initial`."""
+    return np.take(seq, plan.prev_index(reverse), axis=0,
+                   out=_scratch.get(key, (plan.n_packed, seq.shape[1])))
 
 
 def _recurrent_weight_grad(prev: np.ndarray, dproj: np.ndarray) -> np.ndarray:
@@ -257,133 +368,101 @@ def _recurrent_weight_grad(prev: np.ndarray, dproj: np.ndarray) -> np.ndarray:
     The result lives in scratch: ``accumulate_grad`` copies (or adds) it
     into the parameter's grad buffer before the pool is touched again.
     """
-    units, width = prev.shape[-1], dproj.shape[-1]
-    return np.matmul(prev.reshape(-1, units).T, dproj.reshape(-1, width),
-                     out=_scratch.get("level.dw_h", (units, width)))
+    return np.matmul(prev.T, dproj,
+                     out=_scratch.get("level.dw_h",
+                                      (prev.shape[1], dproj.shape[1])))
 
 
 def _input_grads(dproj: np.ndarray, x: np.ndarray, w_x: np.ndarray,
-                 ctx: FunctionCtx, full_shape: tuple[int, ...]
-                 ) -> tuple[np.ndarray | None, ...]:
+                 ctx: FunctionCtx) -> tuple[np.ndarray | None, ...]:
     """Shared tail of every level backward: grads through ``x @ w_x + b``.
 
-    ``x`` is the (possibly width-trimmed) live window of the input;
-    ``dx`` is expanded back to ``full_shape`` with a zero tail -- trimmed
-    steps are padding for every row, so their input gradient is exactly
-    zero.  Like :func:`_recurrent_weight_grad`, the returned arrays are
-    scratch: they are consumed synchronously by gradient accumulation.
+    Like :func:`_recurrent_weight_grad`, the returned arrays are scratch:
+    they are consumed synchronously by gradient accumulation.
     """
-    in_dim, proj_width = x.shape[-1], dproj.shape[-1]
     if ctx.needs_input_grad[0]:
-        dx = _scratch.get("level.dx", full_shape)
-        np.matmul(dproj, w_x.T, out=dx[:, :x.shape[1]])
-        if x.shape[1] < full_shape[1]:
-            dx[:, x.shape[1]:] = 0.0
+        dx = np.matmul(dproj, w_x.T,
+                       out=_scratch.get("level.dx", x.shape))
     else:
         dx = None
     if ctx.needs_input_grad[1]:
-        dw_x = np.matmul(x.reshape(-1, in_dim).T, dproj.reshape(-1, proj_width),
-                         out=_scratch.get("level.dw_x", (in_dim, proj_width)))
+        dw_x = np.matmul(x.T, dproj,
+                         out=_scratch.get("level.dw_x",
+                                          (x.shape[1], dproj.shape[1])))
     else:
         dw_x = None
-    db = dproj.sum(axis=(0, 1)) if ctx.needs_input_grad[3] else None
+    db = dproj.sum(axis=0) if ctx.needs_input_grad[3] else None
     return dx, dw_x, db
+
+
+def _carried_grads(grad: np.ndarray, key: str) -> np.ndarray:
+    """Per-position state gradients: the output's, with the recurrent
+    carries added in as the BPTT sweep reaches each block."""
+    dstates = _scratch.get(key, grad.shape)
+    np.copyto(dstates, grad)
+    return dstates
 
 
 @_instrumented
 class RNNLevelFunction(Function):
     """One stacked-RNN level: ``h_t = tanh(x_t W_x + h_{t-1} W_h + b)``.
 
-    Forward input ``x`` is ``(batch, time, input_dim)``; output is the
-    full state sequence ``(batch, time, units)`` ordered by the original
-    time axis regardless of ``reverse``.
+    Forward input ``x`` is the packed ``(plan.n_packed, input_dim)``
+    sequence; the output is every live position's state
+    ``(plan.n_packed, units)`` in the same layout, whatever ``reverse``.
     """
 
     @staticmethod
     def forward(ctx: FunctionCtx, x: np.ndarray, w_x: np.ndarray,
-                w_h: np.ndarray, b_h: np.ndarray,
-                mask: np.ndarray | None = None,
+                w_h: np.ndarray, b_h: np.ndarray, plan: SequencePlan,
                 reverse: bool = False) -> np.ndarray:
-        _check_sequence(x, mask)
-        batch, n_steps, _ = x.shape
-        units = w_h.shape[0]
-        any_live, all_live = _classify_steps(mask, n_steps)
-        width = _effective_width(any_live, n_steps)
-        x_w = x[:, :width] if width < n_steps else x
-        proj = _projection(x_w, w_x, b_h, "rnn.proj")
-        order = _time_order(width, reverse)
+        _check_packed(x, plan)
+        n_packed, units = x.shape[0], w_h.shape[0]
+        proj = _projection(x, w_x, b_h, plan, "rnn.proj")
+        states = _states_with_initial(n_packed, units)
+        prev_buf = _scratch.get("rnn.prev_rows", (plan.batch, units))
+        for lo, hi, prev_lo, prev_hi in plan.schedule(reverse):
+            block = states[lo:hi]
+            h_prev = _previous(states, prev_lo, prev_hi, hi - lo, prev_buf)
+            _matmul(h_prev, w_h, block, plan.min_rows)
+            block += proj[lo:hi]
+            np.tanh(block, out=block)
 
-        # ``rec`` is preallocated scratch for the recurrent projection; the
-        # activation writes straight into the ``states[:, t]`` slice and the
-        # carried ``h`` is a view into it, so the fully-live fast path
-        # allocates nothing per step.
-        states = np.empty((batch, n_steps, units))
-        rec = _scratch.get("rnn.rec", (batch, units))
-        h = np.zeros((batch, units))
-        for t in order:
-            if not any_live[t]:
-                states[:, t] = h
-                continue
-            np.matmul(h, w_h, out=rec)
-            rec += proj[:, t]
-            if all_live[t]:
-                h = np.tanh(rec, out=states[:, t])
-            else:
-                h = np.where(mask[:, t:t + 1], np.tanh(rec), h)
-                states[:, t] = h
-        _fill_tail(states, width, reverse, h)
-
-        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = x_w, x.shape, w_x, w_h
-        ctx.states, ctx.mask, ctx.order = states, mask, order
-        ctx.any_live, ctx.all_live = any_live[:width], all_live[:width]
-        ctx.width, ctx.reverse = width, reverse
-        return states
+        ctx.x, ctx.w_x, ctx.w_h = x, w_x, w_h
+        ctx.states, ctx.plan, ctx.reverse = states, plan, reverse
+        return states[:n_packed]
 
     @staticmethod
     def backward(ctx: FunctionCtx, grad: np.ndarray
                  ) -> tuple[np.ndarray | None, ...]:
-        states, mask, order = ctx.states, ctx.mask, ctx.order
-        w_h, width = ctx.w_h, ctx.width
-        batch, _, units = states.shape
-        states_w = states[:, :width]
-
-        # tanh' over the live window at once, staged in scratch.
-        deriv = np.multiply(states_w, states_w,
-                            out=_scratch.get("rnn.deriv", states_w.shape))
+        states, plan, reverse = ctx.states, ctx.plan, ctx.reverse
+        h = states[:-1]
+        # tanh' over every position at once, staged in scratch.
+        deriv = np.multiply(h, h, out=_scratch.get("rnn.deriv", h.shape))
         np.subtract(1.0, deriv, out=deriv)
-        w_h_t = np.ascontiguousarray(w_h.T)
-        # ``dpre`` lands directly in its ``dproj[:, t]`` slice; the carried
-        # ``dh`` lives in a single scratch buffer (never an input of the
-        # GEMM that overwrites it, so no ping-pong is needed).
-        dproj = _dproj_scratch("rnn.dproj", states_w.shape, ctx.any_live)
-        buf = _scratch.get("rnn.dh", (batch, units))
-        dh = np.zeros((batch, units))
-        _tail_grad(dh, grad, width, ctx.reverse)
-        for idx in range(len(order) - 1, -1, -1):
-            t = order[idx]
-            dh += grad[:, t]
-            if not ctx.any_live[t]:
-                continue  # state carried over: gradient passes through
-            dpre = np.multiply(dh, deriv[:, t], out=dproj[:, t])
-            if ctx.all_live[t]:
-                dh = np.matmul(dpre, w_h_t, out=buf)
-            else:
-                live = mask[:, t:t + 1]
-                dpre *= live
-                dh = dpre @ w_h_t + dh * ~live
+        w_h_t = np.ascontiguousarray(ctx.w_h.T)
+        dstates = _carried_grads(grad, "rnn.dstates")
+        dproj = _scratch.get("rnn.dproj", h.shape)
+        carry = _scratch.get("rnn.carry", (plan.batch, h.shape[1]))
+        for lo, hi, prev_lo, prev_hi in reversed(plan.schedule(reverse)):
+            dpre = np.multiply(dstates[lo:hi], deriv[lo:hi], out=dproj[lo:hi])
+            k = prev_hi - prev_lo
+            if k:  # rows that started from zeros pass no gradient back
+                np.matmul(dpre[:k], w_h_t, out=carry[:k])
+                dstates[prev_lo:prev_hi] += carry[:k]
 
         if ctx.needs_input_grad[2]:
             dw_h = _recurrent_weight_grad(
-                _shift_prev(states_w, order, "rnn.prev"), dproj)
+                _previous_states(states, plan, reverse, "rnn.hprev"), dproj)
         else:
             dw_h = None
-        dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx, ctx.x_shape)
+        dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx)
         return dx, dw_x, dw_h, db
 
 
 @_instrumented
 class LSTMLevelFunction(Function):
-    """One LSTM level; outputs the hidden-state sequence ``h`` only.
+    """One LSTM level on a packed sequence; outputs the hidden states only.
 
     The cell state ``c`` stays internal to the kernel (mirroring
     ``LSTMCell.output``, which exposes just ``h``); its chain rule is
@@ -392,234 +471,187 @@ class LSTMLevelFunction(Function):
 
     @staticmethod
     def forward(ctx: FunctionCtx, x: np.ndarray, w_x: np.ndarray,
-                w_h: np.ndarray, b_h: np.ndarray,
-                mask: np.ndarray | None = None,
+                w_h: np.ndarray, b_h: np.ndarray, plan: SequencePlan,
                 reverse: bool = False) -> np.ndarray:
-        _check_sequence(x, mask)
-        batch, n_steps, _ = x.shape
-        units = w_h.shape[0]
-        any_live, all_live = _classify_steps(mask, n_steps)
-        width = _effective_width(any_live, n_steps)
-        x_w = x[:, :width] if width < n_steps else x
-        proj = _projection(x_w, w_x, b_h, "lstm.proj")
-        order = _time_order(width, reverse)
+        _check_packed(x, plan)
+        n_packed, units = x.shape[0], w_h.shape[0]
+        proj = _projection(x, w_x, b_h, plan, "lstm.proj")
 
-        # Only ``h_seq`` is externally visible; the backward-pass tables
-        # cover just the live window.
-        h_seq = np.empty((batch, n_steps, units))
-        c_seq = np.empty((batch, width, units))
-        acts = np.zeros((batch, width, 4 * units))   # i, f, g, o
-        tanh_c = np.zeros((batch, width, units))
-        h = np.zeros((batch, units))
-        c = np.zeros((batch, units))
-        for t in order:
-            if not any_live[t]:
-                h_seq[:, t], c_seq[:, t] = h, c
-                continue
-            gates = proj[:, t] + h @ w_h
+        h_seq = _states_with_initial(n_packed, units)
+        c_seq = _states_with_initial(n_packed, units)
+        acts = np.empty((n_packed, 4 * units))   # i, f, g, o
+        tanh_c = np.empty((n_packed, units))
+        h_buf = _scratch.get("lstm.hprev_rows", (plan.batch, units))
+        c_buf = _scratch.get("lstm.cprev_rows", (plan.batch, units))
+        rec = _scratch.get("lstm.rec", (plan.batch, 4 * units))
+        for lo, hi, prev_lo, prev_hi in plan.schedule(reverse):
+            n = hi - lo
+            h = _previous(h_seq, prev_lo, prev_hi, n, h_buf)
+            c = _previous(c_seq, prev_lo, prev_hi, n, c_buf)
+            gates = proj[lo:hi] + _matmul(h, w_h, rec[:n], plan.min_rows)
             i = _sigmoid(gates[:, :units])
             f = _sigmoid(gates[:, units:2 * units])
             g = np.tanh(gates[:, 2 * units:3 * units])
             o = _sigmoid(gates[:, 3 * units:])
-            c_raw = f * c + i * g
-            tc = np.tanh(c_raw)
-            h_raw = o * tc
-            if all_live[t]:
-                h, c = h_raw, c_raw
-            else:
-                live = mask[:, t:t + 1]
-                h = np.where(live, h_raw, h)
-                c = np.where(live, c_raw, c)
-            h_seq[:, t], c_seq[:, t] = h, c
-            acts[:, t, :units] = i
-            acts[:, t, units:2 * units] = f
-            acts[:, t, 2 * units:3 * units] = g
-            acts[:, t, 3 * units:] = o
-            tanh_c[:, t] = tc
-        _fill_tail(h_seq, width, reverse, h)
+            c_seq[lo:hi] = f * c + i * g
+            tc = np.tanh(c_seq[lo:hi], out=tanh_c[lo:hi])
+            np.multiply(o, tc, out=h_seq[lo:hi])
+            acts[lo:hi, :units] = i
+            acts[lo:hi, units:2 * units] = f
+            acts[lo:hi, 2 * units:3 * units] = g
+            acts[lo:hi, 3 * units:] = o
 
-        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = x_w, x.shape, w_x, w_h
+        ctx.x, ctx.w_x, ctx.w_h = x, w_x, w_h
         ctx.h_seq, ctx.c_seq, ctx.acts, ctx.tanh_c = h_seq, c_seq, acts, tanh_c
-        ctx.mask, ctx.order = mask, order
-        ctx.any_live, ctx.all_live = any_live[:width], all_live[:width]
-        ctx.width, ctx.reverse = width, reverse
-        return h_seq
+        ctx.plan, ctx.reverse = plan, reverse
+        return h_seq[:n_packed]
 
     @staticmethod
     def backward(ctx: FunctionCtx, grad: np.ndarray
                  ) -> tuple[np.ndarray | None, ...]:
         h_seq, c_seq, acts, tanh_c = ctx.h_seq, ctx.c_seq, ctx.acts, ctx.tanh_c
-        mask, order, w_h, width = ctx.mask, ctx.order, ctx.w_h, ctx.width
-        batch, _, units = h_seq.shape
+        plan, reverse = ctx.plan, ctx.reverse
+        units = tanh_c.shape[1]
 
         # Whole-sequence precomputation: sigmoid'/tanh' factors and the
-        # previous-state sequences (big vectorized ops beat per-step ones),
+        # previous cell states (big vectorized ops beat per-step ones),
         # all staged in warm scratch buffers.
         sig_deriv = _scratch.get("lstm.sigd", acts.shape)
         np.subtract(1.0, acts, out=sig_deriv)
         np.multiply(acts, sig_deriv, out=sig_deriv)  # i, f, o slices valid
-        g_all = acts[:, :, 2 * units:3 * units]
+        g_all = acts[:, 2 * units:3 * units]
         g_deriv = _scratch.get("lstm.gd", g_all.shape)
         np.multiply(g_all, g_all, out=g_deriv)
         np.subtract(1.0, g_deriv, out=g_deriv)
         tc_deriv = _scratch.get("lstm.tcd", tanh_c.shape)
         np.multiply(tanh_c, tanh_c, out=tc_deriv)
         np.subtract(1.0, tc_deriv, out=tc_deriv)
-        c_prev_seq = _shift_prev(c_seq, order, "lstm.cprev")
-        w_h_t = np.ascontiguousarray(w_h.T)
+        c_prev_seq = _previous_states(c_seq, plan, reverse, "lstm.cprev")
+        w_h_t = np.ascontiguousarray(ctx.w_h.T)
 
-        dproj = _dproj_scratch("lstm.dproj", (batch, width, 4 * units),
-                               ctx.any_live)
-        dh = np.zeros((batch, units))
-        dc = np.zeros((batch, units))
-        _tail_grad(dh, grad, width, ctx.reverse)
-        for idx in range(len(order) - 1, -1, -1):
-            t = order[idx]
-            dh += grad[:, t]
-            if not ctx.any_live[t]:
-                continue
-            i = acts[:, t, :units]
-            f = acts[:, t, units:2 * units]
-            o = acts[:, t, 3 * units:]
-            if ctx.all_live[t]:
-                dh_live, dc_live = dh, dc
-                dh_dead = dc_dead = 0.0
-            else:
-                live = mask[:, t:t + 1]
-                dh_live, dc_live = dh * live, dc * live
-                dh_dead, dc_dead = dh * ~live, dc * ~live
-            do = dh_live * tanh_c[:, t]
-            dc_raw = dc_live + dh_live * o * tc_deriv[:, t]
-            dgates = dproj[:, t]
-            dgates[:, :units] = dc_raw * g_all[:, t] * sig_deriv[:, t, :units]
-            dgates[:, units:2 * units] = (dc_raw * c_prev_seq[:, t]
-                                          * sig_deriv[:, t, units:2 * units])
-            dgates[:, 2 * units:3 * units] = dc_raw * i * g_deriv[:, t]
-            dgates[:, 3 * units:] = do * sig_deriv[:, t, 3 * units:]
-            dh = dgates @ w_h_t + dh_dead
-            dc = dc_raw * f + dc_dead
+        dproj = _scratch.get("lstm.dproj", acts.shape)
+        dstates = _carried_grads(grad, "lstm.dstates")
+        dcells = _scratch.get("lstm.dcells", tanh_c.shape)
+        dcells.fill(0.0)
+        for lo, hi, prev_lo, prev_hi in reversed(plan.schedule(reverse)):
+            dh, dc = dstates[lo:hi], dcells[lo:hi]
+            i = acts[lo:hi, :units]
+            f = acts[lo:hi, units:2 * units]
+            o = acts[lo:hi, 3 * units:]
+            do = dh * tanh_c[lo:hi]
+            dc_raw = dc + dh * o * tc_deriv[lo:hi]
+            dgates = dproj[lo:hi]
+            dgates[:, :units] = dc_raw * g_all[lo:hi] * sig_deriv[lo:hi, :units]
+            dgates[:, units:2 * units] = (dc_raw * c_prev_seq[lo:hi]
+                                          * sig_deriv[lo:hi, units:2 * units])
+            dgates[:, 2 * units:3 * units] = dc_raw * i * g_deriv[lo:hi]
+            dgates[:, 3 * units:] = do * sig_deriv[lo:hi, 3 * units:]
+            k = prev_hi - prev_lo
+            if k:
+                dstates[prev_lo:prev_hi] += dgates[:k] @ w_h_t
+                dcells[prev_lo:prev_hi] = dc_raw[:k] * f[:k]
 
         if ctx.needs_input_grad[2]:
             dw_h = _recurrent_weight_grad(
-                _shift_prev(h_seq[:, :width], order, "lstm.hprev"), dproj)
+                _previous_states(h_seq, plan, reverse, "lstm.hprev"), dproj)
         else:
             dw_h = None
-        dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx, ctx.x_shape)
+        dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx)
         return dx, dw_x, dw_h, db
 
 
 @_instrumented
 class GRULevelFunction(Function):
-    """One GRU level: update gate z, reset gate r, candidate n."""
+    """One GRU level on a packed sequence: update gate z, reset gate r,
+    candidate n."""
 
     @staticmethod
     def forward(ctx: FunctionCtx, x: np.ndarray, w_x: np.ndarray,
-                w_h: np.ndarray, b_h: np.ndarray,
-                mask: np.ndarray | None = None,
+                w_h: np.ndarray, b_h: np.ndarray, plan: SequencePlan,
                 reverse: bool = False) -> np.ndarray:
-        _check_sequence(x, mask)
-        batch, n_steps, _ = x.shape
-        units = w_h.shape[0]
-        any_live, all_live = _classify_steps(mask, n_steps)
-        width = _effective_width(any_live, n_steps)
-        x_w = x[:, :width] if width < n_steps else x
-        proj = _projection(x_w, w_x, b_h, "gru.proj")
-        order = _time_order(width, reverse)
+        _check_packed(x, plan)
+        n_packed, units = x.shape[0], w_h.shape[0]
+        proj = _projection(x, w_x, b_h, plan, "gru.proj")
 
-        states = np.empty((batch, n_steps, units))
-        gates = np.zeros((batch, width, 3 * units))  # z, r, n
-        rec_n = np.zeros((batch, width, units))      # h_prev W_h candidate slice
-        h = np.zeros((batch, units))
-        for t in order:
-            if not any_live[t]:
-                states[:, t] = h
-                continue
-            rec = h @ w_h
-            z = _sigmoid(proj[:, t, :units] + rec[:, :units])
-            r = _sigmoid(proj[:, t, units:2 * units] + rec[:, units:2 * units])
-            n = np.tanh(proj[:, t, 2 * units:] + r * rec[:, 2 * units:])
-            h_raw = z * h + (1.0 - z) * n
-            h = h_raw if all_live[t] else np.where(mask[:, t:t + 1], h_raw, h)
-            states[:, t] = h
-            gates[:, t, :units] = z
-            gates[:, t, units:2 * units] = r
-            gates[:, t, 2 * units:] = n
-            rec_n[:, t] = rec[:, 2 * units:]
-        _fill_tail(states, width, reverse, h)
+        states = _states_with_initial(n_packed, units)
+        gates = np.empty((n_packed, 3 * units))  # z, r, n
+        rec_n = np.empty((n_packed, units))      # h_prev W_h candidate slice
+        h_buf = _scratch.get("gru.hprev_rows", (plan.batch, units))
+        rec_buf = _scratch.get("gru.rec", (plan.batch, 3 * units))
+        for lo, hi, prev_lo, prev_hi in plan.schedule(reverse):
+            n_rows = hi - lo
+            h = _previous(states, prev_lo, prev_hi, n_rows, h_buf)
+            rec = _matmul(h, w_h, rec_buf[:n_rows], plan.min_rows)
+            p = proj[lo:hi]
+            z = _sigmoid(p[:, :units] + rec[:, :units])
+            r = _sigmoid(p[:, units:2 * units] + rec[:, units:2 * units])
+            n = np.tanh(p[:, 2 * units:] + r * rec[:, 2 * units:])
+            states[lo:hi] = z * h + (1.0 - z) * n
+            gates[lo:hi, :units] = z
+            gates[lo:hi, units:2 * units] = r
+            gates[lo:hi, 2 * units:] = n
+            rec_n[lo:hi] = rec[:, 2 * units:]
 
-        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = x_w, x.shape, w_x, w_h
+        ctx.x, ctx.w_x, ctx.w_h = x, w_x, w_h
         ctx.states, ctx.gates, ctx.rec_n = states, gates, rec_n
-        ctx.mask, ctx.order = mask, order
-        ctx.any_live, ctx.all_live = any_live[:width], all_live[:width]
-        ctx.width, ctx.reverse = width, reverse
-        return states
+        ctx.plan, ctx.reverse = plan, reverse
+        return states[:n_packed]
 
     @staticmethod
     def backward(ctx: FunctionCtx, grad: np.ndarray
                  ) -> tuple[np.ndarray | None, ...]:
         states, gates, rec_n = ctx.states, ctx.gates, ctx.rec_n
-        mask, order, w_h, width = ctx.mask, ctx.order, ctx.w_h, ctx.width
-        batch, _, units = states.shape
-        states_w = states[:, :width]
+        plan, reverse = ctx.plan, ctx.reverse
+        units = rec_n.shape[1]
 
-        # Live-window precomputation, as in the other level backwards.
-        z_all = gates[:, :, :units]
-        r_all = gates[:, :, units:2 * units]
-        n_all = gates[:, :, 2 * units:]
-        zr_all = gates[:, :, :2 * units]
+        # Whole-sequence precomputation, as in the other level backwards.
+        z_all = gates[:, :units]
+        r_all = gates[:, units:2 * units]
+        n_all = gates[:, 2 * units:]
+        zr_all = gates[:, :2 * units]
         zr_deriv = _scratch.get("gru.zrd", zr_all.shape)
         np.subtract(1.0, zr_all, out=zr_deriv)
         np.multiply(zr_all, zr_deriv, out=zr_deriv)
-        z_deriv = zr_deriv[:, :, :units]
-        r_deriv = zr_deriv[:, :, units:]
+        z_deriv = zr_deriv[:, :units]
+        r_deriv = zr_deriv[:, units:]
         n_deriv = _scratch.get("gru.nd", n_all.shape)
         np.multiply(n_all, n_all, out=n_deriv)
         np.subtract(1.0, n_deriv, out=n_deriv)
-        h_prev_seq = _shift_prev(states_w, order, "gru.prev")
-        w_h_t = np.ascontiguousarray(w_h.T)
+        h_prev_seq = _previous_states(states, plan, reverse, "gru.hprev")
+        w_h_t = np.ascontiguousarray(ctx.w_h.T)
 
-        dproj = _dproj_scratch("gru.dproj", (batch, width, 3 * units),
-                               ctx.any_live)
-        drec = _scratch.get("gru.drec", (batch, 3 * units))
-        dh = np.zeros((batch, units))
-        _tail_grad(dh, grad, width, ctx.reverse)
-        for idx in range(len(order) - 1, -1, -1):
-            t = order[idx]
-            dh += grad[:, t]
-            if not ctx.any_live[t]:
-                continue
-            h_prev = h_prev_seq[:, t]
-            z = z_all[:, t]
-            r = r_all[:, t]
-            n = n_all[:, t]
-            if ctx.all_live[t]:
-                dlive = dh
-                ddead = 0.0
-            else:
-                live = mask[:, t:t + 1]
-                dlive = dh * live
-                ddead = dh * ~live
-            dz = dlive * (h_prev - n)
-            dn_pre = dlive * (1.0 - z) * n_deriv[:, t]
-            dr = dn_pre * rec_n[:, t]
-            drec[:, :units] = dz * z_deriv[:, t]
-            drec[:, units:2 * units] = dr * r_deriv[:, t]
-            drec[:, 2 * units:] = dn_pre * r
-            dproj[:, t, :2 * units] = drec[:, :2 * units]
-            dproj[:, t, 2 * units:] = dn_pre
-            dh = dlive * z + drec @ w_h_t + ddead
+        dproj = _scratch.get("gru.dproj", gates.shape)
+        dstates = _carried_grads(grad, "gru.dstates")
+        drec = _scratch.get("gru.drec", (plan.batch, 3 * units))
+        for lo, hi, prev_lo, prev_hi in reversed(plan.schedule(reverse)):
+            dh = dstates[lo:hi]
+            z = z_all[lo:hi]
+            r = r_all[lo:hi]
+            n = n_all[lo:hi]
+            dz = dh * (h_prev_seq[lo:hi] - n)
+            dn_pre = dh * (1.0 - z) * n_deriv[lo:hi]
+            dr = dn_pre * rec_n[lo:hi]
+            d = drec[:hi - lo]
+            d[:, :units] = dz * z_deriv[lo:hi]
+            d[:, units:2 * units] = dr * r_deriv[lo:hi]
+            d[:, 2 * units:] = dn_pre * r
+            dproj[lo:hi, :2 * units] = d[:, :2 * units]
+            dproj[lo:hi, 2 * units:] = dn_pre
+            k = prev_hi - prev_lo
+            if k:
+                dstates[prev_lo:prev_hi] += dh[:k] * z[:k] + d[:k] @ w_h_t
 
         if ctx.needs_input_grad[2]:
             # The candidate slice of ``drec`` differs from ``dproj`` (the
             # reset gate multiplies only the recurrent term), so rebuild it.
             drec_seq = _scratch.get("gru.drecseq", dproj.shape)
             np.copyto(drec_seq, dproj)
-            np.multiply(dproj[:, :, 2 * units:], gates[:, :, units:2 * units],
-                        out=drec_seq[:, :, 2 * units:])
+            np.multiply(dproj[:, 2 * units:], r_all,
+                        out=drec_seq[:, 2 * units:])
             dw_h = _recurrent_weight_grad(h_prev_seq, drec_seq)
         else:
             dw_h = None
-        dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx, ctx.x_shape)
+        dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx)
         return dx, dw_x, dw_h, db
 
 
@@ -671,23 +703,6 @@ class DenseSoftmaxBCEFunction(Function):
         dw = ctx.x.T @ dlogits if ctx.needs_input_grad[1] else None
         db = dlogits.sum(axis=0) if ctx.needs_input_grad[2] else None
         return dx, dw, db
-
-
-# -- functional wrappers --------------------------------------------------------
-
-def rnn_level(x, w_x, w_h, b_h, mask=None, reverse=False):
-    """Fused tanh-RNN level; returns the state sequence ``(B, T, units)``."""
-    return RNNLevelFunction.apply(x, w_x, w_h, b_h, mask, reverse)
-
-
-def lstm_level(x, w_x, w_h, b_h, mask=None, reverse=False):
-    """Fused LSTM level; returns the hidden sequence ``(B, T, units)``."""
-    return LSTMLevelFunction.apply(x, w_x, w_h, b_h, mask, reverse)
-
-
-def gru_level(x, w_x, w_h, b_h, mask=None, reverse=False):
-    """Fused GRU level; returns the state sequence ``(B, T, units)``."""
-    return GRULevelFunction.apply(x, w_x, w_h, b_h, mask, reverse)
 
 
 def dense_softmax_bce(x, w, b, targets_onehot, epsilon=1e-12):

@@ -9,7 +9,7 @@ recurrence.
 
 Both cells expose the :class:`~repro.nn.layers.rnn.RNNCell` interface
 (``step_projected`` + ``initial_state`` for the ``"graph"`` backend,
-``run_level`` for the fused whole-sequence kernels) so
+``level_function`` for the fused whole-sequence kernels) so
 :class:`StackedRNN` and :class:`BidirectionalRNN` can run them unchanged
 via the ``cell_type`` argument of :func:`make_cell`.
 """
@@ -45,8 +45,8 @@ class LSTMCell(Module):
     #: Width multiplier of the packed state ([h, c]).
     state_multiplier = 2
 
-    #: Fused whole-level kernel (see :meth:`RNNCell.run_level`).
-    level_kernel = staticmethod(kernels.lstm_level)
+    #: Fused whole-level kernel (see :attr:`RNNCell.level_function`).
+    level_function = kernels.LSTMLevelFunction
 
     def __init__(self, input_dim: int, units: int, rng: np.random.Generator,
                  forget_bias: float = 1.0):
@@ -94,12 +94,6 @@ class LSTMCell(Module):
         h = o * tanh(c)
         return concat([h, c], axis=-1)
 
-    def run_level(self, x: Tensor, mask: np.ndarray | None = None,
-                  reverse: bool = False) -> Tensor:
-        """Run the whole level as one fused autograd node (h sequence)."""
-        return self.level_kernel(x, self.w_x, self.w_h, self.b_h,
-                                 mask=mask, reverse=reverse)
-
 
 class GRUCell(Module):
     """Gated Recurrent Unit cell (update/reset gates).
@@ -110,8 +104,8 @@ class GRUCell(Module):
 
     state_multiplier = 1
 
-    #: Fused whole-level kernel (see :meth:`RNNCell.run_level`).
-    level_kernel = staticmethod(kernels.gru_level)
+    #: Fused whole-level kernel (see :attr:`RNNCell.level_function`).
+    level_function = kernels.GRULevelFunction
 
     def __init__(self, input_dim: int, units: int, rng: np.random.Generator):
         super().__init__()
@@ -150,9 +144,3 @@ class GRUCell(Module):
         r = sigmoid(proj_t[:, units:2 * units] + rec[:, units:2 * units])
         n = tanh(proj_t[:, 2 * units:] + r * rec[:, 2 * units:])
         return z * h_prev + (1.0 - z) * n
-
-    def run_level(self, x: Tensor, mask: np.ndarray | None = None,
-                  reverse: bool = False) -> Tensor:
-        """Run the whole level as one fused autograd node."""
-        return self.level_kernel(x, self.w_x, self.w_h, self.b_h,
-                                 mask=mask, reverse=reverse)

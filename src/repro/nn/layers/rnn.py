@@ -56,8 +56,9 @@ class RNNCell(Module):
     #: Width multiplier of the state tensor (plain RNN state is just h).
     state_multiplier = 1
 
-    #: Fused whole-level kernel (see :meth:`run_level`).
-    level_kernel = staticmethod(kernels.rnn_level)
+    #: Fused whole-level kernel on packed sequences (see
+    #: :meth:`StackedRNN._run_packed`).
+    level_function = kernels.RNNLevelFunction
 
     def __init__(self, input_dim: int, units: int, rng: np.random.Generator):
         super().__init__()
@@ -83,17 +84,6 @@ class RNNCell(Module):
         matmul.
         """
         return tanh(proj_t + h_prev @ self.w_h)
-
-    def run_level(self, x: Tensor, mask: np.ndarray | None = None,
-                  reverse: bool = False) -> Tensor:
-        """Run the whole level as one fused autograd node.
-
-        Returns the per-step output sequence ``(batch, time, units)``
-        ordered by the original time axis (the externally visible output,
-        i.e. ``h`` for every cell family).
-        """
-        return self.level_kernel(x, self.w_x, self.w_h, self.b_h,
-                                 mask=mask, reverse=reverse)
 
     def initial_state(self, batch_size: int) -> Tensor:
         """The all-zeros initial hidden state."""
@@ -197,6 +187,14 @@ class StackedRNN(Module):
         :meth:`forward`): the per-step list is skipped and an empty list
         is returned in its place.
         """
+        self._validate(x, mask)
+        if get_backend() == "fused":
+            plan = kernels.SequencePlan(mask, x.shape[:2])
+            return self._run_packed(plan.pack(x), plan, collect_outputs)
+        return self._run_graph(x, mask, collect_outputs)
+
+    def _validate(self, x: Tensor, mask: np.ndarray | None) -> None:
+        """Reject an input or mask that does not fit this stack."""
         if x.ndim != 3:
             raise ConfigurationError(f"StackedRNN expects (batch, time, dim), got {x.shape}")
         batch_size, n_steps, input_dim = x.shape
@@ -208,20 +206,27 @@ class StackedRNN(Module):
             raise ConfigurationError(
                 f"mask shape {mask.shape} does not match input {(batch_size, n_steps)}"
             )
-        if get_backend() == "fused":
-            return self._run_fused(x, mask, collect_outputs)
-        return self._run_graph(x, mask, collect_outputs)
 
-    def _run_fused(self, x: Tensor, mask: np.ndarray | None,
-                   collect_outputs: bool) -> tuple[Tensor, list[Tensor]]:
-        """One autograd node per level (see :mod:`repro.nn.kernels`)."""
-        n_steps = x.shape[1]
-        sequence = x
+    def _run_packed(self, packed: Tensor, plan: kernels.SequencePlan,
+                    collect_outputs: bool = False
+                    ) -> tuple[Tensor, list[Tensor]]:
+        """Fused backend: one autograd node per level on a packed sequence.
+
+        ``packed`` is the input in ``plan``'s layout
+        (:class:`~repro.nn.kernels.SequencePlan`).  Every level runs on
+        packed arrays, and each row's final state is gathered from its
+        last live step (step 0 in reverse).  The plan needs right
+        padding; the graph backend accepts any mask.
+        """
+        sequence = packed
         for cell in self.cells:
-            sequence = cell.run_level(sequence, mask=mask, reverse=self.reverse)
-        final = sequence[:, 0 if self.reverse else n_steps - 1, :]
-        outputs = ([sequence[:, t, :] for t in range(n_steps)]
-                   if collect_outputs else [])
+            sequence = cell.level_function.apply(
+                sequence, cell.w_x, cell.w_h, cell.b_h, plan, self.reverse)
+        final = plan.final_states(sequence, self.reverse)
+        outputs: list[Tensor] = []
+        if collect_outputs:
+            steps = plan.unpack(sequence, self.reverse)
+            outputs = [steps[:, t, :] for t in range(plan.n_steps)]
         return final, outputs
 
     def _run_graph(self, x: Tensor, mask: np.ndarray | None,
@@ -234,8 +239,8 @@ class StackedRNN(Module):
         # batches whose longest value is short) is trimmed off wholesale:
         # each level loops only over the effective width, and the tail
         # states are reconstructed analytically (carried final state
-        # forward, untouched initial state in reverse) -- the same
-        # contract as the fused kernels' effective-length handling.
+        # forward, untouched initial state in reverse); the fused
+        # kernels, which run packed sequences, never visit them either.
         if mask is None:
             any_live = [True] * n_steps
             all_live = [True] * n_steps
@@ -263,8 +268,8 @@ class StackedRNN(Module):
             # matmul instead of one per step.  Width-1 sequences use a
             # flat 2-d matmul: the batched (batch, 1, in) form runs one
             # BLAS GEMV per row, whose bits can differ from the m >= 2
-            # GEMM path, and the fused kernels do the same (see
-            # kernels._projection) so the backends stay bit-identical.
+            # GEMM path; the fused kernels' packed projection is one flat
+            # GEMM as well, so the backends stay bit-identical.
             if width == 1:
                 projected = sequence[:, 0, :] @ cell.w_x + cell.b_h
             else:
@@ -334,6 +339,14 @@ class BidirectionalRNN(Module):
         final state is the state after (reverse-reading) the first real
         character -- the same semantics as a masked Keras Bidirectional.
         """
-        forward_final = self.forward_rnn(x, mask=mask)
-        backward_final = self.backward_rnn(x, mask=mask)
-        return concat([forward_final, backward_final], axis=-1)
+        if get_backend() == "fused":
+            # Both directions share one plan and one packing of the input.
+            self.forward_rnn._validate(x, mask)
+            plan = kernels.SequencePlan(mask, x.shape[:2])
+            packed = plan.pack(x)
+            finals = [rnn._run_packed(packed, plan)[0]
+                      for rnn in (self.forward_rnn, self.backward_rnn)]
+        else:
+            finals = [self.forward_rnn(x, mask=mask),
+                      self.backward_rnn(x, mask=mask)]
+        return concat(finals, axis=-1)

@@ -28,7 +28,7 @@ from repro.autograd import Tensor, no_grad
 from repro.errors import ConfigurationError
 from repro.faults import inject
 from repro.inference import InferenceEngine, InferenceStats, PredictionCache
-from repro.inference.engine import pad_single_row
+from repro.inference.engine import row_block_index
 from repro.inference.index import DedupIndex
 from repro.nn.callbacks import Callback, History
 from repro.nn.module import Module
@@ -444,14 +444,14 @@ def predict_proba(model: Module, features: Features,
 def _forward_chunk(model: Module, chunk: Features) -> np.ndarray:
     """One inference forward whose per-row bits don't depend on batching.
 
-    Single-row chunks are duplicate-padded to two rows (see
-    :func:`repro.inference.engine.pad_single_row`): BLAS rounds the
-    one-row matmul differently from every ``m >= 2`` case, which would
+    The chunk is duplicate-padded to whole BLAS row blocks (see
+    :func:`repro.inference.engine.row_block_index`): BLAS rounds a row
+    differently in a one-row product or a partial row block, which would
     break the bit-for-bit contract between this naive reference path and
-    the dedup-memoized engine whenever their chunkings leave a
-    different-sized remainder.
+    the dedup-memoized engine whenever their chunkings differ.
     """
     n = next(iter(chunk.values())).shape[0]
-    if n == 1:
-        return model(pad_single_row(chunk)).numpy()[:1]
-    return model(chunk).numpy()
+    index = row_block_index(n)
+    if index.shape[0] > n:
+        chunk = {name: arr[index] for name, arr in chunk.items()}
+    return model(chunk).numpy()[:n]

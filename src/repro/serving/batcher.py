@@ -14,8 +14,8 @@ request's arrival), runs **one**
 the probability slices back to the waiting futures.
 
 Because the engine's per-row outputs are independent of batch
-composition (the duplicate-pad invariant; see
-:func:`repro.inference.engine.pad_single_row`), coalescing is
+composition (the row-block padding invariant; see
+:func:`repro.inference.engine.row_block_index`), coalescing is
 value-preserving: a row's probabilities are byte-identical whether it
 was scored alone or packed with 255 strangers.
 

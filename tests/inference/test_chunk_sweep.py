@@ -5,13 +5,21 @@ every remainder shape a chunked loop can produce -- full chunks, a 1-row
 tail (the duplicate-padded BLAS edge), a tail of every other size, and
 the single-chunk case -- on both the naive chunked forward and the
 dedup-memoized engine.  All of them must return the same bytes.
+
+:class:`TestPaperSizedChunkSweep` repeats the sweep with the paper's
+layer widths on a beers table, where BLAS rounds the classifier's
+``(m, 32) @ (32, 2)`` product differently for rows outside a full 4-row
+block -- the case the engine's row-block padding exists for.
 """
 
 import numpy as np
 import pytest
 
+from repro.dataprep import encode_cells, prepare
+from repro.datasets import load
 from repro.inference import InferenceEngine, PredictionCache
 from repro.models import ModelConfig
+from repro.models.detector import ARCHITECTURES, build_model
 from repro.models.etsb_rnn import ETSBRNN
 from repro.nn.training import predict_proba
 
@@ -91,3 +99,32 @@ class TestChunkSweep:
         engine = InferenceEngine(model, cache=None, batch_size=batch_size)
         got = engine.predict_proba(features)
         assert got.tobytes() == reference.tobytes()
+
+
+@pytest.fixture(scope="module")
+def beers():
+    pair = load("beers", n_rows=16, seed=0)
+    prepared = prepare(pair.dirty, pair.clean)
+    return prepared, encode_cells(prepared)
+
+
+@pytest.mark.equivalence
+class TestPaperSizedChunkSweep:
+    @pytest.mark.parametrize("architecture", ARCHITECTURES)
+    def test_every_chunk_size_matches_full_chunks(self, beers, architecture):
+        """Chunks of M = 1..17 rows score every cell byte-identically to
+        M = 256, through the naive forward and the engine."""
+        prepared, encoded = beers
+        model = build_model(architecture, prepared, ModelConfig(),
+                            np.random.default_rng(0))
+        model.eval()
+        reference = predict_proba(model, encoded.features, batch_size=256)
+        for batch_size in range(1, 18):
+            naive = predict_proba(model, encoded.features,
+                                  batch_size=batch_size)
+            engine = InferenceEngine(model, batch_size=batch_size)
+            memoized = engine.predict_proba(encoded.features,
+                                            lengths=encoded.lengths,
+                                            dedup=encoded.dedup)
+            assert naive.tobytes() == reference.tobytes(), batch_size
+            assert memoized.tobytes() == reference.tobytes(), batch_size

@@ -19,8 +19,11 @@ def config():
 
 @pytest.fixture
 def features(rng):
+    values = rng.integers(1, 8, size=(6, 10))
+    lengths = rng.integers(1, 11, size=6)
+    values[np.arange(10) >= lengths[:, None]] = 0  # right padding, as encoded
     return {
-        "values": rng.integers(0, 8, size=(6, 10)),
+        "values": values,
         "attributes": rng.integers(1, 4, size=6),
         "length_norm": rng.uniform(0, 1, size=(6, 1)),
     }

@@ -153,8 +153,9 @@ def _tsb_setup():
     config = ModelConfig(char_embed_dim=4, value_units=3, num_layers=2,
                          attr_embed_dim=2, attr_units=2,
                          length_dense_units=3, head_units=4)
-    values = rng.integers(0, 10, size=(6, 7))
-    values[0, :] = 0  # a fully padded (empty) value
+    values = rng.integers(1, 10, size=(6, 7))
+    lengths = np.array([0, 7, 3, 1, 5, 2])  # row 0: an empty value
+    values[np.arange(7) >= lengths[:, None]] = 0  # right padding
     features = {
         "values": values,
         "attributes": rng.integers(0, 3, size=6),

@@ -47,10 +47,10 @@ def prepared():
 
 
 def build_detector(prepared, architecture: str = "etsb",
-                   seed: int = 0) -> ErrorDetector:
+                   seed: int = 0, config: ModelConfig = TINY) -> ErrorDetector:
     """An untrained but fully servable detector over ``prepared``."""
-    detector = ErrorDetector(architecture=architecture, model_config=TINY)
-    detector.model = build_model(architecture, prepared, TINY,
+    detector = ErrorDetector(architecture=architecture, model_config=config)
+    detector.model = build_model(architecture, prepared, config,
                                  np.random.default_rng(seed))
     detector.model.eval()
     detector.prepared = prepared

@@ -5,7 +5,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.inference import InferenceEngine
-from repro.serving import MicroBatcher, Overloaded
+from repro.models import ModelConfig
+from repro.serving import MicroBatcher, ModelRegistry, Overloaded
+from repro.serving.session import _encode
 
 from tests.serving.conftest import encode_cells
 
@@ -36,26 +38,38 @@ class TestCoalescing:
         assert batcher.stats.n_batches == 1
         assert batcher.stats.mean_batch_items == 4.0
 
-    def test_coalesced_scores_are_byte_identical_to_solo(self, prepared,
-                                                         detector, batcher):
-        from tests.serving.conftest import build_detector
+    def test_coalesced_scores_are_byte_identical_to_solo(self, prepared):
+        """A seeded mix of 1-16-cell requests, coalesced into one batch,
+        scores byte-identically to each request scored alone.  The
+        paper's layer widths matter: BLAS rounds their narrow classifier
+        product by a row's position in its 4-row block."""
+        from tests.serving.conftest import build_detector, paper_tables
 
-        values = ["80,000", "98000", "zzz", "8000"]
-        features, lengths = encode_cells(detector, values)
-        requests = [("default",
-                     {k: v[i:i + 1] for k, v in features.items()},
-                     lengths[i:i + 1])
-                    for i in range(len(values))]
-        results = queue_then_start(batcher, requests)
+        detector = build_detector(prepared, config=ModelConfig())
+        registry = ModelRegistry()
+        registry.add(detector=detector)
+        rng = np.random.default_rng(11)
+        pool = sorted({value for table in paper_tables()
+                       for name in table.column_names
+                       for value in table.column(name).values})
+        requests = []
+        for size in rng.integers(1, 17, size=12):
+            values = [pool[i] for i in rng.integers(0, len(pool), size=size)]
+            attributes = [prepared.attributes[i] for i in
+                          rng.integers(0, len(prepared.attributes), size=size)]
+            requests.append(("default", *_encode(detector, values, attributes)))
+        batcher = MicroBatcher(registry, max_delay_s=0.002)
+        try:
+            results = queue_then_start(batcher, requests)
+        finally:
+            batcher.close()
+        assert batcher.stats.n_batches == 1
 
-        # Reference: each row alone through a fresh engine (same seed).
-        reference_model = build_detector(prepared).model
-        engine = InferenceEngine(reference_model)
-        for i, result in enumerate(results):
-            solo = engine.predict_proba(
-                {k: v[i:i + 1] for k, v in features.items()},
-                lengths=lengths[i:i + 1])
-            np.testing.assert_array_equal(result.probabilities, solo)
+        # Reference: each request alone through a fresh engine.
+        engine = InferenceEngine(detector.model)
+        for (_, features, lengths), result in zip(requests, results):
+            solo = engine.predict_proba(features, lengths=lengths)
+            assert result.probabilities.tobytes() == solo.tobytes()
 
     def test_coalesce_off_means_one_request_per_batch(self, detector,
                                                       registry):
