@@ -67,10 +67,12 @@ bench-ensemble:
 bench-full:
 	REPRO_FULL=1 pytest benchmarks/ --benchmark-only
 
-# One traced pass of the end-to-end benchmark's paper-fit workload
-# (perfbench/README.md): end-to-end metrics plus the per-layer breakdown.
+# One traced pass of each end-to-end benchmark workload, paper-fit and
+# detect-folder (perfbench/README.md): end-to-end metrics plus the
+# per-layer breakdown.
 bench-e2e:
 	python3 perfbench/run.py --workload paper-fit --seed 1 --seconds 20 --trace 1
+	python3 perfbench/run.py --workload detect-folder --seed 1 --seconds 20 --trace 1
 
 report:
 	python -m repro.experiments.report benchmarks/results EXPERIMENTS.md

@@ -8,7 +8,8 @@ names for the metadata input of ETSB-RNN.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -28,11 +29,8 @@ class CharDictionary:
     """
 
     def __init__(self, texts: Iterable[str]):
-        index: dict[str, int] = {}
-        for text in texts:
-            for char in text:
-                if char not in index:
-                    index[char] = len(index) + 1
+        chars = dict.fromkeys(chain.from_iterable(texts))
+        index = {char: i for i, char in enumerate(chars, start=1)}
         self._char_to_index = index
         self._index_to_char = {i: c for c, i in index.items()}
 
@@ -99,6 +97,40 @@ class CharDictionary:
                 raise EncodingError(f"character {char!r} not in dictionary")
         out = np.zeros(length, dtype=np.int64)
         out[:len(indices)] = indices
+        return out
+
+    def encode_batch(self, texts: Sequence[str], length: int,
+                     unknown: str = "error") -> np.ndarray:
+        """:meth:`encode` every text at once: a ``(len(texts), length)`` array.
+
+        Row ``i`` equals ``encode(texts[i], length, unknown)``, and the
+        error raised is the one :meth:`encode` raises for the first text
+        it would reject.  All characters are looked up by code point in
+        one vectorised gather instead of one dictionary probe each.
+        """
+        if unknown not in ("error", "skip"):
+            raise EncodingError(f"unknown must be 'error' or 'skip', got {unknown!r}")
+        n = len(texts)
+        sizes = np.fromiter(map(len, texts), dtype=np.int64, count=n)
+        points = np.frombuffer(
+            "".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        known = np.fromiter(map(ord, self._char_to_index), dtype=np.int64,
+                            count=self.n_chars)
+        # Code point -> index; the last slot (and every gap) is 0, the
+        # pad index, for characters outside the dictionary.
+        lookup = np.zeros(int(known.max(initial=0)) + 2, dtype=np.int64)
+        lookup[known] = np.arange(1, self.n_chars + 1)
+        codes = lookup[np.minimum(points, lookup.size - 1)]
+        found = codes != PAD_INDEX
+        owner = np.repeat(np.arange(n), sizes)
+        rejected = sizes > length
+        if unknown == "error":
+            rejected[owner[~found]] = True
+        if rejected.any():
+            self.encode(texts[int(np.argmax(rejected))], length, unknown)
+        kept = np.bincount(owner[found], minlength=n)
+        out = np.zeros((n, length), dtype=np.int64)
+        out[np.arange(length) < kept[:, None]] = codes[found]
         return out
 
     def decode(self, indices: Iterable[int]) -> str:

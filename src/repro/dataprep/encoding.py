@@ -95,6 +95,12 @@ def encode_cells(prepared: PreparedData, df: Table | None = None,
                  unknown: str = "error") -> EncodedCells:
     """Encode (a subset of) the prepared cell table into model arrays.
 
+    Each distinct cell -- the same attribute, value and length ratio --
+    is encoded once and scattered to its rows, and the unique-cell index
+    comes out of the same pass, numbered exactly as
+    :func:`~repro.inference.index.build_dedup_index` numbers the full
+    feature rows.
+
     Parameters
     ----------
     prepared:
@@ -111,40 +117,48 @@ def encode_cells(prepared: PreparedData, df: Table | None = None,
         if name not in table:
             raise DataError(f"encode_cells requires column {name!r}")
     n = table.n_rows
-    values = np.zeros((n, prepared.max_length), dtype=np.int64)
-    attributes = np.zeros(n, dtype=np.int64)
-    length_norm = np.zeros((n, 1), dtype=np.float64)
-    labels = np.zeros(n, dtype=np.int64)
-    tuple_ids = np.zeros(n, dtype=np.int64)
-
-    value_col = table.column("value_x").values
     attr_col = table.column("attribute").values
-    label_col = table.column("label").values
-    id_col = table.column("id_").values
-    ratio_col = table.column("length_norm").values
-    for i in range(n):
-        values[i] = prepared.char_index.encode(
-            value_col[i], prepared.max_length, unknown=unknown)
-        attributes[i] = prepared.attribute_index.index_of(attr_col[i])
-        length_norm[i, 0] = float(ratio_col[i])
-        labels[i] = int(label_col[i])
-        tuple_ids[i] = int(id_col[i])
-
-    features = {
-        "values": values,
-        "attributes": attributes,
-        "length_norm": length_norm,
+    length_norm = np.fromiter(map(float, table.column("length_norm").values),
+                              dtype=np.float64, count=n).reshape(n, 1)
+    # Number the distinct (attribute, value, ratio bits) keys in
+    # first-occurrence order; row i has key cell_key[i].
+    cells = list(zip(attr_col, table.column("value_x").values,
+                     length_norm.view(np.int64).ravel().tolist()))
+    keys = {key: k for k, key in enumerate(dict.fromkeys(cells))}
+    cell_key = np.fromiter(map(keys.__getitem__, cells), dtype=np.int64,
+                           count=n)
+    _, first_row = np.unique(cell_key, return_index=True)
+    key_features = {
+        "values": prepared.char_index.encode_batch(
+            [value for _, value, _ in keys], prepared.max_length,
+            unknown=unknown),
+        "attributes": np.fromiter(
+            map(prepared.attribute_index.index_of,
+                [attr for attr, _, _ in keys]),
+            dtype=np.int64, count=len(keys)),
+        "length_norm": length_norm[first_row],
     }
+    # Keys whose features are byte-identical (a skipped character) share
+    # a group.  Groups are ranked by their bytes like the full rows'
+    # groups, and a group's first key holds its first row, since keys
+    # are numbered in row order.
+    key_groups = build_dedup_index(key_features)
+    values = np.take(key_features["values"], cell_key, axis=0)
     return EncodedCells(
-        features=features,
-        labels=labels,
-        tuple_ids=tuple_ids,
+        features={
+            "values": values,
+            "attributes": np.take(key_features["attributes"], cell_key),
+            "length_norm": length_norm,
+        },
+        labels=np.fromiter(map(int, table.column("label").values),
+                           dtype=np.int64, count=n),
+        tuple_ids=np.fromiter(map(int, table.column("id_").values),
+                              dtype=np.int64, count=n),
         attribute_names=tuple(attr_col),
         # Encoded characters are contiguous from position 0 and never map
         # to the pad index, so the true length is the non-pad count.
         lengths=np.count_nonzero(values, axis=1).astype(np.int64),
-        # Unique-cell index over (attribute, value) pairs: the encoded
-        # features determine -- and are determined by -- the pair, so
-        # byte-identical rows are exactly the duplicate cells.
-        dedup=build_dedup_index(features),
+        dedup=DedupIndex(
+            representatives=first_row[key_groups.representatives],
+            inverse=key_groups.inverse[cell_key]),
     )

@@ -66,64 +66,15 @@ def _normalise_cell(value: object) -> str:
     return str(value).lstrip()
 
 
-def structure_transformation(dirty: Table, clean: Table) -> tuple[Table, Table]:
-    """Step 2: strip leading whitespace, add ``id_``, align column names.
+def _cell_order(columns: list[list]) -> list:
+    """Interleave per-attribute columns into the long table's cell order.
 
-    The dirty table's columns are renamed positionally to the clean
-    table's names, exactly as the paper does to enable the merge.
+    Cell ``k`` of the long table is tuple ``k // m``, attribute
+    ``k % m`` (``m`` attributes): the order of the paper's melt followed
+    by its merge on ``(id_, attribute)``, which pairs the dirty and
+    clean cells of the same position.
     """
-    if dirty.shape != clean.shape:
-        raise DataError(
-            f"dirty and clean tables must have the same shape, "
-            f"got {dirty.shape} vs {clean.shape}"
-        )
-    if "id_" in clean.column_names:
-        raise DataError("input tables must not already contain an 'id_' column")
-    rename = dict(zip(dirty.column_names, clean.column_names))
-    dirty = dirty.rename(rename)
-
-    def clean_up(table: Table) -> Table:
-        for name in table.column_names:
-            table = table.map_column(name, _normalise_cell)
-        return table.with_column("id_", range(table.n_rows))
-
-    return clean_up(dirty), clean_up(clean)
-
-
-def merge_to_long(dirty: Table, clean: Table,
-                  max_value_length: int = MAX_VALUE_LENGTH) -> Table:
-    """Step 3: reshape to long format, join, and derive the helper columns."""
-    attributes = [name for name in clean.column_names if name != "id_"]
-    dirty_long = dirty.melt(["id_"], attributes, var_name="attribute",
-                            value_name="value")
-    clean_long = clean.melt(["id_"], attributes, var_name="attribute",
-                            value_name="value")
-    df = dirty_long.merge(clean_long, on=["id_", "attribute"], how="inner")
-    if df.n_rows != dirty_long.n_rows:
-        raise DataError(
-            "merge produced a different number of cells than the dirty table; "
-            "duplicate (id_, attribute) pairs are not possible here"
-        )
-    df = df.map_column("value_x", lambda v: v[:max_value_length])
-    df = df.map_column("value_y", lambda v: v[:max_value_length])
-    df = df.with_computed(
-        "label", lambda row: 0 if row["value_x"] == row["value_y"] else 1)
-    df = df.with_computed("empty", lambda row: 1 if row["value_x"] == "" else 0)
-    df = df.with_computed(
-        "concat", lambda row: f"{row['attribute']}__{row['value_x']}")
-
-    # length_norm: length of value_x relative to the longest value of the
-    # same attribute (Figure 3, step 3).
-    max_by_attr: dict[str, int] = {}
-    for row in df.iter_rows():
-        attr = row["attribute"]
-        max_by_attr[attr] = max(max_by_attr.get(attr, 0), len(row["value_x"]))
-    df = df.with_computed(
-        "length_norm",
-        lambda row: (len(row["value_x"]) / max_by_attr[row["attribute"]]
-                     if max_by_attr[row["attribute"]] else 0.0),
-    )
-    return df
+    return [value for row in zip(*columns) for value in row]
 
 
 def prepare(dirty: Table, clean: Table,
@@ -145,17 +96,58 @@ def prepare(dirty: Table, clean: Table,
     """
     if max_value_length < 1:
         raise DataError(f"max_value_length must be >= 1, got {max_value_length}")
-    dirty_t, clean_t = structure_transformation(dirty, clean)
-    df = merge_to_long(dirty_t, clean_t, max_value_length=max_value_length)
-    attributes = tuple(name for name in clean.column_names)
-    values = df.column("value_x").values
-    char_index = CharDictionary(values)
-    attribute_index = AttributeDictionary(attributes)
-    max_length = max((len(v) for v in values), default=1)
+    # Step 2, structure transformation: the dirty columns are aligned to
+    # the clean names by position, cells are left-stripped and ``None``
+    # becomes "".  Values are cut at ``max_value_length`` before any
+    # helper column is derived from them.
+    if dirty.shape != clean.shape:
+        raise DataError(
+            f"dirty and clean tables must have the same shape, "
+            f"got {dirty.shape} vs {clean.shape}"
+        )
+    if "id_" in clean.column_names:
+        raise DataError("input tables must not already contain an 'id_' column")
+    attributes = tuple(clean.column_names)
+
+    def cells(table: Table, name: str) -> list[str]:
+        return [_normalise_cell(v)[:max_value_length]
+                for v in table.column(name).values]
+
+    dirty_cols = [cells(dirty, name) for name in dirty.column_names]
+    clean_cols = [cells(clean, name) for name in attributes]
+
+    # Step 3, built column by column: ``label`` marks a dirty value that
+    # differs from its clean one, ``empty`` an empty dirty value,
+    # ``concat`` is DiverSet's ``attribute__value`` key and
+    # ``length_norm`` the value's length over the longest value of the
+    # same attribute.
+    labels, empties, concats, ratios = [], [], [], []
+    for attribute, xs, ys in zip(attributes, dirty_cols, clean_cols):
+        labels.append([0 if x == y else 1 for x, y in zip(xs, ys)])
+        empties.append([0 if x else 1 for x in xs])
+        prefix = f"{attribute}__"
+        concats.append([prefix + x for x in xs])
+        longest = max(map(len, xs), default=0)
+        ratios.append([len(x) / longest for x in xs] if longest
+                      else [0.0] * len(xs))
+    df = Table({
+        "id_": [i for i in range(clean.n_rows) for _ in attributes],
+        "attribute": list(attributes) * clean.n_rows,
+        "value_x": _cell_order(dirty_cols),
+        "value_y": _cell_order(clean_cols),
+        "label": _cell_order(labels),
+        "empty": _cell_order(empties),
+        "concat": _cell_order(concats),
+        "length_norm": _cell_order(ratios),
+    })
+    # Characters are numbered in first-occurrence order over the cells;
+    # a repeated value adds none, so the distinct values give the same
+    # dictionary.
+    distinct = list(dict.fromkeys(df.column("value_x").values))
     return PreparedData(
         df=df,
         attributes=attributes,
-        char_index=char_index,
-        attribute_index=attribute_index,
-        max_length=max(max_length, 1),
+        char_index=CharDictionary(distinct),
+        attribute_index=AttributeDictionary(attributes),
+        max_length=max(max(map(len, distinct), default=1), 1),
     )

@@ -59,10 +59,9 @@ def split_by_tuple_ids(prepared: PreparedData,
         raise DataError(f"train_ids not present in data: {unknown}")
 
     encoded = encode_cells(prepared)
-    train_set = set(ids)
-    in_train = np.array([tid in train_set for tid in encoded.tuple_ids])
-    train = encoded.subset(np.where(in_train)[0])
-    test = encoded.subset(np.where(~in_train)[0])
+    in_train = np.isin(encoded.tuple_ids, ids)
+    train = encoded.subset(np.flatnonzero(in_train))
+    test = encoded.subset(np.flatnonzero(~in_train))
     if test.n_cells == 0:
         raise DataError("test set is empty; choose fewer training tuples")
     return TrainTestSplit(train=train, test=test, train_tuple_ids=tuple(ids))

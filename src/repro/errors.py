@@ -21,10 +21,6 @@ class SchemaError(TableError):
     received columns of mismatched length."""
 
 
-class JoinError(TableError):
-    """A join was requested on incompatible keys."""
-
-
 class CSVFormatError(TableError):
     """A CSV file could not be parsed into a rectangular table."""
 

@@ -28,7 +28,6 @@ from repro.io.analyze import (
     skeleton,
 )
 from repro.io.detect import (
-    CellScore,
     DetectOutcome,
     detect_path,
     scores_table,
@@ -62,7 +61,6 @@ __all__ = [
     "analyze_table",
     "conforming_mask",
     "skeleton",
-    "CellScore",
     "DetectOutcome",
     "detect_path",
     "scores_table",

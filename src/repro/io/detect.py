@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from repro.dataprep import encode_cells
 from repro.errors import DataError
 from repro.io.analyze import ColumnProfile, conforming_mask
@@ -29,31 +31,31 @@ from repro.table import Table
 
 
 @dataclass(frozen=True)
-class CellScore:
-    """One scored cell of an ingested table."""
-
-    table: str
-    row: int
-    attribute: str
-    value: str
-    score: float
-    flagged: bool
-    conforms: bool
-
-
-@dataclass(frozen=True)
 class DetectOutcome:
-    """Scores for one ingested table (``scores`` covers every cell)."""
+    """Scores for one ingested table, as parallel per-cell arrays.
+
+    Cell ``k`` is row ``rows[k]`` of column ``attributes[columns[k]]``.
+    Every scored cell appears once, in its producer's order: tuple by
+    tuple for a table trained on weak labels, column by column for
+    ``--model`` scores and analyzer-only verdicts.  ``flags`` marks the
+    cells the network (or, untrained, the analyzer) flags.
+    """
 
     table: IngestedTable
     profiles: dict[str, ColumnProfile]
-    scores: tuple[CellScore, ...]
+    attributes: tuple[str, ...]
+    rows: np.ndarray
+    columns: np.ndarray
+    scores: np.ndarray
+    flags: np.ndarray
+    conforms: np.ndarray
 
     @property
-    def flagged(self) -> tuple[CellScore, ...]:
-        """The cells the network flags, most suspicious first."""
-        return tuple(sorted((s for s in self.scores if s.flagged),
-                            key=lambda s: -s.score))
+    def flagged(self) -> np.ndarray:
+        """Positions of the flagged cells, most suspicious first (ties
+        keep cell order)."""
+        cells = np.flatnonzero(self.flags)
+        return cells[np.argsort(-self.scores[cells], kind="stable")]
 
 
 def weak_label_fn(profiles: dict[str, ColumnProfile],
@@ -77,11 +79,45 @@ def weak_label_fn(profiles: dict[str, ColumnProfile],
     return label
 
 
+def _outcome(item: IngestedTable, profiles: dict[str, ColumnProfile],
+             attributes: list[str], tuple_major: bool,
+             probabilities: np.ndarray | None = None) -> DetectOutcome:
+    """Lay out one table's cells and score them.
+
+    Conformance is decided once per distinct value of each column.
+    Without ``probabilities`` the analyzer's verdict is the score: 1.0
+    and flagged for a non-conforming cell, 0.0 otherwise.
+    """
+    n_rows, k = item.table.n_rows, len(attributes)
+    if tuple_major:
+        rows = np.repeat(np.arange(n_rows), k)
+        columns = np.tile(np.arange(k), n_rows)
+    else:
+        rows = np.tile(np.arange(n_rows), k)
+        columns = np.repeat(np.arange(k), n_rows)
+    conforming = np.zeros((k, n_rows), dtype=bool)
+    for j, name in enumerate(attributes):
+        values = item.table.column(name).values
+        distinct = list(dict.fromkeys(values))
+        verdict = dict(zip(distinct, conforming_mask(profiles[name], distinct)))
+        conforming[j] = [verdict[value] for value in values]
+    conforms = conforming[columns, rows]
+    if probabilities is None:
+        scores, flags = np.where(conforms, 0.0, 1.0), ~conforms
+    else:
+        scores = probabilities[:, 1]
+        flags = probabilities[:, 1] >= probabilities[:, 0]
+    return DetectOutcome(table=item, profiles=profiles,
+                         attributes=tuple(attributes), rows=rows,
+                         columns=columns, scores=scores, flags=flags,
+                         conforms=conforms)
+
+
 def _score_with_weak_labels(item: IngestedTable,
                             profiles: dict[str, ColumnProfile],
                             architecture: str, n_label_tuples: int,
                             epochs: int, cell_type: str,
-                            seed: int) -> tuple[CellScore, ...]:
+                            seed: int) -> DetectOutcome:
     table = item.table
     detector = ErrorDetector(
         architecture=architecture,
@@ -97,50 +133,31 @@ def _score_with_weak_labels(item: IngestedTable,
     attributes = [name for name in table.column_names if name != "id_"]
     detector.fit_with_labels(table, weak_label_fn(profiles, attributes))
 
+    # The prepared cells are the table's, tuple by tuple.
     encoded = encode_cells(detector.prepared)
     probabilities = detector.trainer.predict_proba(
         encoded.features, lengths=encoded.lengths, dedup=encoded.dedup,
         deduplicate=detector.deduplicate)
-    values = {name: table.column(name).values for name in table.column_names}
-    scores = []
-    for tid, attribute, proba in zip(encoded.tuple_ids,
-                                     encoded.attribute_names,
-                                     probabilities):
-        raw = values[attribute][int(tid)]
-        value = "" if raw is None else str(raw)
-        scores.append(CellScore(
-            table=item.name, row=int(tid), attribute=attribute, value=value,
-            score=float(proba[1]), flagged=bool(proba[1] >= proba[0]),
-            conforms=conforming_mask(profiles[attribute], [value])[0]))
-    return tuple(scores)
+    return _outcome(item, profiles, attributes, True, probabilities)
 
 
 def _score_with_model(item: IngestedTable,
                       profiles: dict[str, ColumnProfile],
-                      detector: ErrorDetector) -> tuple[CellScore, ...]:
+                      detector: ErrorDetector) -> DetectOutcome:
     from repro.models.serialization import encode_values_for
 
     table = item.table
     known = set(detector.prepared.attributes)
     usable = [name for name in table.column_names if name in known]
     if not usable:
-        return ()
-    rows, attrs, cell_values = [], [], []
-    for name in usable:
-        for i, value in enumerate(table.column(name).values):
-            rows.append(i)
-            attrs.append(name)
-            cell_values.append("" if value is None else str(value))
+        return _outcome(item, profiles, [], False, np.zeros((0, 2)))
+    cell_values = ["" if value is None else str(value)
+                   for name in usable for value in table.column(name).values]
+    attrs = [name for name in usable for _ in range(table.n_rows)]
     features = encode_values_for(detector, cell_values, attrs)
     probabilities = detector.trainer.predict_proba(
         features, deduplicate=detector.deduplicate)
-    return tuple(
-        CellScore(table=item.name, row=rows[i], attribute=attrs[i],
-                  value=cell_values[i], score=float(probabilities[i, 1]),
-                  flagged=bool(probabilities[i, 1] >= probabilities[i, 0]),
-                  conforms=conforming_mask(profiles[attrs[i]],
-                                           [cell_values[i]])[0])
-        for i in range(len(rows)))
+    return _outcome(item, profiles, usable, False, probabilities)
 
 
 def detect_path(path: str | Path, *, detector: ErrorDetector | None = None,
@@ -158,52 +175,48 @@ def detect_path(path: str | Path, *, detector: ErrorDetector | None = None,
     for item in report.tables:
         profiles = report.profiles[item.name]
         if detector is not None:
-            scores = _score_with_model(item, profiles, detector)
+            outcome = _score_with_model(item, profiles, detector)
         elif item.table.n_rows >= 2:
             try:
-                scores = _score_with_weak_labels(
+                outcome = _score_with_weak_labels(
                     item, profiles, architecture=architecture,
                     n_label_tuples=n_label_tuples, epochs=epochs,
                     cell_type=cell_type, seed=seed)
             except DataError:
                 # Tables too degenerate to split/train (e.g. two near-
                 # identical rows) still get analyzer verdicts.
-                scores = _analyzer_only_scores(item, profiles)
+                outcome = _outcome(item, profiles, item.table.column_names,
+                                   False)
         else:
-            scores = _analyzer_only_scores(item, profiles)
-        outcomes.append(DetectOutcome(table=item, profiles=profiles,
-                                      scores=scores))
+            # Tables the BiRNN cannot train on get analyzer verdicts.
+            outcome = _outcome(item, profiles, item.table.column_names, False)
+        outcomes.append(outcome)
     return report, outcomes
-
-
-def _analyzer_only_scores(item: IngestedTable,
-                          profiles: dict[str, ColumnProfile],
-                          ) -> tuple[CellScore, ...]:
-    """Degenerate path for tables the BiRNN cannot train on."""
-    scores = []
-    for attribute in item.table.column_names:
-        profile = profiles[attribute]
-        for i, raw in enumerate(item.table.column(attribute).values):
-            value = "" if raw is None else str(raw)
-            conforms = conforming_mask(profile, [value])[0]
-            scores.append(CellScore(
-                table=item.name, row=i, attribute=attribute, value=value,
-                score=0.0 if conforms else 1.0, flagged=not conforms,
-                conforms=conforms))
-    return tuple(scores)
 
 
 def scores_table(outcomes: list[DetectOutcome],
                  flagged_only: bool = True) -> Table:
-    """Flatten outcomes into a result :class:`Table` for CSV export."""
-    rows: list[CellScore] = []
+    """Flatten outcomes into a result :class:`Table` for CSV export.
+
+    Only the emitted cells (the flagged ones by default) are gathered
+    and formatted.
+    """
+    out: dict[str, list] = {name: [] for name in
+                            ("table", "row", "attribute", "value", "score",
+                             "conforms")}
     for outcome in outcomes:
-        rows.extend(outcome.flagged if flagged_only else outcome.scores)
-    return Table({
-        "table": [s.table for s in rows],
-        "row": [s.row for s in rows],
-        "attribute": [s.attribute for s in rows],
-        "value": [s.value for s in rows],
-        "score": [f"{s.score:.4f}" for s in rows],
-        "conforms": [int(s.conforms) for s in rows],
-    })
+        cells = (outcome.flagged if flagged_only
+                 else np.arange(outcome.rows.shape[0]))
+        rows = outcome.rows[cells].tolist()
+        columns = outcome.columns[cells].tolist()
+        values = [outcome.table.table.column(name).values
+                  for name in outcome.attributes]
+        out["table"] += [outcome.table.name] * len(rows)
+        out["row"] += rows
+        out["attribute"] += [outcome.attributes[j] for j in columns]
+        out["value"] += ["" if values[j][i] is None else str(values[j][i])
+                         for i, j in zip(rows, columns)]
+        out["score"] += [f"{score:.4f}"
+                         for score in outcome.scores[cells].tolist()]
+        out["conforms"] += outcome.conforms[cells].astype(int).tolist()
+    return Table(out)

@@ -146,18 +146,22 @@ def _field_counts(lines: list[str], delimiter: str,
     return counts
 
 
-def _score_delimiter(lines: list[str], delimiter: str) -> tuple[float, int]:
-    """(consistency, width) of a candidate delimiter over the sample.
+def _score_delimiter(lines: list[str],
+                     delimiter: str) -> tuple[float, int, bool]:
+    """(consistency, width, head agrees) of a candidate delimiter.
 
     Consistency is the fraction of records agreeing with the modal
     field count; width is that modal count.  A delimiter that never
-    splits anything scores width 1 and loses to any real split.
+    splits anything scores width 1 and loses to any real split.  The
+    last element says whether the first record has the modal count: a
+    delimiter that only splits quoted cells of later rows leaves the
+    header whole.
     """
     counts = _field_counts(lines, delimiter, '"')
     if not counts:
-        return (0.0, 0)
+        return (0.0, 0, False)
     modal = max(set(counts), key=lambda c: (counts.count(c), c))
-    return (counts.count(modal) / len(counts), modal)
+    return (counts.count(modal) / len(counts), modal, counts[0] == modal)
 
 
 def _is_number(text: str) -> bool:
@@ -220,19 +224,20 @@ def sniff_dialect(text: str, max_sample_lines: int = 64) -> Dialect:
 
     The delimiter is chosen by consistency voting over the first
     ``max_sample_lines`` records: highest agreement with the modal
-    field count wins, ties broken by wider records, then by
+    field count wins, ties broken by wider records, then by a first
+    record with the modal field count, then by
     :data:`DELIMITER_CANDIDATES` order (comma first).  Quote character
     is ``"`` unless single quotes demonstrably wrap fields.
     """
     lines = text.splitlines()[:max_sample_lines]
     if not lines:
         return Dialect(delimiter=",")
-    best = (",", (0.0, 0))
+    best = (",", (0.0, 0, False))
     for candidate in DELIMITER_CANDIDATES:
         score = _score_delimiter(lines, candidate)
         if score[1] <= 1:
             continue
-        if (score[0], score[1]) > best[1]:
+        if score > best[1]:
             best = (candidate, score)
     delimiter = best[0]
     quotechar = '"'

@@ -213,42 +213,35 @@ class ErrorDetector:
         tuple.  Evaluation metrics are unavailable in this mode (there is
         no ground truth for the test cells); use :meth:`predict_table`.
         """
-        # Self-merge gives a long table with all labels 0; the user's
-        # labels overwrite the sampled tuples' rows below.
+        # Preparing the table against itself labels every cell 0; the
+        # user's labels overwrite the sampled tuples' cells below.  Cell
+        # k of the long table is tuple k // m, attribute k % m.
         prepared = prepare(dirty, dirty)
         rng = np.random.default_rng(self.seed)
         train_ids = self.sampler.select(self.n_label_tuples, prepared, rng)
 
-        id_col = prepared.df.column("id_").values
-        attr_col = prepared.df.column("attribute").values
-        value_col = prepared.df.column("value_x").values
-        rows_by_id: dict[int, dict[str, str]] = {}
-        for tid, attr, value in zip(id_col, attr_col, value_col):
-            rows_by_id.setdefault(int(tid), {})[attr] = value
-
-        labels_by_cell: dict[tuple[int, str], int] = {}
+        m = len(prepared.attributes)
+        values = prepared.df.column("value_x").values
+        labels = list(prepared.df.column("label").values)
         for tid in train_ids:
-            row = rows_by_id[tid]
-            labels = list(label_fn(tid, row))
-            if len(labels) != len(prepared.attributes):
+            start = tid * m
+            given = list(label_fn(tid, dict(zip(prepared.attributes,
+                                                values[start:start + m]))))
+            if len(given) != m:
                 raise ConfigurationError(
-                    f"label_fn returned {len(labels)} labels for tuple {tid}, "
-                    f"expected {len(prepared.attributes)}"
+                    f"label_fn returned {len(given)} labels for tuple {tid}, "
+                    f"expected {m}"
                 )
-            for attr, label in zip(prepared.attributes, labels):
+            for label in given:
                 if label not in (0, 1):
                     raise ConfigurationError(
                         f"labels must be 0 or 1, got {label!r}"
                     )
-                labels_by_cell[(tid, attr)] = int(label)
+            labels[start:start + m] = [int(label) for label in given]
 
-        df = prepared.df.with_computed(
-            "label",
-            lambda row: labels_by_cell.get((int(row["id_"]), row["attribute"]),
-                                           int(row["label"])),
-        )
         prepared = PreparedData(
-            df=df, attributes=prepared.attributes,
+            df=prepared.df.with_column("label", labels),
+            attributes=prepared.attributes,
             char_index=prepared.char_index,
             attribute_index=prepared.attribute_index,
             max_length=prepared.max_length,

@@ -35,50 +35,43 @@ class DiverSet(Sampler):
                rng: np.random.Generator) -> list[int]:
         available = self._validate(n_obs, prepared)
         df = prepared.df
-        ids = [int(v) for v in df.column("id_").values]
-        empties = [int(v) for v in df.column("empty").values]
-        concats = list(df.column("concat").values)
-
-        # rows_by_id: for each tuple, its (concat, empty) cell pairs.
-        rows_by_id: dict[int, list[tuple[str, int]]] = {}
-        for tid, concat, empty in zip(ids, concats, empties):
-            rows_by_id.setdefault(tid, []).append((concat, empty))
+        n = df.n_rows
+        # Tuples by position in first-occurrence order, concat values by
+        # code: cell i belongs to tuple cell_tuple[i] and has concat
+        # codes[i].
+        ids = list(map(int, df.column("id_").values))
+        tuples = list(dict.fromkeys(ids))
+        position = {tid: i for i, tid in enumerate(tuples)}
+        cell_tuple = np.fromiter(map(position.__getitem__, ids),
+                                 dtype=np.int64, count=n)
+        concats = df.column("concat").values
+        code_of = {c: i for i, c in enumerate(dict.fromkeys(concats))}
+        codes = np.fromiter(map(code_of.__getitem__, concats),
+                            dtype=np.int64, count=n)
+        empty = np.fromiter(map(int, df.column("empty").values),
+                            dtype=np.int64, count=n)
+        seen = np.zeros(len(code_of), dtype=bool)
 
         selected: list[int] = []
-        selected_set: set[int] = set()
-        seen_concats: set[str] = set()
-
         for _ in range(n_obs):
-            best_ids: list[int] = []
-            best_key: tuple[int, int] | None = None
-            for tid, cells in rows_by_id.items():
-                if tid in selected_set:
-                    continue
-                unseen = 0
-                empty_count = 0
-                for concat, empty in cells:
-                    if concat not in seen_concats:
-                        unseen += 1
-                        empty_count += empty
-                if unseen == 0:
-                    continue  # tuple fully covered; nothing new to learn
-                key = (unseen, empty_count)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_ids = [tid]
-                elif key == best_key:
-                    best_ids.append(tid)
-
-            if not best_ids:
+            unseen = ~seen[codes]
+            owners = cell_tuple[unseen]
+            n_unseen = np.bincount(owners, minlength=len(tuples))
+            n_empty = np.bincount(owners, weights=empty[unseen],
+                                  minlength=len(tuples))
+            # A chosen tuple's values are all seen, so it never
+            # qualifies again; nor does any tuple fully covered.
+            best = n_unseen > 0
+            if not best.any():
                 # All attribute values are already covered: fall back to
                 # uniform random among the remaining tuples.
-                remaining = [t for t in available if t not in selected_set]
+                remaining = [t for t in available if t not in selected]
                 chosen = remaining[int(rng.integers(len(remaining)))]
             else:
-                chosen = best_ids[int(rng.integers(len(best_ids)))]
-
+                best &= n_unseen == n_unseen[best].max()
+                best &= n_empty == n_empty[best].max()
+                ties = np.flatnonzero(best)
+                chosen = tuples[ties[int(rng.integers(len(ties)))]]
             selected.append(chosen)
-            selected_set.add(chosen)
-            for concat, _ in rows_by_id[chosen]:
-                seen_concats.add(concat)
+            seen[codes[cell_tuple == position[chosen]]] = True
         return selected

@@ -1,14 +1,14 @@
 """A small column-oriented relational table engine.
 
-The paper's data-preparation pipeline (Figure 3) relies on dataframe-style
-operations: wide-to-long reshaping, outer merges on ``(id_, attribute)``,
-de-duplication and row filtering.  The execution environment has no
-pandas, so this subpackage implements a minimal but complete substitute:
+The paper's code keeps its tables in pandas dataframes.  The execution
+environment has no pandas, so this subpackage implements the small
+substitute the repository needs:
 
 * :class:`~repro.table.column.Column` -- an immutable named sequence of cell
   values with vectorised helpers,
 * :class:`~repro.table.table.Table` -- an ordered collection of equal-length
-  columns with selection, filtering, sorting, reshaping and joins,
+  columns with selection, filtering, sorting, de-duplication and a
+  long-to-wide pivot,
 * :mod:`~repro.table.io` -- CSV reading and writing on top of :mod:`csv`,
 * :mod:`~repro.table.keys` -- candidate-key and functional-dependency
   discovery (used by the Raha-style baseline and the paper's future-work

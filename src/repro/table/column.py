@@ -100,13 +100,7 @@ class Column:
 
     def unique(self) -> list[Any]:
         """Distinct values in first-occurrence order (``None`` included)."""
-        seen: set[Any] = set()
-        out: list[Any] = []
-        for v in self._values:
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-        return out
+        return list(dict.fromkeys(self._values))
 
     def value_counts(self) -> dict[Any, int]:
         """Map each distinct value to its number of occurrences."""

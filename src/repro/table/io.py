@@ -78,8 +78,7 @@ def write_csv(table: Table, path: str | Path, missing_marker: str = "",
     with path.open("w", newline="", encoding=encoding) as handle:
         writer = csv.writer(handle)
         writer.writerow(table.column_names)
-        for row in table.iter_rows():
-            writer.writerow([
-                missing_marker if row[name] is None else str(row[name])
-                for name in table.column_names
-            ])
+        writer.writerows(zip(*(
+            [missing_marker if cell is None else str(cell)
+             for cell in table.column(name).values]
+            for name in table.column_names)))

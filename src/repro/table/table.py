@@ -281,34 +281,9 @@ class Table:
 
     # -- reshaping ----------------------------------------------------------------
 
-    def melt(self, id_vars: Sequence[str], value_vars: Sequence[str] | None = None,
-             var_name: str = "attribute", value_name: str = "value") -> Table:
-        """Reshape from wide to long format.
-
-        Every row becomes ``len(value_vars)`` rows of
-        ``(id_vars..., attribute, value)``.  This is the reshape the paper's
-        merge step uses to put each cell of the wide table on its own row.
-        """
-        if value_vars is None:
-            value_vars = [n for n in self.column_names if n not in set(id_vars)]
-        for name in list(id_vars) + list(value_vars):
-            self.column(name)  # validate existence
-        out: dict[str, list[Any]] = {n: [] for n in id_vars}
-        out[var_name] = []
-        out[value_name] = []
-        id_cols = {n: self.column(n).values for n in id_vars}
-        val_cols = {n: self.column(n).values for n in value_vars}
-        for i in range(self._n_rows):
-            for attr in value_vars:
-                for n in id_vars:
-                    out[n].append(id_cols[n][i])
-                out[var_name].append(attr)
-                out[value_name].append(val_cols[attr][i])
-        return Table(out)
-
     def pivot(self, index: str, columns: str, values: str,
               column_order: Sequence[str] | None = None) -> Table:
-        """Reshape from long to wide format (the inverse of :meth:`melt`).
+        """Reshape from long to wide format.
 
         One output row per distinct ``index`` value (first-seen order);
         one output column per distinct ``columns`` value plus the index
@@ -348,18 +323,3 @@ class Table:
                 )
             data[name] = [cells.get((key, name)) for key in row_order]
         return Table(data)
-
-    # -- joining ------------------------------------------------------------------
-
-    def merge(self, other: Table, on: Sequence[str] | str, how: str = "inner",
-              suffixes: tuple[str, str] = ("_x", "_y")) -> Table:
-        """Join with ``other`` on the given key columns.
-
-        Non-key columns present in both tables are disambiguated with
-        ``suffixes`` -- matching the pandas behaviour the paper's pipeline
-        relies on (``value_x`` / ``value_y``).
-        """
-        from repro.table.join import merge_tables
-        if isinstance(on, str):
-            on = [on]
-        return merge_tables(self, other, list(on), how=how, suffixes=suffixes)

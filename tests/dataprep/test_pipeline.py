@@ -3,58 +3,75 @@
 import pytest
 
 from repro.dataprep import prepare
-from repro.dataprep.pipeline import merge_to_long, structure_transformation
 from repro.errors import DataError
 from repro.table import Table
+
+
+def _cells(prepared, column):
+    """``{(id_, attribute): cell}`` of one long-table column."""
+    df = prepared.df
+    return dict(zip(zip(df.column("id_").values, df.column("attribute").values),
+                    df.column(column).values))
 
 
 class TestStructureTransformation:
     def test_id_column_added(self, paper_example):
         dirty, clean = paper_example
-        dirty_t, clean_t = structure_transformation(dirty, clean)
-        assert list(dirty_t.column("id_").values) == [0, 1, 2, 3, 4]
-        assert list(clean_t.column("id_").values) == [0, 1, 2, 3, 4]
+        prepared = prepare(dirty, clean)
+        assert prepared.df.column("id_").values == tuple(
+            i for i in range(5) for _ in range(4))
 
     def test_leading_whitespace_stripped(self):
         dirty = Table({"a": ["  x", "y"]})
         clean = Table({"a": ["x", " y"]})
-        dirty_t, clean_t = structure_transformation(dirty, clean)
-        assert dirty_t.column("a").values == ("x", "y")
-        assert clean_t.column("a").values == ("x", "y")
+        prepared = prepare(dirty, clean)
+        assert prepared.df.column("value_x").values == ("x", "y")
+        assert prepared.df.column("value_y").values == ("x", "y")
 
     def test_trailing_whitespace_kept(self):
         dirty = Table({"a": ["x  "]})
-        dirty_t, _ = structure_transformation(dirty, Table({"a": ["x"]}))
-        assert dirty_t.column("a")[0] == "x  "
+        prepared = prepare(dirty, Table({"a": ["x"]}))
+        assert prepared.df.column("value_x")[0] == "x  "
 
     def test_columns_renamed_positionally(self):
         dirty = Table({"colA": ["1"], "colB": ["2"]})
-        clean = Table({"a": ["1"], "b": ["2"]})
-        dirty_t, _ = structure_transformation(dirty, clean)
-        assert dirty_t.column_names == ["a", "b", "id_"]
+        clean = Table({"a": ["1"], "b": ["3"]})
+        prepared = prepare(dirty, clean)
+        assert prepared.attributes == ("a", "b")
+        assert _cells(prepared, "value_x") == {(0, "a"): "1", (0, "b"): "2"}
+        assert _cells(prepared, "label") == {(0, "a"): 0, (0, "b"): 1}
 
     def test_none_becomes_empty_string(self):
         dirty = Table({"a": [None]})
-        dirty_t, _ = structure_transformation(dirty, Table({"a": ["x"]}))
-        assert dirty_t.column("a")[0] == ""
+        prepared = prepare(dirty, Table({"a": ["x"]}))
+        assert prepared.df.column("value_x")[0] == ""
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
-            structure_transformation(Table({"a": ["1"]}),
-                                     Table({"a": ["1", "2"]}))
+            prepare(Table({"a": ["1"]}), Table({"a": ["1", "2"]}))
 
     def test_existing_id_column_rejected(self):
         table = Table({"id_": ["1"], "a": ["2"]})
         with pytest.raises(DataError):
-            structure_transformation(table, table)
+            prepare(table, table)
 
 
 class TestMergeToLong:
     def test_long_format_shape(self, paper_example):
         dirty, clean = paper_example
-        dirty_t, clean_t = structure_transformation(dirty, clean)
-        df = merge_to_long(dirty_t, clean_t)
+        df = prepare(dirty, clean).df
         assert df.n_rows == 5 * 4  # tuples x attributes
+        assert df.column_names == ["id_", "attribute", "value_x", "value_y",
+                                   "label", "empty", "concat", "length_norm"]
+        # Cell k is tuple k // 4, attribute k % 4, paired with the clean
+        # cell of the same position.
+        for k, row in enumerate(df.iter_rows()):
+            name = clean.column_names[k % 4]
+            assert row["id_"] == k // 4
+            assert row["attribute"] == name
+            assert row["value_x"] == (dirty.column(dirty.column_names[k % 4])
+                                      [k // 4] or "").lstrip()
+            assert row["value_y"] == (clean.column(name)[k // 4] or "").lstrip()
 
     def test_labels_match_table1(self, paper_example):
         """The highlighted cells of Table 1 must be labelled 1."""

@@ -12,10 +12,15 @@ import csv
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.io import analyze_column, detect_encoding, read_delimited_bytes
+from repro.io import (
+    analyze_column,
+    detect_encoding,
+    read_delimited_bytes,
+    sniff_dialect,
+)
 
 ENCODINGS = ("utf-8", "utf-8-sig", "utf-16-le", "utf-16-be",
              "utf-16", "latin-1")
@@ -97,6 +102,10 @@ def test_roundtrip_analyzer_stable(table, encoding):
        encoding=st.sampled_from(ENCODINGS),
        n_extra=st.integers(min_value=1, max_value=3))
 @settings(max_examples=60, deadline=None)
+# Only the quoted ";;" cell splits under ";", as wide and as consistent
+# as the tab split; the header is what tells them apart.
+@example(table=(["A", "B", "AA"], [["", ";;", ""]]), delimiter="\t",
+         encoding="utf-8", n_extra=1)
 def test_ragged_tail_recovered(table, delimiter, encoding, n_extra):
     """Rows with missing trailing fields pad to None and are counted."""
     names, rows = table
@@ -114,6 +123,14 @@ def test_ragged_tail_recovered(table, delimiter, encoding, n_extra):
             assert cell == short_row[j]
         else:
             assert cell is None
+
+
+def test_sniffer_prefers_the_delimiter_that_splits_the_header():
+    """Tab and ";" both give a (0.5, 3) vote here, but ";" gets its three
+    fields only from the quoted ";;" cell of the ragged row; the header
+    splits into three under tab alone."""
+    text = '"A"\t"B"\t"AA"\r\n""\t";;"\r\n'
+    assert sniff_dialect(text).delimiter == "\t"
 
 
 @given(text=st.text(alphabet=_CELL_ALPHABET, min_size=1, max_size=200),

@@ -1,6 +1,4 @@
-"""Additional table-substrate coverage: preview, unicode CSV, outer joins."""
-
-import pytest
+"""Additional table-substrate coverage: preview and unicode CSV."""
 
 from repro.table import Table, read_csv, write_csv
 
@@ -31,21 +29,3 @@ class TestUnicodeCsv:
         path = tmp_path / "n.csv"
         write_csv(table, path)
         assert read_csv(path).column("text")[0] == "line1\nline2"
-
-
-class TestOuterJoinMultiKey:
-    def test_none_in_one_key_component(self):
-        left = Table({"a": [1, None], "b": ["x", "y"], "v": ["l1", "l2"]})
-        right = Table({"a": [1, None], "b": ["x", "y"], "w": ["r1", "r2"]})
-        out = left.merge(right, on=["a", "b"], how="outer")
-        assert out.n_rows == 2  # None-containing keys still match exactly
-
-    def test_fully_disjoint_outer(self):
-        left = Table({"k": [1], "v": ["a"]})
-        right = Table({"k": [2], "w": ["b"]})
-        out = left.merge(right, on="k", how="outer")
-        assert out.n_rows == 2
-        rows = {r["k"]: r for r in out.iter_rows()}
-        assert rows[1]["w"] is None
-        assert rows[2]["v"] is None
-

@@ -200,38 +200,23 @@ class TestRowTransforms:
             people.concat(people.drop(["age"]))
 
 
-class TestMelt:
-    def test_melt_shape(self, people):
-        long = people.with_column("id_", range(4)).melt(["id_"])
-        assert long.n_rows == 4 * 3
-        assert long.column_names == ["id_", "attribute", "value"]
-
-    def test_melt_values_aligned(self, people):
-        long = people.with_column("id_", range(4)).melt(["id_"])
-        first_tuple = long.filter(lambda r: r["id_"] == 0)
-        by_attr = {r["attribute"]: r["value"] for r in first_tuple.iter_rows()}
-        assert by_attr == {"name": "Ada", "city": "Zurich", "age": "36"}
-
-    def test_melt_custom_names(self, people):
-        long = people.with_column("id_", range(4)).melt(
-            ["id_"], ["name"], var_name="attr", value_name="val")
-        assert long.column_names == ["id_", "attr", "val"]
-        assert long.n_rows == 4
-
-    def test_melt_unknown_column(self, people):
-        with pytest.raises(SchemaError):
-            people.melt(["ghost"])
+def _long(table):
+    """``table`` in long form: one (id_, attribute, value) row per cell."""
+    return Table({
+        "id_": [i for i in range(table.n_rows) for _ in table.column_names],
+        "attribute": table.column_names * table.n_rows,
+        "value": [table.column(name)[i] for i in range(table.n_rows)
+                  for name in table.column_names],
+    })
 
 
 class TestPivot:
     def test_inverse_of_melt(self, people):
-        wide = people.with_column("id_", range(4))
-        long = wide.melt(["id_"])
-        back = long.pivot("id_", "attribute", "value")
+        back = _long(people).pivot("id_", "attribute", "value")
         assert back.select(people.column_names) == people
 
     def test_column_order_respected(self, people):
-        long = people.with_column("id_", range(4)).melt(["id_"])
+        long = _long(people)
         back = long.pivot("id_", "attribute", "value",
                           column_order=["age", "name", "city"])
         assert back.column_names == ["id_", "age", "name", "city"]

@@ -57,25 +57,3 @@ def test_filter_partitions(table):
     kept = table.filter(pred)
     dropped = table.filter(lambda r: not pred(r))
     assert kept.n_rows + dropped.n_rows == table.n_rows
-
-
-@given(tables(min_rows=1, max_rows=6))
-@settings(max_examples=50)
-def test_melt_preserves_cells(table):
-    wide = table.with_column("id_", range(table.n_rows))
-    long = wide.melt(["id_"])
-    assert long.n_rows == table.n_rows * table.n_cols
-    for row in long.iter_rows():
-        assert table.column(row["attribute"])[row["id_"]] == row["value"]
-
-
-@given(tables(min_rows=1, max_rows=6))
-@settings(max_examples=50)
-def test_self_merge_contains_diagonal(table):
-    """Self-join on a unique id column returns exactly the original rows."""
-    wide = table.with_column("id_", range(table.n_rows))
-    merged = wide.merge(wide, on="id_")
-    assert merged.n_rows == wide.n_rows
-    for name in table.column_names:
-        assert merged.column(f"{name}_x").values == \
-            merged.column(f"{name}_y").values
