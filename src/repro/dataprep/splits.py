@@ -19,11 +19,16 @@ from repro.errors import DataError
 
 @dataclass(frozen=True)
 class TrainTestSplit:
-    """Encoded train and test cell sets for one experiment run."""
+    """Encoded train and test cell sets for one experiment run.
+
+    ``cells`` is the whole prepared table's encoding, both sides in the
+    prepared cell order, for callers that score every cell.
+    """
 
     train: EncodedCells
     test: EncodedCells
     train_tuple_ids: tuple[int, ...]
+    cells: EncodedCells
 
     @property
     def train_size(self) -> int:
@@ -64,4 +69,5 @@ def split_by_tuple_ids(prepared: PreparedData,
     test = encoded.subset(np.flatnonzero(~in_train))
     if test.n_cells == 0:
         raise DataError("test set is empty; choose fewer training tuples")
-    return TrainTestSplit(train=train, test=test, train_tuple_ids=tuple(ids))
+    return TrainTestSplit(train=train, test=test, train_tuple_ids=tuple(ids),
+                          cells=encoded)

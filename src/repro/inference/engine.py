@@ -10,6 +10,13 @@ length order -- and (4) scattering per-representative probabilities back
 to every row with ``np.take``.  Every step is value-preserving, so the
 result is bit-for-bit identical to the naive chunked forward.
 
+For TSB-RNN and ETSB-RNN on the fused backend, a call with more than
+one chunk of representatives runs step (3)'s character BiRNN once per
+distinct value string rather than once per representative, and inside
+it once per distinct prefix or suffix
+(:meth:`~repro.models.tsb_rnn.ValueBranch.distinct_value_states`); the
+rest of the network then runs per chunk on the gathered value states.
+
 Scratch buffers (the per-feature chunk gathers and the per-representative
 "un-permutation" probability buffer) live on the engine and are reused
 across calls, so steady-state serving performs no per-call hot-array
@@ -60,6 +67,10 @@ def model_fingerprint(model) -> str:
 
 #: Inference chunks are evaluated in whole blocks of this many rows.
 ROW_BLOCK = 4
+
+#: Representatives whose distinct values share one prefix-shared value
+#: pass (rounded to whole chunks): bounds the value states a call holds.
+VALUE_WINDOW = 4096
 
 
 def row_block_index(n_rows: int) -> np.ndarray:
@@ -319,12 +330,27 @@ class InferenceEngine:
             tele = telemetry.enabled()
             forward_hist = (telemetry.get_registry().histogram(
                 "inference.forward_seconds") if tele else None)
+            # Prefix-shared value states, one window of representatives
+            # at a time (the window's first chunk times its value pass).
+            # Within one chunk, planning costs more than sharing saves.
+            shared = (rows.shape[0] > self.batch_size
+                      and getattr(self.model, "shares_values", False))
+            window = max(VALUE_WINDOW // self.batch_size, 1) * self.batch_size
             with no_grad():
                 for start in range(0, rows.shape[0], self.batch_size):
+                    chunk_started = time.perf_counter() if tele else 0.0
                     chunk, k = self._build_chunk(features, rows,
                                                  row_lengths, start)
-                    chunk_started = time.perf_counter() if tele else 0.0
-                    probs = self.model(chunk).numpy()[:k]
+                    extra = {}
+                    if shared:
+                        if start % window == 0:
+                            value_states, value_of = \
+                                self.model.distinct_value_states(np.take(
+                                    features["values"],
+                                    rows[start:start + window], axis=0))
+                        local = start % window + row_block_index(k)
+                        extra["value_states"] = value_states[value_of[local]]
+                    probs = self.model(chunk, **extra).numpy()[:k]
                     if forward_hist is not None:
                         forward_hist.observe(
                             time.perf_counter() - chunk_started)

@@ -93,14 +93,34 @@ class DedupIndex:
         return order
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque byte-string key per row of a 2-d array."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(
+        np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
+def byte_order(rows: np.ndarray) -> np.ndarray:
+    """Stable order of the rows of a 2-d array by their raw bytes.
+
+    Rows compare like ``memcmp`` over their memory, so equal rows end up
+    adjacent, and so do rows sharing a leading run of elements (character
+    rows sharing a prefix).  Sorting one opaque key per row is several
+    times faster than ``np.lexsort`` over the columns.
+    """
+    return np.argsort(_row_keys(rows), kind="stable")
+
+
 def build_dedup_index(features: Mapping[str, np.ndarray]) -> DedupIndex:
     """Group feature rows that are byte-identical across *all* features.
 
     Rows are compared on the raw bytes of every feature array (character
     indices, attribute ids, normalised lengths, ...), so two rows fall in
     the same group only when the model is guaranteed to produce the same
-    output for both.  Runs vectorised: one byte-view concatenation plus
-    one ``np.unique`` over structured rows.
+    output for both.  Runs vectorised: one byte-view concatenation, one
+    :func:`byte_order` sort and a comparison of neighbouring rows.
+    Groups are numbered in that byte order, each represented by its
+    first occurrence.
     """
     if not features:
         raise ConfigurationError("at least one feature array is required")
@@ -118,8 +138,12 @@ def build_dedup_index(features: Mapping[str, np.ndarray]) -> DedupIndex:
         arr = np.ascontiguousarray(features[name]).reshape(n, -1)
         parts.append(arr.view(np.uint8).reshape(n, -1))
     keys = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    keys = np.ascontiguousarray(keys)
-    rows = keys.view([("bytes", np.uint8, keys.shape[1])]).reshape(n)
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return DedupIndex(representatives=first.astype(np.int64),
-                      inverse=inverse.astype(np.int64).reshape(-1))
+    row_keys = _row_keys(keys)
+    order = np.argsort(row_keys, kind="stable")
+    ordered = row_keys[order]
+    opens = np.ones(n, dtype=bool)
+    opens[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.cumsum(opens) - 1
+    return DedupIndex(representatives=order[opens].astype(np.int64),
+                      inverse=inverse)

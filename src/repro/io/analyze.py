@@ -140,59 +140,58 @@ def _match_date(text: str) -> tuple[bool, bool | None]:
 
 
 def analyze_column(name: str, values: Sequence[object]) -> ColumnProfile:
-    """Profile one column of raw cells (see module docstring)."""
-    cells = [_norm(v) for v in values]
-    present = [c for c in cells if c]
-    n_missing = len(cells) - len(present)
-    n_distinct = len(set(present))
-    if not present:
+    """Profile one column of raw cells (see module docstring).
+
+    Each distinct value is matched once and its verdicts are weighted by
+    its count.  Values are counted in first-occurrence order, so the
+    skeleton tally breaks ties as a cell-by-cell pass would.
+    """
+    counts = Counter(map(_norm, values))
+    n_cells = sum(counts.values())
+    n_missing = counts.pop("", 0)
+    n_distinct = len(counts)
+    if not counts:
         return ColumnProfile(name=name, kind=ColumnKind.EMPTY,
                              conformance=1.0, pattern="(empty)",
-                             n_cells=len(cells), n_missing=n_missing,
+                             n_cells=n_cells, n_missing=n_missing,
                              n_distinct=0)
 
-    date_hits = 0
-    day_first_votes = 0
-    month_first_votes = 0
-    for cell in present:
+    date_hits = day_first_votes = month_first_votes = 0
+    number_hits = comma_votes = point_votes = 0
+    skeletons: Counter[str] = Counter()
+    for cell, count in counts.items():
         is_date, day_first = _match_date(cell)
         if is_date:
-            date_hits += 1
+            date_hits += count
             if day_first is True:
-                day_first_votes += 1
+                day_first_votes += count
             elif day_first is False:
-                month_first_votes += 1
-
-    number_hits = 0
-    comma_votes = 0
-    point_votes = 0
-    for cell in present:
+                month_first_votes += count
         if _NUMBER_POINT.match(cell):
-            number_hits += 1
+            number_hits += count
             if "." in cell:
-                point_votes += 1
+                point_votes += count
         elif _NUMBER_COMMA.match(cell):
-            number_hits += 1
+            number_hits += count
             if "," in cell:
-                comma_votes += 1
-
-    skeletons = Counter(skeleton(cell) for cell in present)
+                comma_votes += count
+        skeletons[skeleton(cell)] += count
     modal_skeleton, skeleton_hits = skeletons.most_common(1)[0]
 
-    n = len(present)
+    n = n_cells - n_missing
     if date_hits / n >= 0.6 and date_hits >= number_hits:
         day_first = None
         if day_first_votes or month_first_votes:
             day_first = day_first_votes > month_first_votes
         return ColumnProfile(
             name=name, kind=ColumnKind.DATE, conformance=date_hits / n,
-            pattern="date", n_cells=len(cells), n_missing=n_missing,
+            pattern="date", n_cells=n_cells, n_missing=n_missing,
             n_distinct=n_distinct, day_first=day_first)
     if number_hits / n >= 0.6:
         return ColumnProfile(
             name=name, kind=ColumnKind.NUMBER, conformance=number_hits / n,
             pattern="number(decimal comma)" if comma_votes > point_votes
-            else "number", n_cells=len(cells), n_missing=n_missing,
+            else "number", n_cells=n_cells, n_missing=n_missing,
             n_distinct=n_distinct, decimal_comma=comma_votes > point_votes)
     # Identifier: one structural skeleton dominates and the values are
     # not just prose (prose skeletons are long A A A... runs that rarely
@@ -202,11 +201,11 @@ def analyze_column(name: str, values: Sequence[object]) -> ColumnProfile:
         return ColumnProfile(
             name=name, kind=ColumnKind.IDENTIFIER,
             conformance=skeleton_hits / n, pattern=modal_skeleton,
-            n_cells=len(cells), n_missing=n_missing, n_distinct=n_distinct)
+            n_cells=n_cells, n_missing=n_missing, n_distinct=n_distinct)
     return ColumnProfile(
         name=name, kind=ColumnKind.TEXT,
         conformance=skeleton_hits / n, pattern=modal_skeleton,
-        n_cells=len(cells), n_missing=n_missing, n_distinct=n_distinct)
+        n_cells=n_cells, n_missing=n_missing, n_distinct=n_distinct)
 
 
 def analyze_table(table: Table) -> dict[str, ColumnProfile]:

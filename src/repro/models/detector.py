@@ -351,9 +351,8 @@ class ErrorDetector:
 
     def predict_table(self) -> list[tuple[int, str]]:
         """Predicted-erroneous cells over the *whole* table (train + test)."""
-        from repro.dataprep import encode_cells
-        _, prepared, __, trainer = self._require_fitted()
-        encoded = encode_cells(prepared)
+        _, __, split, trainer = self._require_fitted()
+        encoded = split.cells
         probabilities = trainer.predict_proba(encoded.features,
                                               lengths=encoded.lengths,
                                               dedup=encoded.dedup,

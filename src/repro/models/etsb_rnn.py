@@ -18,6 +18,7 @@ import numpy as np
 from repro.autograd import Tensor, concat
 from repro.errors import ConfigurationError
 from repro.models.config import ModelConfig
+from repro.models.tsb_rnn import ValueBranch
 from repro.nn import BatchNorm1d, BidirectionalRNN, Dense, Embedding
 from repro.nn.backend import get_backend
 from repro.nn.kernels import dense_softmax_bce
@@ -25,7 +26,7 @@ from repro.nn.losses import categorical_cross_entropy, one_hot
 from repro.nn.module import Module
 
 
-class ETSBRNN(Module):
+class ETSBRNN(ValueBranch, Module):
     """The enriched three-input architecture of Figure 5 (bottom part).
 
     Parameters
@@ -65,17 +66,13 @@ class ETSBRNN(Module):
         self.norm = BatchNorm1d(config.head_units)
         self.classifier = Dense(config.head_units, 2, rng, activation="softmax")
 
-    def _encode(self, features: dict[str, np.ndarray]) -> Tensor:
+    def _encode(self, features: dict[str, np.ndarray],
+                value_states: np.ndarray | None = None) -> Tensor:
         """The shared trunk: all three branches up to (excluding) the classifier."""
         for key in ("values", "attributes", "length_norm"):
             if key not in features:
                 raise ConfigurationError(f"ETSBRNN requires a {key!r} feature")
-        indices = features["values"]
-        mask = self.embedding.padding_mask(indices)
-        if mask is not None and not mask.any(axis=1).all():
-            mask = mask.copy()
-            mask[~mask.any(axis=1), 0] = True
-        value_encoded = self.birnn(self.embedding(indices), mask=mask)
+        value_encoded = self._value_states(features, value_states)
 
         attr_indices = np.asarray(features["attributes"]).reshape(-1, 1)
         attr_encoded = self.attr_birnn(self.attr_embedding(attr_indices))
@@ -86,7 +83,8 @@ class ETSBRNN(Module):
         combined = concat([value_encoded, attr_encoded, length_encoded], axis=-1)
         return self.norm(self.head(combined))
 
-    def forward(self, features: dict[str, np.ndarray]) -> Tensor:
+    def forward(self, features: dict[str, np.ndarray],
+                value_states: np.ndarray | None = None) -> Tensor:
         """Classify each cell; returns ``(batch, 2)`` softmax probabilities.
 
         Parameters
@@ -95,8 +93,11 @@ class ETSBRNN(Module):
             ``values`` -- ``(batch, max_length)`` character indices;
             ``attributes`` -- ``(batch,)`` attribute indices;
             ``length_norm`` -- ``(batch, 1)`` length ratios.
+        value_states:
+            The value branch's output for these rows, when the caller
+            already has it (:meth:`ValueBranch.distinct_value_states`).
         """
-        return self.classifier(self._encode(features))
+        return self.classifier(self._encode(features, value_states))
 
     def training_loss(self, features: dict[str, np.ndarray],
                       labels: np.ndarray) -> Tensor:

@@ -231,9 +231,12 @@ class AttentionPoolFunction(Function):
             dk = np.swapaxes(dscores, 1, 2) @ q
             dq = dq_scaled * ctx.scale
             de = dq @ wq.T + dk @ wk.T + dv @ wv.T
-            dwq += np.einsum("gld,gla->da", e, dq)
-            dwk += np.einsum("gld,gla->da", e, dk)
-            dwv += np.einsum("gld,gla->da", e, dv)
+            # One (dim, g * l) @ (g * l, attn_dim) GEMM per weight over the
+            # group's flattened positions.
+            flat = e.reshape(-1, e.shape[-1]).T
+            dwq += flat @ dq.reshape(-1, dq.shape[-1])
+            dwk += flat @ dk.reshape(-1, dk.shape[-1])
+            dwv += flat @ dv.reshape(-1, dv.shape[-1])
             if duplicated:
                 de = de[:1]
             dx[idx, :length] += de

@@ -16,6 +16,15 @@ projection, each step's ``h @ W_h``, the BPTT sweep and the weight
 gradients therefore touch live (row, step) pairs only, while every
 optimizer step still sees the batch it was given.
 
+Prefix-shared layout (inference only): a :class:`PrefixPlan` numbers the
+distinct prefixes of a set of character rows depth by depth.  A forward
+stack's state after a row's first ``d + 1`` characters depends on those
+characters only, so rows sharing a prefix share every state along it,
+and the level kernels' forwards evaluate each distinct prefix once,
+gathering a depth block's previous states from its parents.  A plan
+built over each row's reversed live characters does the same for the
+reverse stack's suffixes.
+
 Numerical contract: every kernel evaluates the same numpy expressions as
 the per-step graph implementation in :mod:`repro.nn.layers.rnn` /
 :mod:`repro.nn.layers.gated`, on fewer rows.  A row's GEMM result does not
@@ -48,9 +57,12 @@ from repro import telemetry
 from repro.autograd import Tensor
 from repro.autograd.function import Function, FunctionCtx
 from repro.errors import ShapeError
+from repro.inference.index import byte_order
 
 __all__ = [
     "SequencePlan",
+    "PrefixPlan",
+    "live_lengths",
     "RNNLevelFunction",
     "LSTMLevelFunction",
     "GRULevelFunction",
@@ -175,6 +187,30 @@ class _UnpackFunction(Function):
         return (dpacked,)
 
 
+def live_lengths(mask: np.ndarray | None,
+                 shape: tuple[int, int]) -> np.ndarray:
+    """Each row's live length under a right-padding ``mask``.
+
+    ``mask`` is a boolean ``(batch, time)`` array (``False`` marks
+    padding) or ``None`` when every step is live.  Each row's live steps
+    must be a prefix of the row -- the right padding every encoder
+    produces -- otherwise :class:`ShapeError` is raised.
+    """
+    batch, n_steps = shape
+    if mask is None:
+        return np.full(batch, n_steps, dtype=np.int64)
+    if mask.shape != (batch, n_steps):
+        raise ShapeError(
+            f"mask shape {mask.shape} does not match sequence "
+            f"{(batch, n_steps)}")
+    lengths = mask.sum(axis=1)
+    if not np.array_equal(mask, np.arange(n_steps) < lengths[:, None]):
+        raise ShapeError(
+            "fused kernels need right-padded sequences: each row's "
+            "live steps must be a prefix of the row")
+    return lengths
+
+
 class SequencePlan:
     """Packed, time-major layout of one right-padded ``(batch, time)`` batch.
 
@@ -190,28 +226,15 @@ class SequencePlan:
     Parameters
     ----------
     mask:
-        Boolean ``(batch, time)`` padding mask (``False`` marks padding),
-        or ``None`` when every step is live.  Each row's live steps must
-        be a prefix of the row -- the right padding every encoder
-        produces -- otherwise :class:`ShapeError` is raised.
+        Boolean ``(batch, time)`` padding mask, or ``None`` when every
+        step is live (see :func:`live_lengths`).
     shape:
         ``(batch, time)`` of the padded sequence.
     """
 
     def __init__(self, mask: np.ndarray | None, shape: tuple[int, int]):
         batch, n_steps = shape
-        if mask is None:
-            lengths = np.full(batch, n_steps, dtype=np.int64)
-        else:
-            if mask.shape != (batch, n_steps):
-                raise ShapeError(
-                    f"mask shape {mask.shape} does not match sequence "
-                    f"{(batch, n_steps)}")
-            lengths = mask.sum(axis=1)
-            if not np.array_equal(mask, np.arange(n_steps) < lengths[:, None]):
-                raise ShapeError(
-                    "fused kernels need right-padded sequences: each row's "
-                    "live steps must be a prefix of the row")
+        lengths = live_lengths(mask, shape)
         order = np.argsort(-lengths, kind="stable")
         rank = np.empty(batch, dtype=np.int64)
         rank[order] = np.arange(batch)
@@ -233,21 +256,22 @@ class SequencePlan:
         self._sizes, self._steps, self._ranks = sizes, steps, ranks
         self._prev: dict[bool, np.ndarray] = {}
 
-        # Iteration schedule per direction: (block lo, block hi, prev lo,
-        # prev hi), where ``prev`` holds the previous states of the
+        # Iteration schedule per direction: (block lo, block hi, prev),
+        # where the slice ``prev`` holds the previous states of the
         # block's first rows; the remaining rows start from zeros.
         size, off = sizes.tolist(), offsets.tolist()
-        forward = [(off[t], off[t + 1], off[t - 1], off[t - 1] + size[t])
+        forward = [(off[t], off[t + 1], slice(off[t - 1], off[t - 1] + size[t]))
                    for t in range(1, max_len)]
-        backward = [(off[t], off[t + 1], off[t + 1], off[t + 1] + size[t + 1])
+        backward = [(off[t], off[t + 1],
+                     slice(off[t + 1], off[t + 1] + size[t + 1]))
                     for t in range(max_len - 2, -1, -1)]
         if max_len:
-            forward.insert(0, (0, off[1], 0, 0))
-            backward.insert(0, (off[-2], off[-1], 0, 0))
+            forward.insert(0, (0, off[1], slice(0, 0)))
+            backward.insert(0, (off[-2], off[-1], slice(0, 0)))
         self._schedule = {False: forward, True: backward}
 
-    def schedule(self, reverse: bool) -> list[tuple[int, int, int, int]]:
-        """Per-step ``(lo, hi, prev_lo, prev_hi)`` in iteration order."""
+    def schedule(self, reverse: bool) -> list[tuple[int, int, slice]]:
+        """Per-step ``(lo, hi, prev)`` in iteration order."""
         return self._schedule[reverse]
 
     def prev_index(self, reverse: bool) -> np.ndarray:
@@ -304,6 +328,95 @@ class SequencePlan:
             packed, self._position(last, self._lengths > 0))
 
 
+class PrefixPlan:
+    """Distinct-prefix node table of one stack direction (inference only).
+
+    Node ``k`` stands for one distinct prefix -- the first ``d + 1``
+    characters -- of the plan's rows, and depth ``d`` owns the contiguous
+    block ``offsets[d]:offsets[d + 1]``.  Rows are sorted so that rows
+    sharing a prefix are adjacent (:func:`~repro.inference.index.byte_order`
+    is a lexicographic order); a row then opens a new node at every
+    depth past its longest common prefix with the previous row, and
+    nodes are numbered depth by depth in sorted-row order.  A node's
+    previous state is its parent's (the prefix one character shorter, in
+    the previous block); depth-0 nodes start from the zero initial state.
+    For the reverse stack, build the plan from each row's live characters
+    reversed: its nodes are then the distinct suffixes, and depth order is
+    the reverse stack's reading order.
+
+    The level kernels' forwards accept a plan in place of a
+    :class:`SequencePlan` and evaluate, per node, the expression the
+    packed path evaluates at every position with that prefix; there is
+    no backward.  Every per-depth product with one node multiplies a
+    duplicate row (``min_rows`` is 2 whatever the plan's size), so a
+    node's bits match the packed path's GEMM rows.
+
+    Parameters
+    ----------
+    codes:
+        ``(rows, time)`` character codes, right-padded with 0.
+    lengths:
+        Each row's live length, at least 1 (a row's live codes may be 0
+        only where the whole row is: the one live step of an empty value).
+    """
+
+    #: Rows of every per-depth product (see the class notes).
+    min_rows = 2
+
+    def __init__(self, codes: np.ndarray, lengths: np.ndarray):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        width = int(lengths.max())
+        order = byte_order(codes[:, :width])
+        rows, lengths = codes[order, :width], lengths[order]
+        live = np.arange(width) < lengths[:, None]
+        # shared[i, d]: sorted row i's first d + 1 characters are row
+        # i - 1's.  A prefix shared with any earlier row is shared with
+        # the previous one, because rows sharing a prefix are adjacent.
+        shared = np.zeros_like(live)
+        shared[1:] = live[1:] & live[:-1] & (rows[1:] == rows[:-1])
+        np.logical_and.accumulate(shared, axis=1, out=shared)
+        opens = live & ~shared
+        sizes = opens.sum(axis=0)
+        offsets = np.zeros(width + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        # Row i's node at depth d is the last one opened at d by a row
+        # up to i (valid where live).
+        node = offsets[:-1] + np.cumsum(opens, axis=0) - 1
+        depth, row = np.nonzero(opens.T)  # depth-major: node order
+        n_nodes = int(offsets[-1])
+        parents = np.full(n_nodes, n_nodes, dtype=np.int64)
+        deep = depth > 0
+        parents[deep] = node[row[deep], depth[deep] - 1]
+        final = np.empty(order.shape[0], dtype=np.int64)
+        final[order] = node[np.arange(order.shape[0]), lengths - 1]
+
+        self.n_packed = n_nodes
+        #: Character code of each node.
+        self.codes = rows[row, depth]
+        #: Position of each node's parent, ``n_packed`` (the zero initial
+        #: state) at depth 0.
+        self.parents = parents
+        #: Node of each input row's whole sequence.
+        self.final = final
+        self.offsets = offsets
+        #: Largest depth block: the kernels' per-block scratch rows.
+        self.batch = int(sizes.max())
+        off = offsets.tolist()
+        self._schedule = [(off[0], off[1], slice(0, 0))] + [
+            (off[d], off[d + 1], parents[off[d]:off[d + 1]])
+            for d in range(1, width)]
+
+    def schedule(self, reverse: bool) -> list[tuple[int, int, object]]:
+        """Per-depth ``(lo, hi, parents)``; the first depth's ``prev`` is
+        an empty slice (zero initial states).  ``reverse`` is ignored: a
+        plan is built for one reading order."""
+        return self._schedule
+
+    def final_states(self, packed: Tensor, reverse: bool) -> Tensor:
+        """Each input row's state after its whole sequence."""
+        return _UnpackFunction.apply(packed, self.final)
+
+
 def _check_packed(x: np.ndarray, plan: SequencePlan) -> None:
     if x.ndim != 2 or x.shape[0] != plan.n_packed:
         raise ShapeError(
@@ -325,16 +438,24 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     return np.matmul(a, b, out=out)
 
 
-def _previous(seq: np.ndarray, lo: int, hi: int, n: int,
+def _previous(seq: np.ndarray, prev: slice | np.ndarray, n: int,
               buf: np.ndarray) -> np.ndarray:
-    """A block's ``n`` previous states: ``seq[lo:hi]`` for its first rows,
-    the zero initial state for the rest."""
-    if hi - lo == n:
-        return seq[lo:hi]
-    prev = buf[:n]
-    prev[:hi - lo] = seq[lo:hi]
-    prev[hi - lo:] = 0.0
-    return prev
+    """A block's ``n`` previous states.
+
+    ``prev`` is a slice of ``seq`` holding the previous states of the
+    block's first rows, the rest starting from the zero initial state
+    (:class:`SequencePlan`), or each row's parent position
+    (:class:`PrefixPlan`).
+    """
+    if not isinstance(prev, slice):
+        return np.take(seq, prev, axis=0, out=buf[:n])
+    k = prev.stop - prev.start
+    if k == n:
+        return seq[prev]
+    out = buf[:n]
+    out[:k] = seq[prev]
+    out[k:] = 0.0
+    return out
 
 
 def _projection(x: np.ndarray, w_x: np.ndarray, b_h: np.ndarray,
@@ -421,9 +542,9 @@ class RNNLevelFunction(Function):
         proj = _projection(x, w_x, b_h, plan, "rnn.proj")
         states = _states_with_initial(n_packed, units)
         prev_buf = _scratch.get("rnn.prev_rows", (plan.batch, units))
-        for lo, hi, prev_lo, prev_hi in plan.schedule(reverse):
+        for lo, hi, prev in plan.schedule(reverse):
             block = states[lo:hi]
-            h_prev = _previous(states, prev_lo, prev_hi, hi - lo, prev_buf)
+            h_prev = _previous(states, prev, hi - lo, prev_buf)
             _matmul(h_prev, w_h, block, plan.min_rows)
             block += proj[lo:hi]
             np.tanh(block, out=block)
@@ -444,12 +565,12 @@ class RNNLevelFunction(Function):
         dstates = _carried_grads(grad, "rnn.dstates")
         dproj = _scratch.get("rnn.dproj", h.shape)
         carry = _scratch.get("rnn.carry", (plan.batch, h.shape[1]))
-        for lo, hi, prev_lo, prev_hi in reversed(plan.schedule(reverse)):
+        for lo, hi, prev in reversed(plan.schedule(reverse)):
             dpre = np.multiply(dstates[lo:hi], deriv[lo:hi], out=dproj[lo:hi])
-            k = prev_hi - prev_lo
+            k = prev.stop - prev.start
             if k:  # rows that started from zeros pass no gradient back
                 np.matmul(dpre[:k], w_h_t, out=carry[:k])
-                dstates[prev_lo:prev_hi] += carry[:k]
+                dstates[prev] += carry[:k]
 
         if ctx.needs_input_grad[2]:
             dw_h = _recurrent_weight_grad(
@@ -484,10 +605,10 @@ class LSTMLevelFunction(Function):
         h_buf = _scratch.get("lstm.hprev_rows", (plan.batch, units))
         c_buf = _scratch.get("lstm.cprev_rows", (plan.batch, units))
         rec = _scratch.get("lstm.rec", (plan.batch, 4 * units))
-        for lo, hi, prev_lo, prev_hi in plan.schedule(reverse):
+        for lo, hi, prev in plan.schedule(reverse):
             n = hi - lo
-            h = _previous(h_seq, prev_lo, prev_hi, n, h_buf)
-            c = _previous(c_seq, prev_lo, prev_hi, n, c_buf)
+            h = _previous(h_seq, prev, n, h_buf)
+            c = _previous(c_seq, prev, n, c_buf)
             gates = proj[lo:hi] + _matmul(h, w_h, rec[:n], plan.min_rows)
             i = _sigmoid(gates[:, :units])
             f = _sigmoid(gates[:, units:2 * units])
@@ -533,7 +654,7 @@ class LSTMLevelFunction(Function):
         dstates = _carried_grads(grad, "lstm.dstates")
         dcells = _scratch.get("lstm.dcells", tanh_c.shape)
         dcells.fill(0.0)
-        for lo, hi, prev_lo, prev_hi in reversed(plan.schedule(reverse)):
+        for lo, hi, prev in reversed(plan.schedule(reverse)):
             dh, dc = dstates[lo:hi], dcells[lo:hi]
             i = acts[lo:hi, :units]
             f = acts[lo:hi, units:2 * units]
@@ -546,10 +667,10 @@ class LSTMLevelFunction(Function):
                                           * sig_deriv[lo:hi, units:2 * units])
             dgates[:, 2 * units:3 * units] = dc_raw * i * g_deriv[lo:hi]
             dgates[:, 3 * units:] = do * sig_deriv[lo:hi, 3 * units:]
-            k = prev_hi - prev_lo
+            k = prev.stop - prev.start
             if k:
-                dstates[prev_lo:prev_hi] += dgates[:k] @ w_h_t
-                dcells[prev_lo:prev_hi] = dc_raw[:k] * f[:k]
+                dstates[prev] += dgates[:k] @ w_h_t
+                dcells[prev] = dc_raw[:k] * f[:k]
 
         if ctx.needs_input_grad[2]:
             dw_h = _recurrent_weight_grad(
@@ -578,9 +699,9 @@ class GRULevelFunction(Function):
         rec_n = np.empty((n_packed, units))      # h_prev W_h candidate slice
         h_buf = _scratch.get("gru.hprev_rows", (plan.batch, units))
         rec_buf = _scratch.get("gru.rec", (plan.batch, 3 * units))
-        for lo, hi, prev_lo, prev_hi in plan.schedule(reverse):
+        for lo, hi, prev in plan.schedule(reverse):
             n_rows = hi - lo
-            h = _previous(states, prev_lo, prev_hi, n_rows, h_buf)
+            h = _previous(states, prev, n_rows, h_buf)
             rec = _matmul(h, w_h, rec_buf[:n_rows], plan.min_rows)
             p = proj[lo:hi]
             z = _sigmoid(p[:, :units] + rec[:, :units])
@@ -623,7 +744,7 @@ class GRULevelFunction(Function):
         dproj = _scratch.get("gru.dproj", gates.shape)
         dstates = _carried_grads(grad, "gru.dstates")
         drec = _scratch.get("gru.drec", (plan.batch, 3 * units))
-        for lo, hi, prev_lo, prev_hi in reversed(plan.schedule(reverse)):
+        for lo, hi, prev in reversed(plan.schedule(reverse)):
             dh = dstates[lo:hi]
             z = z_all[lo:hi]
             r = r_all[lo:hi]
@@ -637,9 +758,9 @@ class GRULevelFunction(Function):
             d[:, 2 * units:] = dn_pre * r
             dproj[lo:hi, :2 * units] = d[:, :2 * units]
             dproj[lo:hi, 2 * units:] = dn_pre
-            k = prev_hi - prev_lo
+            k = prev.stop - prev.start
             if k:
-                dstates[prev_lo:prev_hi] += dh[:k] * z[:k] + d[:k] @ w_h_t
+                dstates[prev] += dh[:k] * z[:k] + d[:k] @ w_h_t
 
         if ctx.needs_input_grad[2]:
             # The candidate slice of ``drec`` differs from ``dproj`` (the

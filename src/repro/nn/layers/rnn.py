@@ -31,8 +31,9 @@ import time
 import numpy as np
 
 from repro import telemetry
-from repro.autograd import Tensor, concat, stack, tanh, where
+from repro.autograd import Tensor, concat, no_grad, stack, tanh, where
 from repro.errors import ConfigurationError
+from repro.inference.index import build_dedup_index, byte_order
 from repro.nn import kernels
 from repro.nn.backend import get_backend
 from repro.nn.init import glorot_uniform, orthogonal, zeros
@@ -308,6 +309,22 @@ class StackedRNN(Module):
         return final_output, outputs
 
 
+#: Live characters per :class:`~repro.nn.kernels.PrefixPlan` in
+#: :meth:`BidirectionalRNN.distinct_final_states`.  A plan has at most one
+#: node per character, so this bounds its node tables (a few MB at the
+#: paper's widths, as a packed 256-row chunk of short values).
+PLAN_CHARS = 8192
+
+
+def _reversed_live(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each row's live codes in reverse order, right-padded with 0."""
+    out = np.zeros_like(codes)
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        out[rows, :length] = codes[rows, length - 1::-1]
+    return out
+
+
 class BidirectionalRNN(Module):
     """Forward and backward :class:`StackedRNN` with concatenated outputs.
 
@@ -350,3 +367,43 @@ class BidirectionalRNN(Module):
             finals = [self.forward_rnn(x, mask=mask),
                       self.backward_rnn(x, mask=mask)]
         return concat(finals, axis=-1)
+
+    def distinct_final_states(self, embedding: Module, codes: np.ndarray,
+                              lengths: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`forward` of embedded character rows, evaluating each
+        distinct row, prefix and suffix once (fused kernels, inference).
+
+        ``codes`` are right-padded ``(rows, time)`` indices for
+        ``embedding``, ``lengths`` their live lengths (see
+        :func:`~repro.nn.kernels.live_lengths`).  Duplicate rows are
+        evaluated once; each stack then runs over prefix plans
+        (:class:`~repro.nn.kernels.PrefixPlan`) of about
+        :data:`PLAN_CHARS` live characters of distinct rows, taken in
+        :func:`~repro.inference.index.byte_order` so that one plan holds
+        rows sharing prefixes (suffixes, for the reverse stack).  A node
+        evaluates what the packed path evaluates at every position with
+        that prefix, so the states are bit-identical to :meth:`forward`'s.
+
+        Returns ``(states, inverse)``: row ``i``'s
+        ``concat(final_forward, final_backward)`` is
+        ``states[inverse[i]]``.
+        """
+        distinct = build_dedup_index({"values": codes})
+        first = distinct.representatives
+        codes, lengths = codes[first], lengths[first]
+        states = np.empty((first.shape[0], 2 * self.units))
+        directions = ((self.forward_rnn, codes, states[:, :self.units]),
+                      (self.backward_rnn, _reversed_live(codes, lengths),
+                       states[:, self.units:]))
+        with no_grad():
+            for rnn, rows, out in directions:
+                order = byte_order(rows)
+                # A plan per PLAN_CHARS characters, by where rows start.
+                starts = np.cumsum(lengths[order]) - lengths[order]
+                cuts = np.flatnonzero(np.diff(starts // PLAN_CHARS)) + 1
+                for group in np.split(order, cuts):
+                    plan = kernels.PrefixPlan(rows[group], lengths[group])
+                    final, _ = rnn._run_packed(embedding(plan.codes), plan)
+                    out[group] = final.data
+        return states, distinct.inverse

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataprep import encode_cells, prepare, split_by_tuple_ids
 from repro.errors import ConfigurationError
 from repro.inference import DedupIndex, build_dedup_index
+from repro.inference.index import byte_order
 from repro.table import Table
 
 
@@ -14,6 +17,51 @@ def _features(values, attributes):
         "values": np.asarray(values, dtype=np.int64),
         "attributes": np.asarray(attributes, dtype=np.int64),
     }
+
+
+def _unique_reference(features):
+    """Groups by ``np.unique`` over structured byte rows: representatives
+    in byte order, each its group's first occurrence."""
+    n = next(iter(features.values())).shape[0]
+    keys = np.concatenate([np.ascontiguousarray(features[name])
+                           .reshape(n, -1).view(np.uint8).reshape(n, -1)
+                           for name in sorted(features)], axis=1)
+    rows = np.ascontiguousarray(keys).view(
+        [("bytes", np.uint8, keys.shape[1])]).reshape(n)
+    _, first, inverse = np.unique(rows, return_index=True,
+                                  return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+@pytest.mark.equivalence
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(-300, 300), min_size=3,
+                                   max_size=3),
+                          st.integers(0, 2),
+                          st.sampled_from([0.0, -0.0, 0.5, 1e300])),
+                min_size=1, max_size=30))
+def test_groups_and_numbering_match_np_unique(rows):
+    """Byte-order grouping equals ``np.unique`` over the byte rows: same
+    groups, same numbering, same representatives (signed codes and
+    ``-0.0`` put bytes above 127 and distinct zeros into the keys)."""
+    features = {
+        "values": np.array([r[0] for r in rows], dtype=np.int64),
+        "attributes": np.array([r[1] for r in rows], dtype=np.int64),
+        "length_norm": np.array([[r[2]] for r in rows]),
+    }
+    first, inverse = _unique_reference(features)
+    idx = build_dedup_index(features)
+    np.testing.assert_array_equal(idx.representatives, first)
+    np.testing.assert_array_equal(idx.inverse, inverse)
+
+
+def test_byte_order_keeps_shared_prefixes_adjacent():
+    rows = np.array([[2, 1, 0], [1, 2, 3], [2, 0, 0], [1, 2, 0], [1, 3, 0]])
+    order = byte_order(rows).tolist()
+    position = {row: order.index(row) for row in range(5)}
+    # Rows 1 and 3 share "1 2", rows 0 and 2 share "2".
+    assert abs(position[1] - position[3]) == 1
+    assert abs(position[0] - position[2]) == 1
 
 
 class TestBuildDedupIndex:

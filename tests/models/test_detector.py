@@ -84,6 +84,9 @@ class TestEvaluate:
     def test_predict_table_covers_all_cells(self, fitted, pair):
         cells = fitted.predict_table()
         assert all(attr in fitted.prepared.attributes for _, attr in cells)
+        # The prediction pass scored every cell, train and test tuples.
+        assert fitted.inference_stats.n_rows == pair.dirty.n_rows * len(
+            fitted.prepared.attributes)
 
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
