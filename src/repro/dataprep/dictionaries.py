@@ -9,6 +9,7 @@ names for the metadata input of ETSB-RNN.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -114,12 +115,7 @@ class CharDictionary:
         sizes = np.fromiter(map(len, texts), dtype=np.int64, count=n)
         points = np.frombuffer(
             "".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        known = np.fromiter(map(ord, self._char_to_index), dtype=np.int64,
-                            count=self.n_chars)
-        # Code point -> index; the last slot (and every gap) is 0, the
-        # pad index, for characters outside the dictionary.
-        lookup = np.zeros(int(known.max(initial=0)) + 2, dtype=np.int64)
-        lookup[known] = np.arange(1, self.n_chars + 1)
+        lookup = self._code_lookup
         codes = lookup[np.minimum(points, lookup.size - 1)]
         found = codes != PAD_INDEX
         owner = np.repeat(np.arange(n), sizes)
@@ -132,6 +128,17 @@ class CharDictionary:
         out = np.zeros((n, length), dtype=np.int64)
         out[np.arange(length) < kept[:, None]] = codes[found]
         return out
+
+    @cached_property
+    def _code_lookup(self) -> np.ndarray:
+        """Code point -> index; the last slot (and every gap) is 0, the
+        pad index, for characters outside the dictionary.  Built on
+        first use; the dictionary never changes after construction."""
+        known = np.fromiter(map(ord, self._char_to_index), dtype=np.int64,
+                            count=self.n_chars)
+        lookup = np.zeros(int(known.max(initial=0)) + 2, dtype=np.int64)
+        lookup[known] = np.arange(1, self.n_chars + 1)
+        return lookup
 
     def decode(self, indices: Iterable[int]) -> str:
         """Map indices back to text, stopping at the first pad index."""

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import json
 
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from repro import forkpool
 from repro.dataprep import prepare
 from repro.datasets.base import DatasetPair
 from repro.detectors.base import (
@@ -68,9 +68,8 @@ def _fold_fit_scores(spec: MemberSpec, pair: DatasetPair,
                      fit_rows: list[int]) -> np.ndarray:
     """Fit one member copy on a fold and score the dirty table.
 
-    Module-level so a :class:`ProcessPoolExecutor` (fork context, same
-    as the experiment runner's) can pickle it; the copy is rebuilt from
-    the spec inside the worker, so nothing fitted crosses the boundary.
+    The copy is rebuilt from the spec wherever this runs (a forked
+    worker or inline), so nothing fitted crosses a process boundary.
     """
     member = build(spec[0], **spec[1])
     member.fit(pair, labeled_rows=fit_rows)
@@ -95,8 +94,9 @@ class EnsembleDetector(Detector):
     n_label_tuples:
         Labelled budget when ``fit`` picks its own rows (DiverSet).
     n_workers:
-        Fan the cross-fit member fits over a fork process pool when
-        ``> 1``; ``0``/``1`` runs serially with identical results.
+        Fan the cross-fit member fits over up to this many forked
+        workers (:func:`repro.forkpool.fork_map`) when ``> 1``;
+        ``0``/``1`` runs serially with identical results.
     """
 
     name = "ensemble"
@@ -131,16 +131,9 @@ class EnsembleDetector(Detector):
                           folds: tuple[list[int], list[int]]) -> list[np.ndarray]:
         """Per-member full-table score grids, one per (member, fold)."""
         tasks = [(spec, fit_rows) for spec in self._specs for fit_rows in folds]
-        if self.n_workers > 1:
-            import multiprocessing
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                    max_workers=min(self.n_workers, len(tasks)),
-                    mp_context=context) as pool:
-                futures = [pool.submit(_fold_fit_scores, spec, pair, rows)
-                           for spec, rows in tasks]
-                return [f.result() for f in futures]
-        return [_fold_fit_scores(spec, pair, rows) for spec, rows in tasks]
+        return forkpool.fork_map(
+            lambda task: _fold_fit_scores(task[0], pair, task[1]), tasks,
+            self.n_workers)
 
     def fit(self, pair: DatasetPair,
             labeled_rows: list[int] | None = None) -> "EnsembleDetector":

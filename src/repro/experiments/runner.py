@@ -189,26 +189,17 @@ def _execute_run(pair: DatasetPair, architecture: str,
     :class:`RunResult` (up to ``train_seconds`` and telemetry timings).
 
     When telemetry is enabled the run executes under a task-local
-    :class:`~repro.telemetry.MetricsRegistry` whose snapshot is attached
+    :class:`~repro.telemetry.MetricsRegistry`
+    (:func:`~repro.telemetry.run_captured`) whose snapshot is attached
     to the result -- worker processes never share sinks or metric
     objects, so records can't interleave; the parent merges snapshots.
     """
-    if telemetry.enabled():
-        registry = telemetry.MetricsRegistry()
-        capture = telemetry.MemorySink()
-        registry.add_sink(capture)
-        with telemetry.use_registry(registry):
-            result = _execute_run_body(
-                pair, architecture, sampler, n_label_tuples, model_config,
-                training_config, seed, track_curves)
-        snapshot = registry.snapshot()
-        # Piggyback the raw records so the parent can re-emit them into
-        # its own sinks; merge_snapshot ignores the extra key.
-        snapshot["records"] = capture.records
-        return replace(result, telemetry=snapshot)
-    return _execute_run_body(pair, architecture, sampler, n_label_tuples,
-                             model_config, training_config, seed,
-                             track_curves)
+    result, snapshot = telemetry.run_captured(
+        _execute_run_body, pair, architecture, sampler, n_label_tuples,
+        model_config, training_config, seed, track_curves)
+    if snapshot is None:
+        return result
+    return replace(result, telemetry=snapshot)
 
 
 def _execute_run_body(pair: DatasetPair, architecture: str,
@@ -414,15 +405,12 @@ def _publish_experiment_telemetry(result: ExperimentResult) -> None:
     """
     if not telemetry.enabled():
         return
-    registry = telemetry.get_registry()
     for run in result.runs:
         if run.telemetry is not None:
-            for record in run.telemetry.get("records", ()):
-                registry.emit({**record, "run_seed": run.seed})
-            registry.merge_snapshot(run.telemetry)
+            telemetry.publish_captured(run.telemetry, run_seed=run.seed)
     if not result.runs:  # fully-degraded dataset: nothing to aggregate
         return
-    registry.emit({
+    telemetry.get_registry().emit({
         "type": "experiment",
         "dataset": result.dataset,
         "system": result.system,

@@ -12,15 +12,24 @@ pattern evidence across columns and contexts).
 
 With a pre-trained model (``--model``), training is skipped and the
 saved detector scores all columns it knows.
+
+The tables of a folder share nothing, so :func:`detect_path` scores
+them in forked worker processes (:func:`repro.forkpool.fork_map`), one
+worker per CPU the process may use and at most one per table, the
+largest tables first.  Workers inherit the ingested tables and the
+detector; each sends back only its table's cell arrays.  Every output
+is byte for byte what scoring the tables one after another gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from repro import forkpool, telemetry
 # Not called here any more (the split's encoding is scored); the
 # end-to-end benchmark's tracer still wraps this name as an encode layer,
 # so it stays importable until that target is dropped.
@@ -84,12 +93,14 @@ def weak_label_fn(profiles: dict[str, ColumnProfile],
 
 def _outcome(item: IngestedTable, profiles: dict[str, ColumnProfile],
              attributes: list[str], tuple_major: bool,
-             probabilities: np.ndarray | None = None) -> DetectOutcome:
+             probabilities: np.ndarray | None = None) -> tuple:
     """Lay out one table's cells and score them.
 
-    Conformance is decided once per distinct value of each column.
-    Without ``probabilities`` the analyzer's verdict is the score: 1.0
-    and flagged for a non-conforming cell, 0.0 otherwise.
+    Returns the :class:`DetectOutcome` fields after ``table`` and
+    ``profiles``, which the caller already holds.  Conformance is
+    decided once per distinct value of each column.  Without
+    ``probabilities`` the analyzer's verdict is the score: 1.0 and
+    flagged for a non-conforming cell, 0.0 otherwise.
     """
     n_rows, k = item.table.n_rows, len(attributes)
     if tuple_major:
@@ -110,17 +121,14 @@ def _outcome(item: IngestedTable, profiles: dict[str, ColumnProfile],
     else:
         scores = probabilities[:, 1]
         flags = probabilities[:, 1] >= probabilities[:, 0]
-    return DetectOutcome(table=item, profiles=profiles,
-                         attributes=tuple(attributes), rows=rows,
-                         columns=columns, scores=scores, flags=flags,
-                         conforms=conforms)
+    return tuple(attributes), rows, columns, scores, flags, conforms
 
 
 def _score_with_weak_labels(item: IngestedTable,
                             profiles: dict[str, ColumnProfile],
                             architecture: str, n_label_tuples: int,
                             epochs: int, cell_type: str,
-                            seed: int) -> DetectOutcome:
+                            seed: int) -> tuple:
     table = item.table
     detector = ErrorDetector(
         architecture=architecture,
@@ -147,7 +155,7 @@ def _score_with_weak_labels(item: IngestedTable,
 
 def _score_with_model(item: IngestedTable,
                       profiles: dict[str, ColumnProfile],
-                      detector: ErrorDetector) -> DetectOutcome:
+                      detector: ErrorDetector) -> tuple:
     from repro.models.serialization import encode_values_for
 
     table = item.table
@@ -164,6 +172,29 @@ def _score_with_model(item: IngestedTable,
     return _outcome(item, profiles, usable, False, probabilities)
 
 
+def _score_table(item: IngestedTable, report: IngestReport,
+                 detector: ErrorDetector | None, architecture: str,
+                 n_label_tuples: int, epochs: int, cell_type: str,
+                 seed: int) -> tuple:
+    """One table's :func:`_outcome` fields, in a pool worker or inline."""
+    profiles = report.profiles[item.name]
+    with telemetry.span("detect.table", table=item.name):
+        if detector is not None:
+            return _score_with_model(item, profiles, detector)
+        if item.table.n_rows >= 2:
+            try:
+                return _score_with_weak_labels(
+                    item, profiles, architecture=architecture,
+                    n_label_tuples=n_label_tuples, epochs=epochs,
+                    cell_type=cell_type, seed=seed)
+            except DataError:
+                # Tables preparation or the split rejects (e.g. one with
+                # a column named id_) still get analyzer verdicts.
+                pass
+        # Tables the BiRNN cannot train on get analyzer verdicts.
+        return _outcome(item, profiles, item.table.column_names, False)
+
+
 def detect_path(path: str | Path, *, detector: ErrorDetector | None = None,
                 architecture: str = "etsb", n_label_tuples: int = 20,
                 epochs: int = 30, cell_type: str = "rnn",
@@ -171,31 +202,23 @@ def detect_path(path: str | Path, *, detector: ErrorDetector | None = None,
     """Ingest ``path`` and score every recovered table (module docstring).
 
     Returns the ingestion report (skips, stats, profiles) alongside one
-    :class:`DetectOutcome` per table.  Tables too small to train on
-    (fewer than 2 rows) are scored by analyzer conformance alone.
+    :class:`DetectOutcome` per table, in the report's table order.
+    Tables too small to train on (fewer than 2 rows) are scored by
+    analyzer conformance alone.
     """
     report = ingest_path(path)
-    outcomes: list[DetectOutcome] = []
-    for item in report.tables:
-        profiles = report.profiles[item.name]
-        if detector is not None:
-            outcome = _score_with_model(item, profiles, detector)
-        elif item.table.n_rows >= 2:
-            try:
-                outcome = _score_with_weak_labels(
-                    item, profiles, architecture=architecture,
+    tables = report.tables
+    score = partial(_score_table, report=report, detector=detector,
+                    architecture=architecture,
                     n_label_tuples=n_label_tuples, epochs=epochs,
                     cell_type=cell_type, seed=seed)
-            except DataError:
-                # Tables too degenerate to split/train (e.g. two near-
-                # identical rows) still get analyzer verdicts.
-                outcome = _outcome(item, profiles, item.table.column_names,
-                                   False)
-        else:
-            # Tables the BiRNN cannot train on get analyzer verdicts.
-            outcome = _outcome(item, profiles, item.table.column_names, False)
-        outcomes.append(outcome)
-    return report, outcomes
+    sizes = [item.table.n_rows * len(item.table.column_names)
+             for item in tables]
+    largest_first = sorted(range(len(tables)), key=lambda i: -sizes[i])
+    cells = forkpool.fork_map(score, tables, forkpool.cpu_count(),
+                              order=largest_first)
+    return report, [DetectOutcome(item, report.profiles[item.name], *fields)
+                    for item, fields in zip(tables, cells)]
 
 
 def scores_table(outcomes: list[DetectOutcome],

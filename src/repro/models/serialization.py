@@ -228,7 +228,9 @@ def encode_values_for(detector: ErrorDetector, values: list[str],
     dictionaries, producing a feature dict for ``detector.predict``.
 
     Unknown characters are skipped (the detector never saw them, so
-    they carry no signal); overlong values are truncated.
+    they carry no signal); overlong values are truncated.  Each distinct
+    value and attribute name is encoded once; an unknown attribute
+    raises for the first row that has one.
     """
     if detector.prepared is None:
         raise NotFittedError("detector carries no dictionaries")
@@ -237,18 +239,28 @@ def encode_values_for(detector: ErrorDetector, values: list[str],
         raise DataError(
             f"{len(values)} values but {len(attributes)} attributes"
         )
-    n = len(values)
-    encoded = np.zeros((n, prepared.max_length), dtype=np.int64)
-    attr_idx = np.zeros(n, dtype=np.int64)
-    length_norm = np.zeros((n, 1))
-    for i, (value, attribute) in enumerate(zip(values, attributes)):
-        clipped = value[:prepared.max_length]
-        encoded[i] = prepared.char_index.encode(
-            clipped, prepared.max_length, unknown="skip")
-        attr_idx[i] = prepared.attribute_index.index_of(attribute)
-        length_norm[i, 0] = min(len(value) / prepared.max_length, 1.0)
-    return {"values": encoded, "attributes": attr_idx,
-            "length_norm": length_norm}
+    attr_ids, distinct_attrs = _first_occurrence_ids(attributes)
+    attr_index = np.array([prepared.attribute_index.index_of(name)
+                           for name in distinct_attrs], dtype=np.int64)
+    max_length = prepared.max_length
+    value_ids, distinct_values = _first_occurrence_ids(values)
+    encoded = prepared.char_index.encode_batch(
+        [value[:max_length] for value in distinct_values], max_length,
+        unknown="skip")
+    sizes = np.fromiter(map(len, distinct_values), dtype=np.int64,
+                        count=len(distinct_values))
+    length_norm = np.minimum(sizes / max_length, 1.0)
+    return {"values": encoded[value_ids], "attributes": attr_index[attr_ids],
+            "length_norm": length_norm[value_ids, None]}
+
+
+def _first_occurrence_ids(items: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Each item's position among the distinct items, which are listed
+    in first-occurrence order."""
+    first: dict[str, int] = {}
+    ids = np.fromiter((first.setdefault(item, len(first)) for item in items),
+                      dtype=np.int64, count=len(items))
+    return ids, list(first)
 
 
 # -- training checkpoints -----------------------------------------------------

@@ -56,6 +56,7 @@ import numpy as np
 from repro import telemetry
 from repro.autograd import Tensor
 from repro.autograd.function import Function, FunctionCtx
+from repro.autograd.tensor import grad_enabled
 from repro.errors import ShapeError
 from repro.inference.index import byte_order
 
@@ -516,6 +517,13 @@ def _input_grads(dproj: np.ndarray, x: np.ndarray, w_x: np.ndarray,
     return dx, dw_x, db
 
 
+def _records_graph(ctx: FunctionCtx) -> bool:
+    """Whether :meth:`Function.apply` will record this call for a
+    backward (``needs_input_grad`` mirrors the inputs' flags even under
+    ``no_grad``, so it alone cannot tell)."""
+    return grad_enabled() and any(ctx.needs_input_grad)
+
+
 def _carried_grads(grad: np.ndarray, key: str) -> np.ndarray:
     """Per-position state gradients: the output's, with the recurrent
     carries added in as the BPTT sweep reaches each block."""
@@ -600,8 +608,11 @@ class LSTMLevelFunction(Function):
 
         h_seq = _states_with_initial(n_packed, units)
         c_seq = _states_with_initial(n_packed, units)
-        acts = np.empty((n_packed, 4 * units))   # i, f, g, o
-        tanh_c = np.empty((n_packed, units))
+        # Gate activations and tanh(c) are read by the backward only.
+        record = _records_graph(ctx)
+        if record:
+            acts = np.empty((n_packed, 4 * units))   # i, f, g, o
+            tanh_c = np.empty((n_packed, units))
         h_buf = _scratch.get("lstm.hprev_rows", (plan.batch, units))
         c_buf = _scratch.get("lstm.cprev_rows", (plan.batch, units))
         rec = _scratch.get("lstm.rec", (plan.batch, 4 * units))
@@ -615,16 +626,19 @@ class LSTMLevelFunction(Function):
             g = np.tanh(gates[:, 2 * units:3 * units])
             o = _sigmoid(gates[:, 3 * units:])
             c_seq[lo:hi] = f * c + i * g
-            tc = np.tanh(c_seq[lo:hi], out=tanh_c[lo:hi])
+            tc = np.tanh(c_seq[lo:hi], out=tanh_c[lo:hi] if record else None)
             np.multiply(o, tc, out=h_seq[lo:hi])
-            acts[lo:hi, :units] = i
-            acts[lo:hi, units:2 * units] = f
-            acts[lo:hi, 2 * units:3 * units] = g
-            acts[lo:hi, 3 * units:] = o
+            if record:
+                acts[lo:hi, :units] = i
+                acts[lo:hi, units:2 * units] = f
+                acts[lo:hi, 2 * units:3 * units] = g
+                acts[lo:hi, 3 * units:] = o
 
-        ctx.x, ctx.w_x, ctx.w_h = x, w_x, w_h
-        ctx.h_seq, ctx.c_seq, ctx.acts, ctx.tanh_c = h_seq, c_seq, acts, tanh_c
-        ctx.plan, ctx.reverse = plan, reverse
+        if record:
+            ctx.x, ctx.w_x, ctx.w_h = x, w_x, w_h
+            ctx.h_seq, ctx.c_seq = h_seq, c_seq
+            ctx.acts, ctx.tanh_c = acts, tanh_c
+            ctx.plan, ctx.reverse = plan, reverse
         return h_seq[:n_packed]
 
     @staticmethod
@@ -695,8 +709,12 @@ class GRULevelFunction(Function):
         proj = _projection(x, w_x, b_h, plan, "gru.proj")
 
         states = _states_with_initial(n_packed, units)
-        gates = np.empty((n_packed, 3 * units))  # z, r, n
-        rec_n = np.empty((n_packed, units))      # h_prev W_h candidate slice
+        # Gate activations and the candidate's recurrent term are read
+        # by the backward only.
+        record = _records_graph(ctx)
+        if record:
+            gates = np.empty((n_packed, 3 * units))  # z, r, n
+            rec_n = np.empty((n_packed, units))      # h_prev W_h candidate
         h_buf = _scratch.get("gru.hprev_rows", (plan.batch, units))
         rec_buf = _scratch.get("gru.rec", (plan.batch, 3 * units))
         for lo, hi, prev in plan.schedule(reverse):
@@ -708,14 +726,16 @@ class GRULevelFunction(Function):
             r = _sigmoid(p[:, units:2 * units] + rec[:, units:2 * units])
             n = np.tanh(p[:, 2 * units:] + r * rec[:, 2 * units:])
             states[lo:hi] = z * h + (1.0 - z) * n
-            gates[lo:hi, :units] = z
-            gates[lo:hi, units:2 * units] = r
-            gates[lo:hi, 2 * units:] = n
-            rec_n[lo:hi] = rec[:, 2 * units:]
+            if record:
+                gates[lo:hi, :units] = z
+                gates[lo:hi, units:2 * units] = r
+                gates[lo:hi, 2 * units:] = n
+                rec_n[lo:hi] = rec[:, 2 * units:]
 
-        ctx.x, ctx.w_x, ctx.w_h = x, w_x, w_h
-        ctx.states, ctx.gates, ctx.rec_n = states, gates, rec_n
-        ctx.plan, ctx.reverse = plan, reverse
+        if record:
+            ctx.x, ctx.w_x, ctx.w_h = x, w_x, w_h
+            ctx.states, ctx.gates, ctx.rec_n = states, gates, rec_n
+            ctx.plan, ctx.reverse = plan, reverse
         return states[:n_packed]
 
     @staticmethod

@@ -20,9 +20,11 @@ paths.  Instrumented sites: ``Trainer.fit`` (per-epoch loss, grad norm,
 batch occupancy, wall time), the fused kernels and the graph backend
 (per-layer forward/backward timers), ``InferenceEngine.predict_proba``
 and ``PredictionCache`` (dedup/cache counters, representative-forward
-latency histogram), the experiment runner (per-task snapshots merged
-across worker processes) and the CLI (``--telemetry-out`` /
-``repro telemetry summarize``).
+latency histogram), ``repro detect <path>`` (a ``detect.table`` span per
+table), the experiment runner and :mod:`repro.forkpool` (per-task
+snapshots captured with :func:`run_captured`, possibly in worker
+processes, and merged by :func:`publish_captured`) and the CLI
+(``--telemetry-out`` / ``repro telemetry summarize``).
 """
 
 from repro.telemetry.registry import (
@@ -36,7 +38,9 @@ from repro.telemetry.registry import (
     enabled,
     get_registry,
     merge_snapshots,
+    publish_captured,
     reset_enabled,
+    run_captured,
     set_enabled,
     set_registry,
     use_registry,
@@ -69,7 +73,9 @@ __all__ = [
     "enabled",
     "get_registry",
     "merge_snapshots",
+    "publish_captured",
     "reset_enabled",
+    "run_captured",
     "set_enabled",
     "set_registry",
     "use_registry",

@@ -19,9 +19,11 @@ import bisect
 import contextlib
 import os
 import time
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from typing import Any
 
 from repro.errors import ConfigurationError
+from repro.telemetry.sinks import MemorySink
 
 #: Environment variable that switches instrumentation on (``1``/``true``).
 TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
@@ -312,6 +314,37 @@ def merge_snapshots(snapshots: Sequence[Mapping]) -> dict:
     for snapshot in snapshots:
         merged.merge_snapshot(snapshot)
     return merged.snapshot()
+
+
+def run_captured(fn: Callable[..., Any], *args) -> tuple[Any, dict | None]:
+    """Call ``fn(*args)`` under a task-local registry when telemetry is on.
+
+    Returns the call's result and the registry's :meth:`snapshot`, with
+    the records its sinks would have received under ``"records"``
+    (``None`` with telemetry off).  A task captured this way touches no
+    shared sink or metric, so it may run in a worker process; the
+    parent hands the snapshot to :func:`publish_captured`.
+    """
+    if not enabled():
+        return fn(*args), None
+    registry = MetricsRegistry()
+    capture = MemorySink()
+    registry.add_sink(capture)
+    with use_registry(registry):
+        result = fn(*args)
+    snapshot = registry.snapshot()
+    # merge_snapshot ignores the extra key.
+    snapshot["records"] = capture.records
+    return result, snapshot
+
+
+def publish_captured(snapshot: Mapping, **fields) -> None:
+    """Re-emit a :func:`run_captured` snapshot's records into the process
+    registry's sinks (each with ``fields`` added), then merge its metrics."""
+    registry = get_registry()
+    for record in snapshot.get("records", ()):
+        registry.emit({**record, **fields})
+    registry.merge_snapshot(snapshot)
 
 
 # -- process-wide state ------------------------------------------------------

@@ -115,6 +115,24 @@ class TestEnsembleFusionContracts:
         np.testing.assert_array_equal(serial.score_cells(pair.dirty),
                                       fanned.score_cells(pair.dirty))
 
+    @pytest.mark.parametrize("n_workers", [0, 2], ids=["serial", "forked"])
+    def test_cross_fit_grids_are_member_by_fold(self, pair, labeled_rows,
+                                                n_workers):
+        """Grid ``2 m + f`` is member ``m`` fitted on fold ``f`` alone."""
+        config = EnsembleDetector.example(seed=SEED).config()
+        ensemble = EnsembleDetector(**{**config, "n_workers": n_workers})
+        folds = (labeled_rows[0::2], labeled_rows[1::2])
+        grids = ensemble._cross_fit_scores(pair, folds)
+        want = []
+        for name, member_config in config["members"]:
+            for rows in folds:
+                member = get(name)(**member_config)
+                member.fit(pair, labeled_rows=rows)
+                want.append(member.score_cells(pair.dirty))
+        assert len(grids) == len(want) == 4
+        for got, expected in zip(grids, want):
+            np.testing.assert_array_equal(got, expected)
+
     def test_calibrated_fusion_stays_in_probability_range(self, pair,
                                                           labeled_rows):
         ensemble = EnsembleDetector.example(seed=SEED).fit(

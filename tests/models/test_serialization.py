@@ -1,10 +1,15 @@
 """Tests for detector serialization and ad-hoc value encoding."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.dataprep import AttributeDictionary, CharDictionary
 from repro.datasets import load
-from repro.errors import DataError, NotFittedError
+from repro.errors import DataError, EncodingError, NotFittedError
 from repro.models import ErrorDetector, ModelConfig, TrainingConfig
 from repro.models.serialization import (
     encode_values_for,
@@ -105,3 +110,62 @@ class TestEncodeValuesFor:
     def test_length_mismatch_rejected(self, fitted):
         with pytest.raises(DataError):
             encode_values_for(fitted, ["a", "b"], ["city"])
+
+
+def _per_cell_encoding(prepared, values, attributes):
+    """The one-cell-at-a-time encoder ``encode_values_for`` must match."""
+    n = len(values)
+    encoded = np.zeros((n, prepared.max_length), dtype=np.int64)
+    attr_idx = np.zeros(n, dtype=np.int64)
+    length_norm = np.zeros((n, 1))
+    for i, (value, attribute) in enumerate(zip(values, attributes)):
+        clipped = value[:prepared.max_length]
+        encoded[i] = prepared.char_index.encode(
+            clipped, prepared.max_length, unknown="skip")
+        attr_idx[i] = prepared.attribute_index.index_of(attribute)
+        length_norm[i, 0] = min(len(value) / prepared.max_length, 1.0)
+    return {"values": encoded, "attributes": attr_idx,
+            "length_norm": length_norm}
+
+
+#: A few stock values so drawn lists repeat some of them.
+STOCK = ["", "ab", "abc", "abcdefg", "a\u00e9b", "\u2603", "zz\U0001F600"]
+CELLS = st.lists(
+    st.tuples(st.one_of(st.sampled_from(STOCK),
+                        st.text(alphabet="abc\u00e9\u2603\U0001F600z",
+                                max_size=9)),
+              st.sampled_from(["x", "y", "x", "y", "unknown", "other"])),
+    max_size=24)
+
+
+@pytest.mark.equivalence
+@given(CELLS, st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+@example([("", "x"), ("abcdefg", "y"), ("abcdefg", "y"), ("\u2603", "x")], 3)
+@example([("ab", "x"), ("ab", "unknown"), ("c", "y"), ("d", "other")], 4)
+@example([], 2)
+def test_encode_values_for_matches_per_cell_loop(cells, max_length):
+    """Distinct-value encoding equals the per-cell loop, bit for bit:
+    unknown characters skipped, overlong values clipped (``length_norm``
+    still from the unclipped length), empty and repeated values; an
+    unknown attribute raises the loop's error, for its first row."""
+    values = [value for value, _ in cells]
+    attributes = [attribute for _, attribute in cells]
+    prepared = SimpleNamespace(
+        char_index=CharDictionary(["abc\u00e9"]),
+        attribute_index=AttributeDictionary(["x", "y"]),
+        max_length=max_length)
+    detector = SimpleNamespace(prepared=prepared)
+    try:
+        want = _per_cell_encoding(prepared, values, attributes)
+    except EncodingError as exc:
+        with pytest.raises(EncodingError) as got:
+            encode_values_for(detector, values, attributes)
+        assert str(got.value) == str(exc)
+        return
+    got = encode_values_for(detector, values, attributes)
+    assert sorted(got) == sorted(want)
+    for key, array in want.items():
+        assert got[key].dtype == array.dtype, key
+        assert got[key].shape == array.shape, key
+        assert got[key].tobytes() == array.tobytes(), key

@@ -7,7 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, gradcheck_function
+from repro.autograd import Tensor, gradcheck_function, no_grad
+from repro.autograd.function import FunctionCtx
 from repro.autograd.ops import softmax
 from repro.errors import ShapeError
 from repro.nn import StackedRNN, use_backend
@@ -15,6 +16,7 @@ from repro.nn.kernels import (
     DenseSoftmaxBCEFunction,
     GRULevelFunction,
     LSTMLevelFunction,
+    PrefixPlan,
     RNNLevelFunction,
     SequencePlan,
     _scratch,
@@ -74,6 +76,53 @@ class TestLevelKernelGradients:
         (out * out).sum().backward()
         assert x.grad is None
         assert all(p.grad is not None for p in (w_x, w_h, b_h))
+
+
+def _prefix_plan():
+    """Five right-padded code rows sharing prefixes, one a duplicate."""
+    codes = np.array([[1, 2, 3, 0], [1, 2, 0, 0], [1, 2, 4, 1],
+                      [5, 0, 0, 0], [1, 2, 3, 0]])
+    return PrefixPlan(codes, np.array([3, 2, 4, 1, 3]))
+
+
+#: Tables only the gated kernels' backwards read.
+BACKWARD_ONLY = {"lstm": ("acts", "tanh_c"), "gru": ("gates", "rec_n")}
+
+
+@pytest.mark.equivalence
+class TestNoGradForward:
+    """Scoring runs the level forwards under ``no_grad``; they skip the
+    tables only the backward reads, and their outputs keep every bit."""
+
+    @pytest.mark.parametrize("cell", sorted(BACKWARD_ONLY))
+    @pytest.mark.parametrize("plan_kind", ["sequence", "prefix"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    def test_no_grad_forward_is_byte_equal_and_keeps_no_tables(
+            self, cell, plan_kind, reverse):
+        function, mult = LEVELS[cell]
+        x, w_x, w_h, b_h, plan = _level_inputs(mult, "empty_value")
+        if plan_kind == "prefix":
+            plan = _prefix_plan()
+            x = Tensor(np.random.default_rng(2).normal(
+                size=(plan.n_packed, 2)), requires_grad=True)
+        args = (x, w_x, w_h, b_h, plan, reverse)
+        recorded = function.apply(*args)
+        with no_grad():
+            scored = function.apply(*args)
+            ctx = FunctionCtx((True,) * 4)
+            direct = function.forward(ctx, *(
+                a.data if isinstance(a, Tensor) else a for a in args))
+        assert recorded.requires_grad and not scored.requires_grad
+        assert scored.data.tobytes() == recorded.data.tobytes()
+        assert direct.tobytes() == recorded.data.tobytes()
+        for name in BACKWARD_ONLY[cell]:
+            assert getattr(ctx, name, None) is None, name
+
+        grad_ctx = FunctionCtx((True,) * 4)
+        function.forward(grad_ctx, *(
+            a.data if isinstance(a, Tensor) else a for a in args))
+        for name in BACKWARD_ONLY[cell]:
+            assert getattr(grad_ctx, name) is not None, name
 
 
 class TestLevelKernelShapes:

@@ -148,6 +148,31 @@ class TestMerge:
             reg.merge_snapshot(other.snapshot())
 
 
+class TestCapture:
+    @staticmethod
+    def _task(n):
+        registry = telemetry.get_registry()
+        registry.counter("task.n").inc(n)
+        registry.emit({"type": "task", "n": n})
+        return n * 10
+
+    def test_task_records_reach_the_parent_only_when_published(self):
+        parent = MetricsRegistry()
+        sink = telemetry.MemorySink()
+        parent.add_sink(sink)
+        with telemetry.use_telemetry(parent):
+            result, snapshot = telemetry.run_captured(self._task, 3)
+            assert result == 30 and sink.records == []
+            assert "task.n" not in parent.counters
+            telemetry.publish_captured(snapshot, run_seed=7)
+        assert sink.records == [{"type": "task", "n": 3, "run_seed": 7}]
+        assert parent.counter("task.n").value == 3
+
+    def test_nothing_captured_while_disabled(self):
+        with telemetry.use_telemetry(MetricsRegistry(), on=False):
+            assert telemetry.run_captured(self._task, 2) == (20, None)
+
+
 class TestEnablement:
     @pytest.fixture(autouse=True)
     def _restore(self):
