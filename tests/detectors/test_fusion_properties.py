@@ -10,12 +10,15 @@ listed.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import forkpool
 from repro.datasets import load
 from repro.detectors import (
     EnsembleDetector,
@@ -107,22 +110,28 @@ class TestEnsembleFusionContracts:
                                       backward.score_cells(pair.dirty))
 
     def test_worker_fanout_matches_serial(self, pair, labeled_rows):
+        """The cross-fit pool (one worker per CPU) fits exactly what the
+        inline loop fits; the CPU count is forced to 1 and 2."""
         config = EnsembleDetector.example(seed=SEED).config()
-        serial = EnsembleDetector(**config).fit(
-            pair, labeled_rows=labeled_rows)
-        fanned = EnsembleDetector(**{**config, "n_workers": 2}).fit(
-            pair, labeled_rows=labeled_rows)
+        fitted = []
+        for workers in (1, 2):
+            with mock.patch.object(forkpool, "cpu_count",
+                                   return_value=workers):
+                fitted.append(EnsembleDetector(**config).fit(
+                    pair, labeled_rows=labeled_rows))
+        serial, fanned = fitted
         np.testing.assert_array_equal(serial.score_cells(pair.dirty),
                                       fanned.score_cells(pair.dirty))
 
-    @pytest.mark.parametrize("n_workers", [0, 2], ids=["serial", "forked"])
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "forked"])
     def test_cross_fit_grids_are_member_by_fold(self, pair, labeled_rows,
-                                                n_workers):
+                                                workers):
         """Grid ``2 m + f`` is member ``m`` fitted on fold ``f`` alone."""
         config = EnsembleDetector.example(seed=SEED).config()
-        ensemble = EnsembleDetector(**{**config, "n_workers": n_workers})
+        ensemble = EnsembleDetector(**config)
         folds = (labeled_rows[0::2], labeled_rows[1::2])
-        grids = ensemble._cross_fit_scores(pair, folds)
+        with mock.patch.object(forkpool, "cpu_count", return_value=workers):
+            grids = ensemble._cross_fit_scores(pair, folds)
         want = []
         for name, member_config in config["members"]:
             for rows in folds:

@@ -1,11 +1,13 @@
-"""Archives that still carry the retired length-bucketing fields.
+"""Archives that still carry retired configuration keys.
 
 Archives written while ``TrainingConfig`` had ``bucket_batches``,
 ``n_length_buckets`` and ``bucket_edges`` store them in the archive's
-``training_config`` (and, for registry archives, in ``adapter_meta``).
-They must keep loading through every entry point and score exactly like
-the same model saved without them.  The retired archive is produced by
-writing the keys into a freshly saved archive's metadata.
+``training_config`` (and, for registry archives, in ``adapter_meta``);
+ensemble archives written while ``EnsembleDetector`` took ``n_workers``
+store it in ``ensemble.json``'s config.  They must keep loading through
+every entry point and score exactly like the same model saved without
+them.  The retired archive is produced by writing the keys into a
+freshly saved archive's metadata.
 """
 
 import json
@@ -94,3 +96,59 @@ def test_registry_adapter_load_scores_byte_identically(pair, archives):
     assert old.config() == new.config()
     assert (old.score_cells(pair.dirty).tobytes()
             == new.score_cells(pair.dirty).tobytes())
+
+
+# -- the ensemble's retired cross-fit pool size -----------------------------
+
+
+@pytest.fixture(scope="module")
+def ensemble_archives(pair, tmp_path_factory):
+    """(ensemble as saved today, same archive whose config carries the
+    retired ``n_workers``)."""
+    from repro.detectors import EnsembleDetector
+
+    root = tmp_path_factory.mktemp("ensemble")
+    ensemble = EnsembleDetector.example(seed=1).fit(pair)
+    current = root / "current"
+    ensemble.save(current)
+    retired = root / "retired"
+    ensemble.save(retired)
+    meta_path = retired / "ensemble.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    assert "n_workers" not in meta["config"]
+    meta["config"]["n_workers"] = 2
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    return current, retired
+
+
+def test_ensemble_archive_with_n_workers_loads_and_scores_identically(
+        pair, ensemble_archives):
+    from repro.detectors import EnsembleDetector
+    from repro.detectors.ensemble import RETIRED_ENSEMBLE_KEYS
+
+    assert RETIRED_ENSEMBLE_KEYS == ("n_workers",)
+    current, retired = ensemble_archives
+    old, new = EnsembleDetector.load(retired), EnsembleDetector.load(current)
+    assert "n_workers" not in old.config()
+    assert old.config() == new.config()
+    assert old.fingerprint() == new.fingerprint()
+    assert (old.score_cells(pair.dirty).tobytes()
+            == new.score_cells(pair.dirty).tobytes())
+
+
+def test_ensemble_constructor_rejects_n_workers_and_unknown_keys(
+        ensemble_archives, tmp_path):
+    import shutil
+
+    from repro.detectors import EnsembleDetector
+
+    with pytest.raises(TypeError):
+        EnsembleDetector(n_workers=2)
+    current = tmp_path / "copy"
+    shutil.copytree(ensemble_archives[0], current)
+    meta_path = current / "ensemble.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["config"]["no_such_field"] = 1
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(TypeError):
+        EnsembleDetector.load(current)
