@@ -6,6 +6,7 @@ import pytest
 from repro.datasets import load
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models import ErrorDetector, ModelConfig, TrainingConfig
+from repro.nn.training import predict_proba
 from repro.sampling import RandomSet
 
 TINY_MODEL = ModelConfig(char_embed_dim=6, value_units=8, num_layers=2,
@@ -164,14 +165,15 @@ class TestDedupInference:
         assert second.inference.n_evaluated == 0
 
     def test_dedup_matches_naive_path(self, fitted):
+        """evaluate()'s dedup-memoized predictions equal the naive
+        chunked forward over every test row."""
         memoized = fitted.evaluate()
-        fitted.deduplicate = False
-        try:
-            naive = fitted.evaluate()
-        finally:
-            fitted.deduplicate = True
-        np.testing.assert_array_equal(memoized.predictions, naive.predictions)
-        assert naive.inference is None
+        test = fitted.split.test
+        naive = predict_proba(fitted.model, test.features,
+                              deduplicate=False)
+        np.testing.assert_array_equal(memoized.predictions,
+                                      naive.argmax(axis=1))
+        assert memoized.inference.n_rows == test.n_cells
 
     def test_cache_entries_keyed_to_current_weights(self, fitted):
         fitted.evaluate()

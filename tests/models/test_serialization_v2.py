@@ -38,11 +38,11 @@ def archive_meta(path):
 
 
 class TestFormatV2:
-    def test_archive_declares_v2_with_optimizer(self, fitted, tmp_path):
+    def test_archive_declares_v3_with_optimizer(self, fitted, tmp_path):
         path = tmp_path / "model.npz"
         save_detector(fitted, path)
         meta = archive_meta(path)
-        assert meta["format_version"] == 2
+        assert meta["format_version"] == 3
         assert meta["optimizer"]["type"] == "RMSprop"
         assert meta["optimizer"]["slots"] == {
             "mean_square": len(fitted.trainer.optimizer.parameters)}

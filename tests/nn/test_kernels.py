@@ -37,8 +37,8 @@ def _prefix_mask(*lengths, n_steps=3):
 
 #: Packing plans: ``(batch, mask)``.  "masked" has a step where only one
 #: row is live (the padded-GEMM-row case) and a step live for no row;
-#: "empty_value" has a length-1 row, as ``_encode`` makes of an empty
-#: value.
+#: "empty_value" has a length-1 row, as the value mask makes of an
+#: empty value.
 PLANS = {
     "unmasked": (2, None),  # rows of equal length
     "masked": (2, _prefix_mask(2, 1)),

@@ -124,15 +124,13 @@ class TestServingFlags:
     def test_predict_serving_flags(self):
         args = build_parser().parse_args([
             "predict", "--model", "m.npz", "--dirty", "d.csv",
-            "--no-dedup", "--cache-size", "128"])
-        assert args.no_dedup is True
+            "--cache-size", "128"])
         assert args.cache_size == 128
 
     def test_serve_defaults(self):
         args = build_parser().parse_args([
             "serve", "--model", "m.npz", "a.csv", "b.csv"])
         assert args.inputs == ["a.csv", "b.csv"]
-        assert args.no_dedup is False
         assert args.cache_size is None
 
     def test_serve_without_inputs_or_daemon_fails(self, capsys):
@@ -168,18 +166,14 @@ class TestServingFlags:
         assert args.port == 0
         assert args.max_batch_rows == 256
 
-    def test_daemon_excludes_no_dedup(self, capsys):
-        assert main(["serve", "--model", "m.npz", "--daemon",
-                     "--no-dedup"]) == 1
-        assert "drop --no-dedup" in capsys.readouterr().err
-
 
 class TestRetiredInferenceFlags:
-    """predict and serve take no --workers/--precision: argparse rejects
-    them with its usage-error exit code."""
+    """predict and serve take no --workers/--precision/--no-dedup:
+    argparse rejects them with its usage-error exit code."""
 
     @pytest.mark.parametrize("flag", [["--workers", "2"],
-                                      ["--precision", "float32"]])
+                                      ["--precision", "float32"],
+                                      ["--no-dedup"]])
     @pytest.mark.parametrize("argv", [
         ["predict", "--model", "m.npz", "--dirty", "d.csv"],
         ["serve", "--model", "m.npz", "a.csv"],
@@ -258,17 +252,6 @@ class TestServeCommand:
         assert "no column matches the model's attributes" in err
         assert f"{missing}: FAILED" in err
         assert "2 file(s) failed:" in err
-
-    def test_predict_no_dedup_matches(self, csv_pair, model_path, tmp_path):
-        dirty, _ = csv_pair
-        fast = tmp_path / "fast.csv"
-        naive = tmp_path / "naive.csv"
-        assert main(["predict", "--model", str(model_path),
-                     "--dirty", str(dirty), "--out", str(fast)]) == 0
-        assert main(["predict", "--model", str(model_path),
-                     "--dirty", str(dirty), "--out", str(naive),
-                     "--no-dedup"]) == 0
-        assert fast.read_text() == naive.read_text()
 
 
 class TestTelemetryCli:
