@@ -113,48 +113,29 @@ class TestEncodeValuesFor:
 
 
 def _per_cell_encoding(prepared, values, attributes):
-    """The one-cell-at-a-time encoder ``encode_values_for`` must match."""
+    """The one-cell-at-a-time rule ``encode_values_for`` must match."""
     n = len(values)
     encoded = np.zeros((n, prepared.max_length), dtype=np.int64)
     attr_idx = np.zeros(n, dtype=np.int64)
     length_norm = np.zeros((n, 1))
     for i, (value, attribute) in enumerate(zip(values, attributes)):
-        clipped = value[:prepared.max_length]
+        text = value.lstrip()[:prepared.max_length]
         encoded[i] = prepared.char_index.encode(
-            clipped, prepared.max_length, unknown="skip")
+            text, prepared.max_length, unknown="skip")
         attr_idx[i] = prepared.attribute_index.index_of(attribute)
-        length_norm[i, 0] = min(len(value) / prepared.max_length, 1.0)
+        top = prepared.longest[attribute]
+        length_norm[i, 0] = min(len(text) / top, 1.0) if top else 0.0
     return {"values": encoded, "attributes": attr_idx,
             "length_norm": length_norm}
 
 
-#: A few stock values so drawn lists repeat some of them.
-STOCK = ["", "ab", "abc", "abcdefg", "a\u00e9b", "\u2603", "zz\U0001F600"]
-CELLS = st.lists(
-    st.tuples(st.one_of(st.sampled_from(STOCK),
-                        st.text(alphabet="abc\u00e9\u2603\U0001F600z",
-                                max_size=9)),
-              st.sampled_from(["x", "y", "x", "y", "unknown", "other"])),
-    max_size=24)
-
-
-@pytest.mark.equivalence
-@given(CELLS, st.integers(1, 6))
-@settings(max_examples=200, deadline=None)
-@example([("", "x"), ("abcdefg", "y"), ("abcdefg", "y"), ("\u2603", "x")], 3)
-@example([("ab", "x"), ("ab", "unknown"), ("c", "y"), ("d", "other")], 4)
-@example([], 2)
-def test_encode_values_for_matches_per_cell_loop(cells, max_length):
-    """Distinct-value encoding equals the per-cell loop, bit for bit:
-    unknown characters skipped, overlong values clipped (``length_norm``
-    still from the unclipped length), empty and repeated values; an
-    unknown attribute raises the loop's error, for its first row."""
+def _assert_matches_per_cell_loop(cells, max_length, longest):
     values = [value for value, _ in cells]
     attributes = [attribute for _, attribute in cells]
     prepared = SimpleNamespace(
         char_index=CharDictionary(["abc\u00e9"]),
         attribute_index=AttributeDictionary(["x", "y"]),
-        max_length=max_length)
+        max_length=max_length, longest=longest)
     detector = SimpleNamespace(prepared=prepared)
     try:
         want = _per_cell_encoding(prepared, values, attributes)
@@ -169,3 +150,48 @@ def test_encode_values_for_matches_per_cell_loop(cells, max_length):
         assert got[key].dtype == array.dtype, key
         assert got[key].shape == array.shape, key
         assert got[key].tobytes() == array.tobytes(), key
+
+
+#: A few stock values so drawn lists repeat some of them.
+STOCK = ["", "ab", "abc", "abcdefg", "a\u00e9b", "\u2603", "zz\U0001F600",
+         " ab", "  ", "\t abc"]
+CELLS = st.lists(
+    st.tuples(st.one_of(st.sampled_from(STOCK),
+                        st.text(alphabet="abc\u00e9\u2603\U0001F600z \t",
+                                max_size=9)),
+              st.sampled_from(["x", "y", "x", "y", "unknown", "other"])),
+    max_size=24)
+
+
+@pytest.mark.equivalence
+@given(CELLS, st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+@example([("", "x"), ("abcdefg", "y"), ("abcdefg", "y"), ("\u2603", "x")], 3)
+@example([("ab", "x"), ("ab", "unknown"), ("c", "y"), ("d", "other")], 4)
+@example([(" ab", "x"), ("ab", "x"), ("  ", "y")], 2)
+@example([], 2)
+def test_encode_values_for_matches_per_cell_loop(cells, max_length):
+    """The v1/v2 fallback (every attribute's longest value is
+    ``max_length``): distinct-value encoding equals the per-cell loop,
+    bit for bit: leading whitespace stripped, unknown characters
+    skipped, overlong values clipped, empty and repeated values; an
+    unknown attribute raises the loop's error, for its first row."""
+    _assert_matches_per_cell_loop(cells, max_length,
+                                  {"x": max_length, "y": max_length})
+
+
+@pytest.mark.equivalence
+@given(CELLS, st.integers(1, 6), st.data())
+@settings(max_examples=200, deadline=None)
+@example([(" ab", "x"), ("abcdefg", "y"), ("a", "x")], 6, None)
+def test_encode_values_for_matches_per_attribute_loop(cells, max_length,
+                                                      data):
+    """v3: ``length_norm`` is the stripped, clipped value's length over
+    its attribute's longest training value -- 0.0 when that value is
+    empty, capped at 1.0 for longer values."""
+    if data is None:
+        longest = {"x": 0, "y": 3}
+    else:
+        bound = st.integers(0, max_length)
+        longest = {"x": data.draw(bound), "y": data.draw(bound)}
+    _assert_matches_per_cell_loop(cells, max_length, longest)
