@@ -24,7 +24,6 @@ from repro.experiments import (
     ExperimentResult,
     current_scale,
     run_experiment,
-    run_raha_baseline,
 )
 from repro.experiments.scale import ExperimentScale
 
@@ -64,7 +63,7 @@ class ResultPool:
                      track_curves: bool = False) -> ExperimentResult:
         return run_experiment(
             self._pairs[dataset],
-            architecture=architecture,
+            detector=architecture,
             n_runs=self._scale.n_runs,
             n_label_tuples=self._scale.n_label_tuples,
             epochs=self._scale.epochs,
@@ -73,8 +72,8 @@ class ResultPool:
 
     @functools.lru_cache(maxsize=None)  # noqa: B019
     def raha_result(self, dataset: str) -> ExperimentResult:
-        return run_raha_baseline(
-            self._pairs[dataset],
+        return run_experiment(
+            self._pairs[dataset], "raha",
             n_runs=self._scale.n_runs,
             n_label_tuples=self._scale.n_label_tuples,
         )

@@ -29,7 +29,7 @@ def test_ablation_cell_types(benchmark, scale):
     def run_all():
         return {
             cell_type: run_experiment(
-                pair, architecture="etsb",
+                pair, "etsb",
                 model_config=ModelConfig(cell_type=cell_type),
                 n_runs=scale.n_runs, n_label_tuples=scale.n_label_tuples,
                 epochs=scale.epochs)

@@ -19,7 +19,7 @@ the Raha-style detector beats the augmentation stand-in on hospital
 import pytest
 
 from benchmarks.conftest import write_result
-from repro.experiments import run_augmentation_baseline
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="baselines")
@@ -30,8 +30,8 @@ def test_baselines_comparison(benchmark, pairs, pool, scale):
         results = {}
         for name in datasets:
             results[(name, "raha")] = pool.raha_result(name)
-            results[(name, "augment")] = run_augmentation_baseline(
-                pairs[name], n_runs=scale.n_runs,
+            results[(name, "augment")] = run_experiment(
+                pairs[name], "augment", n_runs=scale.n_runs,
                 n_label_tuples=scale.n_label_tuples)
         return results
 

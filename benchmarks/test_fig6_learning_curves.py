@@ -35,7 +35,7 @@ def test_fig6_learning_curves(benchmark, scale):
             pair = load(name, n_rows=rows_for(name), seed=1)
             for architecture in ("tsb", "etsb"):
                 result = run_experiment(
-                    pair, architecture=architecture, n_runs=n_runs,
+                    pair, architecture, n_runs=n_runs,
                     n_label_tuples=scale.n_label_tuples, epochs=epochs,
                     track_curves=True)
                 curves[(name, architecture)] = collect_curves(result)

@@ -31,7 +31,7 @@ def test_fig7_train_vs_test_accuracy(benchmark, scale):
         for name in datasets:
             pair = load(name, n_rows=rows_for(name), seed=1)
             result = run_experiment(
-                pair, architecture="etsb", n_runs=n_runs,
+                pair, "etsb", n_runs=n_runs,
                 n_label_tuples=scale.n_label_tuples, epochs=epochs,
                 track_curves=True)
             curves[name] = collect_curves(result)

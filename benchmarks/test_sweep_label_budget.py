@@ -27,7 +27,7 @@ def test_sweep_label_budget(benchmark, scale):
     def run_all():
         return {
             budget: run_experiment(
-                pair, architecture="etsb", n_runs=scale.n_runs,
+                pair, "etsb", n_runs=scale.n_runs,
                 n_label_tuples=budget, epochs=scale.epochs)
             for budget in BUDGETS
         }

@@ -2,8 +2,9 @@
 """Shoot-out: ETSB-RNN vs the from-scratch Raha-style baseline.
 
 Reproduces the Table 3 comparison on one dataset, from the same 20
-labelled tuples: the BiRNN learns character-level error patterns, the
-Raha-style detector clusters strategy verdicts and propagates labels.
+labelled tuples per run (DiverSet picks them for both systems): the
+BiRNN learns character-level error patterns, the Raha-style detector
+clusters strategy verdicts and propagates labels.
 
     python examples/baseline_shootout.py --dataset hospital
 """
@@ -13,7 +14,8 @@ from __future__ import annotations
 import argparse
 
 from repro import load_dataset
-from repro.experiments import run_experiment, run_raha_baseline
+from repro.experiments import run_experiment
+from repro.sampling import DiverSet
 
 
 def main() -> None:
@@ -23,6 +25,7 @@ def main() -> None:
     parser.add_argument("--epochs", type=int, default=60)
     parser.add_argument("--runs", type=int, default=2)
     args = parser.parse_args()
+    shared = dict(sampler=DiverSet(), n_runs=args.runs, n_label_tuples=20)
 
     pair = load_dataset(args.dataset, n_rows=args.rows, seed=1)
     print(f"dataset={args.dataset} rows={args.rows} "
@@ -30,11 +33,10 @@ def main() -> None:
 
     print("Running the Raha-style baseline "
           "(strategies -> clustering -> label propagation)...")
-    raha = run_raha_baseline(pair, n_runs=args.runs, n_label_tuples=20)
+    raha = run_experiment(pair, "raha", **shared)
 
     print("Training ETSB-RNN...")
-    etsb = run_experiment(pair, architecture="etsb", n_runs=args.runs,
-                          n_label_tuples=20, epochs=args.epochs)
+    etsb = run_experiment(pair, "etsb", epochs=args.epochs, **shared)
 
     print(f"\n{'system':<14} {'P':>6} {'R':>6} {'F1':>6} {'F1 s.d.':>8} "
           f"{'time [s]':>9}")

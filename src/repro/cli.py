@@ -41,7 +41,13 @@ import numpy as np
 from repro import telemetry
 from repro.datasets import DATASET_NAMES, load
 from repro.errors import ConfigurationError
-from repro.experiments import render_table2, run_experiment
+from repro.detectors import list_detectors
+from repro.experiments import (
+    render_comparison,
+    render_table2,
+    run_detector_comparison,
+    run_experiment,
+)
 from repro.models import ErrorDetector, ModelConfig, TrainingConfig
 from repro.models.serialization import load_detector, save_detector
 from repro.repair import (
@@ -461,12 +467,15 @@ def cmd_benchmark(args) -> int:
     pair = load(args.dataset, n_rows=args.rows, seed=args.seed)
     print(f"{args.dataset}: {pair.dirty.shape}, "
           f"error rate {pair.measured_error_rate():.2%}", file=sys.stderr)
-    if getattr(args, "detectors", None):
-        from repro.detectors import list_detectors
-        from repro.experiments import (
-            render_comparison,
-            run_detector_comparison,
-        )
+    # Durability flags switch the runner to graceful degradation: a task
+    # that exhausts its retries becomes a failure record instead of
+    # aborting the sweep, and --resume makes the re-invocation cheap.
+    durable = bool(args.resume or args.max_retries or args.task_timeout)
+    durability = dict(n_workers=args.workers, max_retries=args.max_retries,
+                      task_timeout=args.task_timeout,
+                      journal_path=args.resume, fail_fast=not durable)
+    comparison = bool(getattr(args, "detectors", None))
+    if comparison:
         names = tuple(n.strip() for n in args.detectors.split(",") if n.strip())
         unknown = [n for n in names if n not in list_detectors()]
         if unknown:
@@ -476,44 +485,40 @@ def cmd_benchmark(args) -> int:
         results = run_detector_comparison(
             pair, detectors=names, n_runs=args.runs,
             n_label_tuples=args.tuples, epochs=args.epochs,
-            base_seed=args.seed)
-        print(render_comparison(results))
-        return 0
-    # Durability flags switch the runner to graceful degradation: a task
-    # that exhausts its retries becomes a failure record instead of
-    # aborting the sweep, and --resume makes the re-invocation cheap.
-    durable = bool(args.resume or args.max_retries or args.task_timeout)
-    result = run_experiment(
-        pair, architecture=args.arch, n_runs=args.runs,
-        n_label_tuples=args.tuples, epochs=args.epochs,
-        model_config=ModelConfig(cell_type=args.cell),
-        n_workers=args.workers,
-        max_retries=args.max_retries,
-        task_timeout=args.task_timeout,
-        journal_path=args.resume,
-        fail_fast=not durable)
-    if result.failures:
-        for failure in result.failures:
-            print(f"FAILED task {failure.task_index} "
-                  f"(seed {failure.seed}) after {failure.attempts} "
-                  f"attempt(s): {failure.error_type}: {failure.error}",
-                  file=sys.stderr)
-        print(f"{len(result.failures)} of "
-              f"{len(result.failures) + len(result.runs)} runs failed; "
+            base_seed=args.seed, **durability)
+    else:
+        results = {args.arch: run_experiment(
+            pair, detector=args.arch, n_runs=args.runs,
+            n_label_tuples=args.tuples, epochs=args.epochs,
+            model_config=ModelConfig(cell_type=args.cell), **durability)}
+    failures = [f for result in results.values() for f in result.failures]
+    for failure in failures:
+        print(f"FAILED task {failure.task_index} "
+              f"(seed {failure.seed}) after {failure.attempts} "
+              f"attempt(s): {failure.error_type}: {failure.error}",
+              file=sys.stderr)
+    completed = {name: result for name, result in results.items()
+                 if result.runs}
+    if failures:
+        n_done = sum(len(result.runs) for result in completed.values())
+        print(f"{len(failures)} of {len(failures) + n_done} runs failed; "
               f"aggregates below cover the completed runs only"
               + (" (re-invoke with the same --resume journal to retry)"
                  if args.resume else ""),
               file=sys.stderr)
-    if not result.runs:
+    if not completed:
         print("error: every run failed; nothing to aggregate",
               file=sys.stderr)
         return 1
-    row = result.as_row()
-    print(f"P  = {row['P']:.3f} ± {row['P_sd']:.3f}")
-    print(f"R  = {row['R']:.3f} ± {row['R_sd']:.3f}")
-    print(f"F1 = {row['F1']:.3f} ± {row['F1_sd']:.3f}")
-    print(f"train time = {row['seconds']:.1f}s ± {row['seconds_sd']:.1f}s")
-    return 1 if result.failures else 0
+    if comparison:
+        print(render_comparison(completed))
+    else:
+        row = completed[args.arch].as_row()
+        print(f"P  = {row['P']:.3f} ± {row['P_sd']:.3f}")
+        print(f"R  = {row['R']:.3f} ± {row['R_sd']:.3f}")
+        print(f"F1 = {row['F1']:.3f} ± {row['F1_sd']:.3f}")
+        print(f"train time = {row['seconds']:.1f}s ± {row['seconds_sd']:.1f}s")
+    return 1 if failures else 0
 
 
 def cmd_faults_list(args) -> int:

@@ -36,7 +36,6 @@ from repro.detectors.adapters import (  # noqa: E402
     AttnDetector,
     AugmentAdapter,
     ETSBDetector,
-    FixedSampler,
     NeuralDetector,
     RahaAdapter,
     TSBDetector,
@@ -64,7 +63,6 @@ __all__ = [
     "AugmentAdapter",
     "ETSBDetector",
     "EnsembleDetector",
-    "FixedSampler",
     "NeuralDetector",
     "RahaAdapter",
     "TSBDetector",

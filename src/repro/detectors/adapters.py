@@ -29,48 +29,17 @@ from repro.detectors.base import (
     Detector,
 )
 from repro.detectors.registry import register
-from repro.errors import ConfigurationError, DataError, NotFittedError
+from repro.errors import DataError, NotFittedError
 from repro.models import ErrorDetector, ModelConfig, TrainingConfig
 from repro.models.config import training_config_from_dict
 from repro.models.serialization import load_detector, save_detector
-from repro.sampling import DiverSet, Sampler
+from repro.sampling import DiverSet
 from repro.table import Table
 
 #: Tiny widths shared by every ``example()`` (conformance-suite speed).
 _EXAMPLE_MODEL = dict(char_embed_dim=6, value_units=8, attr_embed_dim=3,
                       attr_units=3, length_dense_units=6, head_units=8,
                       attn_dim=6)
-
-
-class FixedSampler(Sampler):
-    """A sampler returning a preset tuple-id list.
-
-    Lets a caller (the ensemble's cross-fit folds, the comparison
-    runner's shared labelled set) pin exactly which tuples a neural
-    detector trains on while reusing the untouched
-    :class:`ErrorDetector` pipeline.  Ignores ``rng`` -- the selection
-    is already made -- but still validates against the prepared data.
-    """
-
-    name = "fixed"
-
-    def __init__(self, tuple_ids):
-        self.tuple_ids = [int(t) for t in tuple_ids]
-        if len(set(self.tuple_ids)) != len(self.tuple_ids):
-            raise ConfigurationError(
-                f"tuple_ids must be distinct, got {self.tuple_ids}")
-
-    def select(self, n_obs, prepared, rng):
-        if n_obs != len(self.tuple_ids):
-            raise ConfigurationError(
-                f"FixedSampler holds {len(self.tuple_ids)} tuples but "
-                f"{n_obs} were requested")
-        available = set(prepared.tuple_ids())
-        missing = [t for t in self.tuple_ids if t not in available]
-        if missing:
-            raise ConfigurationError(
-                f"tuple ids {missing} not present in the prepared data")
-        return list(self.tuple_ids)
 
 
 def table_digest(table: Table) -> str:
@@ -94,6 +63,12 @@ class NeuralDetector(Detector):
     Parameters mirror the wrapped class; ``model_config`` /
     ``training_config`` accept plain dicts (the JSON-serialisable
     registry form) or the dataclasses.
+
+    ``fit(pair)`` samples with DiverSet and trains from the same
+    generator; ``fit(pair, labeled_rows=...)`` trains on exactly those
+    tuples from a fresh ``default_rng(seed)``.  ``extra_callbacks``
+    (not part of :meth:`config`) are handed to the wrapped trainer, e.g.
+    the experiment runner's learning-curve recorder.
     """
 
     architecture = ""
@@ -111,24 +86,31 @@ class NeuralDetector(Detector):
         self.model_config = model_config
         self.training_config = training_config
         self.seed = seed
+        self.extra_callbacks: tuple = ()
         self._detector: ErrorDetector | None = None
         self._columns: tuple[str, ...] | None = None
 
     def fit(self, pair: DatasetPair,
             labeled_rows: list[int] | None = None) -> "NeuralDetector":
-        if labeled_rows is not None:
-            sampler: Sampler = FixedSampler(labeled_rows)
-            n_label = len(labeled_rows)
-        else:
-            sampler = DiverSet()
-            n_label = self.n_label_tuples
         self._detector = ErrorDetector(
-            architecture=self.architecture, sampler=sampler,
-            n_label_tuples=n_label, model_config=self.model_config,
-            training_config=self.training_config, seed=self.seed)
-        self._detector.fit(pair)
+            architecture=self.architecture, sampler=DiverSet(),
+            n_label_tuples=(self.n_label_tuples if labeled_rows is None
+                            else len(labeled_rows)),
+            model_config=self.model_config,
+            training_config=self.training_config, seed=self.seed,
+            extra_callbacks=self.extra_callbacks)
+        self._detector.fit_tables(pair.dirty, pair.clean,
+                                  train_ids=labeled_rows)
+        assert self._detector.split is not None
+        self.labeled_rows = tuple(
+            int(t) for t in self._detector.split.train_tuple_ids)
         self._columns = tuple(pair.dirty.column_names)
         return self
+
+    @property
+    def error_detector(self) -> ErrorDetector:
+        """The wrapped :class:`ErrorDetector` (set once ``fit`` starts)."""
+        return self._require_fitted()
 
     def _require_fitted(self) -> ErrorDetector:
         if self._detector is None:
@@ -274,6 +256,7 @@ class RahaAdapter(Detector):
         self._predictions = predictions.astype(np.float64)
         self._digest = table_digest(pair.dirty)
         self._columns = tuple(pair.dirty.column_names)
+        self.labeled_rows = tuple(int(t) for t in labeled_rows)
         return self
 
     def score_cells(self, table: Table) -> np.ndarray:
@@ -353,7 +336,8 @@ class AugmentAdapter(Detector):
         if labeled_rows is None:
             labeled_rows = DiverSet().select(self.n_label_tuples, prepared,
                                              rng)
-        train_ids = set(int(t) for t in labeled_rows)
+        self.labeled_rows = tuple(int(t) for t in labeled_rows)
+        train_ids = set(self.labeled_rows)
         rows = prepared.df.to_rows()
         models: dict[str, AugmentationDetector] = {}
         for attribute in prepared.attributes:

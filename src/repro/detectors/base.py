@@ -59,6 +59,14 @@ class Detector(abc.ABC):
     #: Capability strings; set by subclasses.
     capabilities: frozenset[str] = frozenset()
 
+    #: Labelled budget when ``fit`` runs its own sampler; set by
+    #: subclasses' constructors.
+    n_label_tuples: int = 20
+
+    #: The tuple ids the last ``fit`` labelled (pinned or self-sampled),
+    #: as ints; ``None`` until fitted.  Archives do not carry it.
+    labeled_rows: tuple[int, ...] | None = None
+
     # -- fitting ------------------------------------------------------------
 
     @abc.abstractmethod
@@ -69,7 +77,8 @@ class Detector(abc.ABC):
         ``labeled_rows`` pins the labelled tuple ids (position indices
         into the pair's rows); ``None`` lets the detector run its own
         sampler.  Only those tuples' ground-truth labels may be used.
-        Returns ``self``.
+        Records the ids it labelled in :attr:`labeled_rows`.  Returns
+        ``self``.
         """
 
     # -- scoring ------------------------------------------------------------

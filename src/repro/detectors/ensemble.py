@@ -145,6 +145,7 @@ class EnsembleDetector(Detector):
             labeled_rows = DiverSet().select(self.n_label_tuples, prepared,
                                              rng)
         labeled_rows = [int(t) for t in labeled_rows]
+        self.labeled_rows = tuple(labeled_rows)
 
         if len(self._specs) == 1:
             # Degenerate ensemble: serve the bare member, byte for byte.

@@ -1,10 +1,12 @@
 """The evaluation harness: every table and figure of the paper.
 
+* :mod:`~repro.experiments.runner` -- the one experiment driver:
+  :func:`run_task` fits one registry detector on one pair and seed and
+  scores the held-out cells; :func:`run_experiment`, the detector
+  comparison and the error-family matrix build task lists for its
+  durable executor (journal, retries, process pool, telemetry);
 * :mod:`~repro.experiments.reference` -- the paper's published numbers
   (Tables 3-5), kept as constants for side-by-side reporting;
-* :mod:`~repro.experiments.runner` -- repeated-run experiment execution
-  with timing and optional per-epoch curves, fanned out over a process
-  pool when ``n_workers`` is set (identical aggregation either way);
 * :mod:`~repro.experiments.tables` -- renderers for Tables 2, 3, 4, 5;
 * :mod:`~repro.experiments.curves` -- the Figure 6 / Figure 7 series;
 * :mod:`~repro.experiments.scale` -- scaled-down vs paper-scale settings
@@ -31,21 +33,19 @@ from repro.experiments.families import (
     save_family_matrix,
 )
 from repro.experiments.comparison import (
-    DETECTOR_LABELS,
     render_comparison,
     run_detector_comparison,
-    run_ensemble_baseline,
-    save_comparison,
 )
 from repro.experiments.journal import TaskJournal, task_key
 from repro.experiments.runner import (
+    DETECTOR_LABELS,
     ExperimentResult,
     RunResult,
     TaskFailure,
-    run_augmentation_baseline,
+    detector_config,
     run_experiment,
     run_experiment_matrix,
-    run_raha_baseline,
+    run_task,
 )
 from repro.experiments.scale import ExperimentScale, current_scale
 from repro.experiments.tables import (
@@ -61,15 +61,13 @@ __all__ = [
     "TaskFailure",
     "TaskJournal",
     "task_key",
+    "run_task",
     "run_experiment",
     "run_experiment_matrix",
-    "run_raha_baseline",
-    "run_augmentation_baseline",
+    "detector_config",
     "DETECTOR_LABELS",
     "render_comparison",
     "run_detector_comparison",
-    "run_ensemble_baseline",
-    "save_comparison",
     "FamilyCell",
     "FamilyMatrix",
     "default_family_specs",

@@ -25,8 +25,8 @@ from repro.datasets import taxonomy
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
     ExperimentResult,
-    run_experiment,
-    run_raha_baseline,
+    detector_config,
+    run_grid,
 )
 from repro.io.analyze import ColumnKind, analyze_table
 from repro.table import Table
@@ -107,11 +107,11 @@ def run_family_matrix(clean: Table, *, systems: tuple[str, ...] = ("etsb",),
                       seed: int = 0) -> FamilyMatrix:
     """Inject each family alone and evaluate every system on it.
 
-    ``systems`` may name architectures (``"tsb"``/``"etsb"``/``"attn"``),
-    ``"raha"`` for the from-scratch baseline, or ``"ensemble"`` for the
-    calibrated fusion of the default members.  Each family's pair is
-    built deterministically from ``(clean, rate, seed)``, so the matrix
-    is reproducible run to run.
+    ``systems`` are registry names (``"tsb"``/``"etsb"``/``"attn"``,
+    ``"raha"``, ``"augment"``, or ``"ensemble"`` for the calibrated
+    fusion of the default members), each choosing its own labelled
+    tuples per seed.  Each family's pair is built deterministically from
+    ``(clean, rate, seed)``, so the matrix is reproducible run to run.
     """
     specs_by_family = default_family_specs(clean, rate=rate)
     if families is not None:
@@ -121,29 +121,18 @@ def run_family_matrix(clean: Table, *, systems: tuple[str, ...] = ("etsb",),
                 f"unknown families {unknown}; known: "
                 f"{sorted(specs_by_family)}")
         specs_by_family = {f: specs_by_family[f] for f in families}
-    cells: list[FamilyCell] = []
-    for family, specs in specs_by_family.items():
-        pair = taxonomy.pair_from_taxonomy(
-            f"taxonomy-{family}", clean, specs, seed=seed)
-        for system in systems:
-            if system == "raha":
-                result = run_raha_baseline(
-                    pair, n_runs=n_runs, n_label_tuples=n_label_tuples,
-                    base_seed=seed)
-            elif system == "ensemble":
-                from repro.experiments.comparison import run_ensemble_baseline
-                result = run_ensemble_baseline(
-                    pair, n_runs=n_runs, n_label_tuples=n_label_tuples,
-                    epochs=epochs, base_seed=seed)
-            else:
-                result = run_experiment(
-                    pair, architecture=system, n_runs=n_runs,
-                    n_label_tuples=n_label_tuples, epochs=epochs,
-                    base_seed=seed)
-            cells.append(FamilyCell(
-                family=family, system=system, result=result,
-                n_errors=len(pair.errors),
-                error_rate=pair.measured_error_rate()))
+    pairs = {family: taxonomy.pair_from_taxonomy(
+                 f"taxonomy-{family}", clean, specs, seed=seed)
+             for family, specs in specs_by_family.items()}
+    results = run_grid(
+        {system: detector_config(system, n_label_tuples, {"epochs": epochs})
+         for system in systems},
+        list(pairs.values()), n_runs, base_seed=seed)
+    cells = [FamilyCell(family=family, system=system,
+                        result=results[system, pair.name],
+                        n_errors=len(pair.errors),
+                        error_rate=pair.measured_error_rate())
+             for family, pair in pairs.items() for system in systems]
     return FamilyMatrix(cells=tuple(cells),
                         families=tuple(specs_by_family),
                         systems=tuple(systems), seed=seed, rate=rate)

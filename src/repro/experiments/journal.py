@@ -31,9 +31,9 @@ _FORMAT = "repro-task-journal"
 _VERSION = 1
 
 
-def task_key(dataset: str, seed: int) -> str:
-    """The journal key of one (dataset, seed) task."""
-    return f"{dataset}:{seed}"
+def task_key(detector: str, dataset: str, seed: int) -> str:
+    """The journal key of one (detector, dataset, seed) task."""
+    return f"{detector}:{dataset}:{seed}"
 
 
 def run_result_to_json(result: "RunResult") -> dict:

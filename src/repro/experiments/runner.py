@@ -1,15 +1,15 @@
-"""Repeated-run experiment execution (Section 5.2's protocol).
+"""One experiment driver: the paper's protocol over the detector registry.
 
-``run_experiment`` trains a detector ``n_runs`` times with different
-seeds, recording precision/recall/F1, wall-clock training time and
-(optionally) per-epoch train/test accuracy for the figures.  Runs are
-independent, so ``n_workers > 1`` fans them out over a process pool;
-``run_experiment_matrix`` extends the fan-out to the full dataset x seed
-grid.  Each task derives its seed as ``base_seed + run_index`` whether it
-runs serially or in a worker, so parallel execution aggregates to the
-identical result (wall-clock timings aside).
-``run_raha_baseline`` evaluates the from-scratch Raha implementation
-under the identical 20-labelled-tuples protocol.
+Section 5.2's protocol is one loop: per seed, choose the labelled
+tuples, fit, and score the cells of the other tuples.  :func:`run_task`
+is that loop's body for any registered detector (:mod:`repro.detectors`),
+and every driver -- :func:`run_experiment`, :func:`run_experiment_matrix`,
+the cross-detector comparison and the error-family matrix -- only builds
+a task list for the one durable executor: completed-task journal,
+per-task retries and timeout, an optional process pool, and task-local
+telemetry.  Each task derives its seed as ``base_seed + run_index``
+wherever it runs, so pooled execution aggregates to the identical result
+(wall-clock timings aside).
 """
 
 from __future__ import annotations
@@ -17,42 +17,91 @@ from __future__ import annotations
 import time
 
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
-from dataclasses import asdict, dataclass, replace
+from concurrent.futures import (
+    Future,
+    ProcessPoolExecutor,
+    TimeoutError as FutureTimeout,
+)
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from repro import telemetry
-from repro.baselines.raha import RahaDetector
-
+from repro.dataprep import prepare
 from repro.datasets.base import DatasetPair
-from repro.errors import ExperimentError
+from repro.detectors import NeuralDetector, build, get
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.journal import TaskJournal, task_key
 from repro.faults import inject
 from repro.metrics import ClassificationReport, summarize
 from repro.metrics.stats import Summary
-from repro.models import ErrorDetector, ModelConfig, TrainingConfig
+from repro.models import ModelConfig, TrainingConfig
 from repro.nn import EpochEvaluator
 from repro.nn.training import predict_proba
-from repro.sampling import DiverSet, Sampler
+from repro.sampling import Sampler
 
-#: Report labels for the neural architectures (Table 3 naming).
-ARCHITECTURE_LABELS = {
+#: Report label per registry detector (Table 3 naming).
+DETECTOR_LABELS = {
     "tsb": "TSB-RNN",
     "etsb": "ETSB-RNN",
     "attn": "Attn-ED",
+    "raha": "Raha (ours)",
+    "augment": "Augment (ours)",
+    "ensemble": "Ensemble (ours)",
 }
+
+#: Ensemble members used when an experiment names bare ``"ensemble"``.
+DEFAULT_ENSEMBLE_MEMBERS = ("etsb", "raha")
+
+
+def _is_neural(name: str, track_curves: bool = False) -> bool:
+    """Whether ``name`` is a neural family; :class:`ExperimentError` for
+    an unknown name and for ``track_curves`` on any other detector."""
+    try:
+        neural = issubclass(get(name), NeuralDetector)
+    except ConfigurationError as error:
+        raise ExperimentError(str(error)) from None
+    if track_curves and not neural:
+        raise ExperimentError(
+            f"track_curves needs a neural detector (tsb, etsb, attn), "
+            f"got {name!r}")
+    return neural
+
+
+def detector_config(name: str, n_label_tuples: int = 20,
+                    training_config=None, model_config=None) -> dict:
+    """Constructor kwargs for one registry detector at an experiment scale.
+
+    Neural families take the budget plus the training/model overrides
+    (dataclasses or dicts; ``None`` keeps their defaults); other
+    detectors take the budget.  Bare ``"ensemble"`` fuses
+    :data:`DEFAULT_ENSEMBLE_MEMBERS`: neural members get the neural
+    config, the others their defaults.
+    """
+    neural: dict = {"n_label_tuples": n_label_tuples}
+    for key, value in (("training_config", training_config),
+                       ("model_config", model_config)):
+        if value is not None:
+            neural[key] = asdict(value) if is_dataclass(value) else dict(value)
+    if name == "ensemble":
+        return {"n_label_tuples": n_label_tuples, "members": [
+            (member, dict(neural) if _is_neural(member) else {})
+            for member in DEFAULT_ENSEMBLE_MEMBERS]}
+    return neural if _is_neural(name) else {"n_label_tuples": n_label_tuples}
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """One training run's outcome.
+    """One task's outcome: metrics on the held-out cells, fit time.
 
-    ``unique_cell_ratio`` and the cache counters describe the evaluation
-    prediction pass (the dedup-memoized inference engine): how many test
-    cells were duplicates and how many were served from the prediction
-    cache, keeping inference speedups observable run by run.
+    ``best_epoch``, the curves, ``unique_cell_ratio`` and the cache
+    counters are recorded for the neural families only (``None`` / empty
+    / 0 otherwise).  The inference counters describe the whole-table
+    scoring pass (the dedup-memoized inference engine): how many cells
+    were duplicates and how many were served from the prediction cache,
+    keeping inference speedups observable run by run.
 
     ``telemetry`` is the run's full metrics snapshot (the
     :meth:`repro.telemetry.MetricsRegistry.snapshot` format) when
@@ -124,19 +173,6 @@ class ExperimentResult:
         return summarize([run.train_seconds for run in self.runs])
 
     @property
-    def unique_cell_ratio(self) -> float | None:
-        """Mean unique-cell ratio of the runs' evaluation passes."""
-        ratios = [run.unique_cell_ratio for run in self.runs
-                  if run.unique_cell_ratio is not None]
-        return sum(ratios) / len(ratios) if ratios else None
-
-    @property
-    def cache_counters(self) -> tuple[int, int]:
-        """Total (hits, misses) of the runs' evaluation prediction caches."""
-        return (sum(run.cache_hits for run in self.runs),
-                sum(run.cache_misses for run in self.runs))
-
-    @property
     def merged_telemetry(self) -> dict | None:
         """All runs' telemetry snapshots merged (``None`` if none carry one).
 
@@ -159,7 +195,74 @@ class ExperimentResult:
         }
 
 
-def _execute_task(task: tuple, task_index: int, attempt: int) -> RunResult:
+@dataclass(frozen=True)
+class Task:
+    """:func:`run_task`'s arguments, as the executor queues them."""
+
+    name: str
+    config: dict
+    pair: DatasetPair
+    seed: int
+    sampler: Sampler | None = None
+    track_curves: bool = False
+
+    @property
+    def key(self) -> str:
+        """The task's journal key."""
+        return task_key(self.name, self.pair.name, self.seed)
+
+
+def run_task(name: str, config: dict, pair: DatasetPair, seed: int,
+             sampler: Sampler | None = None,
+             track_curves: bool = False) -> RunResult:
+    """Fit one registry detector on ``pair`` and score its held-out cells.
+
+    The detector is ``build(name, **config, seed=seed)``.  With
+    ``sampler=None`` it picks its own labelled tuples (``fit(pair)``):
+    the neural families, the ensemble and augment draw DiverSet rows
+    from ``default_rng(seed)`` and keep using that generator, Raha runs
+    its own sampler.  Otherwise the task draws
+    ``sampler.select(n_label_tuples, prepare(pair), default_rng(seed))``
+    and pins those rows (``fit(pair, labeled_rows=rows)``), so the
+    detector starts from a fresh generator.  Precision, recall and F1
+    cover every cell of the tuples the fit did not label.
+    ``train_seconds`` times the row choice and the fit.
+    """
+    neural = _is_neural(name, track_curves)
+    detector = build(name, **{**config, "seed": seed})
+    curves: dict[str, list[float]] = {"train_acc": [], "test_acc": []}
+    if track_curves:
+        detector.extra_callbacks = (_curve_callback(detector, curves),)
+    started = time.perf_counter()
+    if sampler is None:
+        detector.fit(pair)
+    else:
+        rows = sampler.select(detector.n_label_tuples,
+                              prepare(pair.dirty, pair.clean),
+                              np.random.default_rng(seed))
+        detector.fit(pair, labeled_rows=rows)
+    elapsed = time.perf_counter() - started
+    predictions = detector.predict_cells(pair.dirty)
+    held_out = np.setdiff1d(np.arange(pair.n_rows), detector.labeled_rows)
+    mask = np.asarray(pair.error_mask(), dtype=np.int64)
+    report = ClassificationReport.from_predictions(
+        mask[held_out].reshape(-1), predictions[held_out].reshape(-1))
+    if not neural:
+        return RunResult(seed=seed, report=report, train_seconds=elapsed,
+                         best_epoch=None)
+    fitted = detector.error_detector
+    assert fitted.checkpoint is not None
+    stats = fitted.inference_stats
+    return RunResult(
+        seed=seed, report=report, train_seconds=elapsed,
+        best_epoch=fitted.checkpoint.best_epoch,
+        train_accuracy_curve=tuple(curves["train_acc"]),
+        test_accuracy_curve=tuple(curves["test_acc"]),
+        unique_cell_ratio=round(stats.unique_ratio, 4),
+        cache_hits=stats.cache_hits, cache_misses=stats.cache_misses)
+
+
+def _execute_task(task: Task, task_index: int, attempt: int) -> RunResult:
     """One durable-executor attempt at one task, bracketed by injects.
 
     Module-level so the process pool can pickle it; runs in the worker,
@@ -167,100 +270,76 @@ def _execute_task(task: tuple, task_index: int, attempt: int) -> RunResult:
     process doing the work (workers inherit plans via ``REPRO_FAULTS``).
     The context carries the task identity and the attempt number, letting
     a chaos plan target e.g. "kill task 3" or "fail every first attempt".
+
+    With telemetry enabled the task runs under a task-local registry
+    (:func:`~repro.telemetry.run_captured`) whose snapshot is attached to
+    the result: workers never share sinks or metric objects, and the
+    parent merges the snapshots.
     """
-    context = {"task_index": task_index, "dataset": task[0].name,
-               "seed": task[6], "attempt": attempt}
+    context = {"task_index": task_index, "detector": task.name,
+               "dataset": task.pair.name, "seed": task.seed,
+               "attempt": attempt}
     inject("runner.task_start", **context)
-    result = _execute_run(*task)
-    inject("runner.task_end", **context)
-    return result
-
-
-def _execute_run(pair: DatasetPair, architecture: str,
-                 sampler: Sampler | None, n_label_tuples: int,
-                 model_config: ModelConfig | None,
-                 training_config: TrainingConfig,
-                 seed: int, track_curves: bool) -> RunResult:
-    """Train and evaluate one detector run (one task of the matrix).
-
-    A module-level function so a :class:`ProcessPoolExecutor` can pickle
-    it; seeding depends only on the arguments, never on which process
-    executes the task, so serial and parallel schedules produce the same
-    :class:`RunResult` (up to ``train_seconds`` and telemetry timings).
-
-    When telemetry is enabled the run executes under a task-local
-    :class:`~repro.telemetry.MetricsRegistry`
-    (:func:`~repro.telemetry.run_captured`) whose snapshot is attached
-    to the result -- worker processes never share sinks or metric
-    objects, so records can't interleave; the parent merges snapshots.
-    """
     result, snapshot = telemetry.run_captured(
-        _execute_run_body, pair, architecture, sampler, n_label_tuples,
-        model_config, training_config, seed, track_curves)
-    if snapshot is None:
-        return result
-    return replace(result, telemetry=snapshot)
+        run_task, task.name, task.config, task.pair, task.seed,
+        task.sampler, task.track_curves)
+    inject("runner.task_end", **context)
+    return result if snapshot is None else replace(result, telemetry=snapshot)
 
 
-def _execute_run_body(pair: DatasetPair, architecture: str,
-                      sampler: Sampler | None, n_label_tuples: int,
-                      model_config: ModelConfig | None,
-                      training_config: TrainingConfig,
-                      seed: int, track_curves: bool) -> RunResult:
-    detector = ErrorDetector(
-        architecture=architecture,
-        sampler=sampler if sampler is not None else DiverSet(),
-        n_label_tuples=n_label_tuples,
-        model_config=model_config,
-        training_config=training_config,
-        seed=seed,
-    )
-    callbacks = []
-    curve_logs: dict[str, list[float]] = {"train_acc": [], "test_acc": []}
-    if track_curves:
-        callbacks.append(_curve_callback(detector, curve_logs))
-    detector.extra_callbacks = tuple(callbacks)
-    started = time.perf_counter()
-    detector.fit(pair)
-    elapsed = time.perf_counter() - started
-    result = detector.evaluate()
-    assert detector.checkpoint is not None
-    inference = result.inference
-    return RunResult(
-        seed=seed,
-        report=result.report,
-        train_seconds=elapsed,
-        best_epoch=detector.checkpoint.best_epoch,
-        train_accuracy_curve=tuple(curve_logs["train_acc"]),
-        test_accuracy_curve=tuple(curve_logs["test_acc"]),
-        unique_cell_ratio=(None if inference is None
-                           else round(inference.unique_ratio, 4)),
-        cache_hits=0 if inference is None else inference.cache_hits,
-        cache_misses=0 if inference is None else inference.cache_misses,
-    )
+def run_grid(specs: dict[str, dict], pairs: Sequence[DatasetPair],
+             n_runs: int, base_seed: int = 0,
+             sampler: Sampler | None = None, track_curves: bool = False,
+             journal_path: str | Path | None = None, **durability,
+             ) -> dict[tuple[str, str], ExperimentResult]:
+    """Run every (pair, detector, seed) task durably; the drivers' core.
 
-
-def _journal_fingerprint(architecture: str, n_label_tuples: int,
-                         model_config: ModelConfig | None,
-                         training_config: TrainingConfig,
-                         track_curves: bool) -> dict:
-    """The configuration identity a journal is valid for.
-
-    Deliberately excludes the dataset list, seed range and worker count:
-    those select *which* tasks run or how fast, not what any one task
-    computes, so e.g. widening ``n_runs`` keeps every journalled task
-    reusable.
+    ``specs`` maps registry names to constructor configs.  Returns one
+    :class:`ExperimentResult` per (detector name, dataset name), in pair
+    then ``specs`` order.  The journal's fingerprint is the specs, the
+    sampler's name and ``track_curves``; it deliberately excludes the
+    datasets, seeds and worker count, which select *which* tasks run or
+    how fast, not what any one task computes -- so e.g. widening
+    ``n_runs`` keeps every journalled task reusable.  See
+    :func:`run_experiment` for ``journal_path`` and the other
+    ``durability`` knobs.
     """
-    return {
-        "architecture": architecture,
-        "n_label_tuples": n_label_tuples,
-        "model_config": None if model_config is None else asdict(model_config),
-        "training_config": asdict(training_config),
-        "track_curves": track_curves,
-    }
+    if n_runs < 1:
+        raise ExperimentError(f"n_runs must be >= 1, got {n_runs}")
+    names = [pair.name for pair in pairs]
+    if len(set(names)) != len(names):
+        raise ExperimentError(f"dataset names must be unique, got {names}")
+    for name in specs:
+        _is_neural(name, track_curves)
+    tasks = [Task(name, config, pair, base_seed + run_index, sampler,
+                  track_curves)
+             for pair in pairs for name, config in specs.items()
+             for run_index in range(n_runs)]
+    journal = None
+    if journal_path is not None:
+        journal = TaskJournal(journal_path, {
+            "detectors": specs,
+            "sampler": None if sampler is None else sampler.name,
+            "track_curves": track_curves})
+    runs, failures = _execute_tasks(tasks, journal=journal, **durability)
+    # Tasks run pair-major, then detector, then seed: one slice of
+    # ``n_runs`` tasks per (detector, dataset).
+    results: dict[tuple[str, str], ExperimentResult] = {}
+    for start in range(0, len(tasks), n_runs):
+        task = tasks[start]
+        result = ExperimentResult(
+            dataset=task.pair.name,
+            system=DETECTOR_LABELS.get(task.name, task.name),
+            runs=tuple(run for run in runs[start:start + n_runs]
+                       if run is not None),
+            failures=tuple(f for f in failures
+                           if start <= f.task_index < start + n_runs))
+        _publish_experiment_telemetry(result)
+        results[task.name, task.pair.name] = result
+    return results
 
 
-def run_experiment(pair: DatasetPair, architecture: str = "etsb",
+def run_experiment(pair: DatasetPair, detector: str = "etsb",
                    sampler: Sampler | None = None, n_runs: int = 10,
                    n_label_tuples: int = 20, epochs: int = 120,
                    model_config: ModelConfig | None = None,
@@ -273,25 +352,28 @@ def run_experiment(pair: DatasetPair, architecture: str = "etsb",
                    task_timeout: float | None = None,
                    journal_path: str | Path | None = None,
                    fail_fast: bool = True) -> ExperimentResult:
-    """Train and evaluate a detector ``n_runs`` times on one dataset.
+    """Fit and score one registry detector ``n_runs`` times on one dataset.
 
     Parameters
     ----------
     pair:
         The (dirty, clean) dataset.
-    architecture:
-        ``"tsb"`` or ``"etsb"``.
+    detector:
+        Registry name: ``"tsb"``, ``"etsb"``, ``"attn"``, ``"raha"``,
+        ``"augment"`` or ``"ensemble"`` (see :func:`detector_config`).
     sampler:
-        Trainset-selection algorithm (default DiverSet, as in Section 5.2).
+        ``None`` (default) lets the detector choose its labelled tuples,
+        the Table 3-5 protocol; a sampler pins its choice (see
+        :func:`run_task`).
     n_runs:
         Repetitions; each run uses seed ``base_seed + run_index``.
     n_label_tuples, epochs:
         The paper's 20 tuples and 120 epochs by default.
-    training_config:
-        Full training configuration; overrides ``epochs`` when given.
+    model_config, training_config:
+        Neural settings; ``training_config`` overrides ``epochs``.
     track_curves:
         Record per-epoch train/test accuracy (needed for Figures 6/7;
-        costs one extra evaluation pass per epoch).
+        costs one extra evaluation pass per epoch; neural families only).
     n_workers:
         Fan the runs out over this many worker processes.  ``None`` or 1
         runs serially in-process.  Aggregation is identical either way
@@ -309,90 +391,39 @@ def run_experiment(pair: DatasetPair, architecture: str = "etsb",
         ``False`` degrades gracefully, returning the successful runs
         plus :class:`TaskFailure` records.
     """
-    if n_runs < 1:
-        raise ExperimentError(f"n_runs must be >= 1, got {n_runs}")
-    config = (training_config if training_config is not None
-              else TrainingConfig(epochs=epochs))
-    tasks = [
-        (pair, architecture, sampler, n_label_tuples, model_config, config,
-         base_seed + run_index, track_curves)
-        for run_index in range(n_runs)
-    ]
-    journal = None
-    if journal_path is not None:
-        journal = TaskJournal(journal_path, _journal_fingerprint(
-            architecture, n_label_tuples, model_config, config, track_curves))
-    runs, failures = _execute_tasks(
-        tasks, n_workers, max_retries=max_retries,
+    config = detector_config(
+        detector, n_label_tuples,
+        training_config or TrainingConfig(epochs=epochs), model_config)
+    return run_grid(
+        {detector: config}, [pair], n_runs, base_seed, sampler,
+        track_curves, n_workers=n_workers, max_retries=max_retries,
         retry_backoff=retry_backoff, task_timeout=task_timeout,
-        journal=journal, fail_fast=fail_fast)
-    system = ARCHITECTURE_LABELS.get(architecture, architecture)
-    result = ExperimentResult(dataset=pair.name, system=system,
-                              runs=tuple(run for run in runs
-                                         if run is not None),
-                              failures=tuple(failures))
-    _publish_experiment_telemetry(result)
-    return result
+        journal_path=journal_path,
+        fail_fast=fail_fast)[detector, pair.name]
 
 
 def run_experiment_matrix(pairs: Sequence[DatasetPair],
-                          architecture: str = "etsb",
+                          detector: str = "etsb",
                           sampler: Sampler | None = None, n_runs: int = 10,
                           n_label_tuples: int = 20, epochs: int = 120,
                           model_config: ModelConfig | None = None,
                           training_config: TrainingConfig | None = None,
-                          base_seed: int = 0,
-                          n_workers: int | None = None,
-                          max_retries: int = 0,
-                          retry_backoff: float = 0.5,
-                          task_timeout: float | None = None,
-                          journal_path: str | Path | None = None,
-                          fail_fast: bool = True,
+                          base_seed: int = 0, **durability,
                           ) -> dict[str, ExperimentResult]:
-    """Run the full dataset x seed grid, optionally over a process pool.
+    """:func:`run_experiment` over the full dataset x seed grid.
 
     Every (dataset, run) cell is an independent task, so with
-    ``n_workers > 1`` the whole grid is interleaved across workers instead
-    of parallelising only within one dataset.  Returns one
-    :class:`ExperimentResult` per dataset, keyed and aggregated exactly as
-    ``{pair.name: run_experiment(pair, ...)}`` would produce serially.
-
-    The durability knobs (``max_retries``, ``retry_backoff``,
-    ``task_timeout``, ``journal_path``, ``fail_fast``) behave as in
-    :func:`run_experiment`; with a journal, a matrix re-invocation after
-    a crash re-runs only the tasks the journal does not yet hold.
+    ``n_workers > 1`` the whole grid is interleaved across workers.
+    Returns one :class:`ExperimentResult` per dataset, keyed and
+    aggregated exactly as ``{pair.name: run_experiment(pair, ...)}``.
+    ``durability`` takes :func:`run_experiment`'s knobs.
     """
-    if n_runs < 1:
-        raise ExperimentError(f"n_runs must be >= 1, got {n_runs}")
-    names = [pair.name for pair in pairs]
-    if len(set(names)) != len(names):
-        raise ExperimentError(f"dataset names must be unique, got {names}")
-    config = (training_config if training_config is not None
-              else TrainingConfig(epochs=epochs))
-    tasks = [
-        (pair, architecture, sampler, n_label_tuples, model_config, config,
-         base_seed + run_index, False)
-        for pair in pairs
-        for run_index in range(n_runs)
-    ]
-    journal = None
-    if journal_path is not None:
-        journal = TaskJournal(journal_path, _journal_fingerprint(
-            architecture, n_label_tuples, model_config, config, False))
-    runs, failures = _execute_tasks(
-        tasks, n_workers, max_retries=max_retries,
-        retry_backoff=retry_backoff, task_timeout=task_timeout,
-        journal=journal, fail_fast=fail_fast)
-    system = ARCHITECTURE_LABELS.get(architecture, architecture)
-    results: dict[str, ExperimentResult] = {}
-    for i, pair in enumerate(pairs):
-        chunk = runs[i * n_runs:(i + 1) * n_runs]
-        results[pair.name] = ExperimentResult(
-            dataset=pair.name, system=system,
-            runs=tuple(run for run in chunk if run is not None),
-            failures=tuple(f for f in failures if f.dataset == pair.name))
-        _publish_experiment_telemetry(results[pair.name])
-    return results
+    config = detector_config(
+        detector, n_label_tuples,
+        training_config or TrainingConfig(epochs=epochs), model_config)
+    results = run_grid({detector: config}, pairs, n_runs, base_seed,
+                        sampler, **durability)
+    return {dataset: result for (_, dataset), result in results.items()}
 
 
 def _publish_experiment_telemetry(result: ExperimentResult) -> None:
@@ -401,7 +432,7 @@ def _publish_experiment_telemetry(result: ExperimentResult) -> None:
     Each run's metrics were collected under a task-local registry
     (serial and pooled schedules alike), so the process registry only
     learns about them here -- one merge per run, then one
-    ``{"type": "experiment"}`` record per dataset.
+    ``{"type": "experiment"}`` record per (detector, dataset).
     """
     if not telemetry.enabled():
         return
@@ -410,6 +441,8 @@ def _publish_experiment_telemetry(result: ExperimentResult) -> None:
             telemetry.publish_captured(run.telemetry, run_seed=run.seed)
     if not result.runs:  # fully-degraded dataset: nothing to aggregate
         return
+    ratios = [run.unique_cell_ratio for run in result.runs
+              if run.unique_cell_ratio is not None]
     telemetry.get_registry().emit({
         "type": "experiment",
         "dataset": result.dataset,
@@ -417,19 +450,19 @@ def _publish_experiment_telemetry(result: ExperimentResult) -> None:
         "n_runs": len(result.runs),
         "f1_mean": round(result.f1.mean, 4),
         "train_seconds_mean": round(result.train_seconds.mean, 4),
-        "unique_cell_ratio": result.unique_cell_ratio,
-        "cache_hits": result.cache_counters[0],
-        "cache_misses": result.cache_counters[1],
+        "unique_cell_ratio": sum(ratios) / len(ratios) if ratios else None,
+        "cache_hits": sum(run.cache_hits for run in result.runs),
+        "cache_misses": sum(run.cache_misses for run in result.runs),
     })
 
 
-def _execute_tasks(tasks: list[tuple], n_workers: int | None,
+def _execute_tasks(tasks: list[Task], n_workers: int | None = None,
                    max_retries: int = 0, retry_backoff: float = 0.5,
                    task_timeout: float | None = None,
                    journal: TaskJournal | None = None,
                    fail_fast: bool = True,
                    ) -> tuple[list[RunResult | None], list[TaskFailure]]:
-    """Execute run tasks durably, preserving order.
+    """Execute tasks durably, preserving order.
 
     Per task: journal lookup (already-completed tasks are skipped and
     their journalled results reused), then up to ``1 + max_retries``
@@ -449,13 +482,9 @@ def _execute_tasks(tasks: list[tuple], n_workers: int | None,
     if max_retries < 0:
         raise ExperimentError(f"max_retries must be >= 0, got {max_retries}")
     if retry_backoff < 0:
-        raise ExperimentError(
-            f"retry_backoff must be >= 0, got {retry_backoff}"
-        )
+        raise ExperimentError(f"retry_backoff must be >= 0, got {retry_backoff}")
     if task_timeout is not None and task_timeout <= 0:
-        raise ExperimentError(
-            f"task_timeout must be positive, got {task_timeout}"
-        )
+        raise ExperimentError(f"task_timeout must be positive, got {task_timeout}")
     tele = telemetry.enabled()
     registry = telemetry.get_registry() if tele else None
     results: list[RunResult | None] = [None] * len(tasks)
@@ -463,9 +492,8 @@ def _execute_tasks(tasks: list[tuple], n_workers: int | None,
     completed = journal.load() if journal is not None else {}
     pending: list[int] = []
     for i, task in enumerate(tasks):
-        key = task_key(task[0].name, task[6])
-        if key in completed:
-            results[i] = completed[key]
+        if task.key in completed:
+            results[i] = completed[task.key]
             if tele:
                 registry.counter("runner.tasks_skipped").inc()
         else:
@@ -474,24 +502,24 @@ def _execute_tasks(tasks: list[tuple], n_workers: int | None,
     def finish(index: int, result: RunResult) -> None:
         results[index] = result
         if journal is not None:
-            journal.record(task_key(tasks[index][0].name, tasks[index][6]),
-                           result)
+            journal.record(tasks[index].key, result)
         if tele:
             registry.counter("runner.tasks_completed").inc()
 
     def fail(index: int, attempts: int, error: Exception) -> None:
         if tele:
             registry.counter("retry.failures").inc()
+        task = tasks[index]
         if fail_fast:
             raise ExperimentError(
-                f"task {index} ({tasks[index][0].name}, "
-                f"seed {tasks[index][6]}) failed after {attempts} "
+                f"task {index} ({task.name}, {task.pair.name}, "
+                f"seed {task.seed}) failed after {attempts} "
                 f"attempt(s): {error}"
             ) from error
         failures.append(TaskFailure(
-            task_index=index, dataset=tasks[index][0].name,
-            seed=tasks[index][6], attempts=attempts,
-            error_type=type(error).__name__, error=str(error)))
+            task_index=index, dataset=task.pair.name, seed=task.seed,
+            attempts=attempts, error_type=type(error).__name__,
+            error=str(error)))
 
     def backoff(attempt: int) -> None:
         if tele:
@@ -499,41 +527,30 @@ def _execute_tasks(tasks: list[tuple], n_workers: int | None,
         if retry_backoff > 0:
             time.sleep(retry_backoff * 2 ** (attempt - 1))
 
-    if n_workers is None or n_workers == 1 or len(pending) <= 1:
+    pool = None
+    if n_workers is not None and n_workers > 1 and len(pending) > 1:
+        pool = ProcessPoolExecutor(max_workers=min(n_workers, len(pending)))
+    with pool if pool is not None else nullcontext():
+        # Pooled: every first attempt is queued up front.  Serial: each
+        # attempt runs when its turn comes, so a kill leaves every task
+        # before it journalled.
+        submit = _run_now if pool is None else pool.submit
+        first = {} if pool is None else {
+            i: pool.submit(_execute_task, tasks[i], i, 0) for i in pending}
         for i in pending:
             for attempt in range(max_retries + 1):
                 if attempt:
                     backoff(attempt)
+                future = first.pop(i, None) \
+                    or submit(_execute_task, tasks[i], i, attempt)
                 try:
-                    result = _execute_task(tasks[i], i, attempt)
-                except Exception as error:  # kills (BaseException) propagate
-                    if attempt == max_retries:
-                        fail(i, attempt + 1, error)
-                else:
-                    if tele and attempt:
-                        registry.counter("retry.successes").inc()
-                    finish(i, result)
-                    break
-        return results, failures
-
-    workers = min(n_workers, len(pending))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {i: pool.submit(_execute_task, tasks[i], i, 0)
-                   for i in pending}
-        for i in pending:
-            for attempt in range(max_retries + 1):
-                if attempt:
-                    backoff(attempt)
-                    futures[i] = pool.submit(_execute_task, tasks[i], i,
-                                             attempt)
-                try:
-                    result = futures[i].result(timeout=task_timeout)
+                    result = future.result(timeout=task_timeout)
                 except FutureTimeout:
-                    futures[i].cancel()
+                    future.cancel()
                     if attempt == max_retries:
                         fail(i, attempt + 1, ExperimentError(
                             f"attempt exceeded task_timeout={task_timeout}s"))
-                except Exception as error:  # kills propagate, see above
+                except Exception as error:  # kills (BaseException) propagate
                     if attempt == max_retries:
                         fail(i, attempt + 1, error)
                 else:
@@ -544,15 +561,26 @@ def _execute_tasks(tasks: list[tuple], n_workers: int | None,
     return results, failures
 
 
-def _curve_callback(detector: ErrorDetector,
+def _run_now(fn, *args) -> Future:
+    """``fn(*args)`` as a completed future; ``BaseException`` propagates."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as error:
+        future.set_exception(error)
+    return future
+
+
+def _curve_callback(detector: NeuralDetector,
                     logs: dict[str, list[float]]) -> EpochEvaluator:
     """Per-epoch train/test accuracy recorder for the figure benches."""
 
     def evaluate() -> dict[str, float]:
-        assert detector.model is not None and detector.split is not None
-        split = detector.split
-        train_probs = predict_proba(detector.model, split.train.features)
-        test_probs = predict_proba(detector.model, split.test.features)
+        fitted = detector.error_detector
+        assert fitted.model is not None and fitted.split is not None
+        split = fitted.split
+        train_probs = predict_proba(fitted.model, split.train.features)
+        test_probs = predict_proba(fitted.model, split.test.features)
         train_acc = float(
             (train_probs.argmax(axis=1) == split.train.labels).mean())
         test_acc = float(
@@ -562,84 +590,3 @@ def _curve_callback(detector: ErrorDetector,
         return {"train_accuracy": train_acc, "test_accuracy": test_acc}
 
     return EpochEvaluator(evaluate)
-
-
-def run_augmentation_baseline(pair: DatasetPair, n_runs: int = 10,
-                              n_label_tuples: int = 20,
-                              base_seed: int = 0) -> ExperimentResult:
-    """Evaluate the augmentation baseline (the Rotom comparison axis).
-
-    The detector receives the same 20 labelled tuples (sampled by
-    DiverSet over the prepared data) as cell texts with labels, expands
-    them with augmentation operators and classifies every held-out cell
-    text.  Cells are treated per-column (one detector per attribute), as
-    augmentation-based systems do.
-    """
-    from repro.baselines.augment import AugmentationDetector
-    from repro.dataprep import prepare
-
-    if n_runs < 1:
-        raise ExperimentError(f"n_runs must be >= 1, got {n_runs}")
-    prepared = prepare(pair.dirty, pair.clean)
-    rows = prepared.df.to_rows()
-    runs: list[RunResult] = []
-    for run_index in range(n_runs):
-        seed = base_seed + run_index
-        rng = np.random.default_rng(seed)
-        train_ids = set(DiverSet().select(n_label_tuples, prepared, rng))
-        started = time.perf_counter()
-        y_true: list[int] = []
-        y_pred: list[int] = []
-        for attribute in prepared.attributes:
-            attr_rows = [r for r in rows if r["attribute"] == attribute]
-            train = [r for r in attr_rows if r["id_"] in train_ids]
-            test = [r for r in attr_rows if r["id_"] not in train_ids]
-            detector = AugmentationDetector(rng=rng)
-            detector.fit([r["value_x"] for r in train],
-                         [int(r["label"]) for r in train])
-            predictions = detector.predict([r["value_x"] for r in test])
-            y_true.extend(int(r["label"]) for r in test)
-            y_pred.extend(int(p) for p in predictions)
-        elapsed = time.perf_counter() - started
-        report = ClassificationReport.from_predictions(
-            np.array(y_true), np.array(y_pred))
-        runs.append(RunResult(seed=seed, report=report,
-                              train_seconds=elapsed, best_epoch=None))
-    return ExperimentResult(dataset=pair.name, system="Augment (ours)",
-                            runs=tuple(runs))
-
-
-def run_raha_baseline(pair: DatasetPair, n_runs: int = 10,
-                      n_label_tuples: int = 20,
-                      base_seed: int = 0) -> ExperimentResult:
-    """Evaluate the from-scratch Raha baseline under the same protocol.
-
-    The detector analyses the dirty table, samples ``n_label_tuples``
-    tuples, receives their ground-truth cell labels, propagates them and
-    classifies every cell.  Metrics are computed on the cells of the
-    *non-labelled* tuples, mirroring the BiRNN test split.
-    """
-    if n_runs < 1:
-        raise ExperimentError(f"n_runs must be >= 1, got {n_runs}")
-    mask = np.array(pair.error_mask())
-    runs: list[RunResult] = []
-    for run_index in range(n_runs):
-        seed = base_seed + run_index
-        rng = np.random.default_rng(seed)
-        detector = RahaDetector(rng=rng)
-        started = time.perf_counter()
-        detector.analyze(pair.dirty, n_labels=n_label_tuples)
-        labeled_rows = detector.sample_tuples(n_label_tuples)
-        predictions = detector.fit_predict(
-            labeled_rows, mask[labeled_rows].astype(np.int64))
-        elapsed = time.perf_counter() - started
-        test_rows = np.array([i for i in range(pair.n_rows)
-                              if i not in set(labeled_rows)])
-        report = ClassificationReport.from_predictions(
-            mask[test_rows].astype(np.int64).reshape(-1),
-            predictions[test_rows].reshape(-1),
-        )
-        runs.append(RunResult(seed=seed, report=report,
-                              train_seconds=elapsed, best_epoch=None))
-    return ExperimentResult(dataset=pair.name, system="Raha (ours)",
-                            runs=tuple(runs))

@@ -187,11 +187,25 @@ class ErrorDetector:
 
     def fit_tables(self, dirty: Table, clean: Table,
                    checkpoint_path: "str | Path | None" = None,
-                   resume_from: "str | Path | None" = None) -> "ErrorDetector":
-        """Fit from explicit dirty/clean tables (ground-truth labelling)."""
+                   resume_from: "str | Path | None" = None,
+                   train_ids: Sequence[int] | None = None) -> "ErrorDetector":
+        """Fit from explicit dirty/clean tables (ground-truth labelling).
+
+        The sampler picks ``n_label_tuples`` tuples with
+        ``default_rng(seed)`` and training continues that generator.
+        ``train_ids`` instead pins the labelled tuples -- exactly
+        ``n_label_tuples`` distinct ids present in the data -- and
+        training starts from a fresh ``default_rng(seed)``.
+        """
         prepared = prepare(dirty, clean)
         rng = np.random.default_rng(self.seed)
-        train_ids = self.sampler.select(self.n_label_tuples, prepared, rng)
+        if train_ids is None:
+            train_ids = self.sampler.select(self.n_label_tuples, prepared,
+                                            rng)
+        elif len(train_ids) != self.n_label_tuples:
+            raise ConfigurationError(
+                f"{len(train_ids)} train_ids given for n_label_tuples="
+                f"{self.n_label_tuples}")
         split = split_by_tuple_ids(prepared, train_ids)
         return self._train(prepared, split, rng,
                            checkpoint_path=checkpoint_path,

@@ -12,7 +12,9 @@ same :class:`~repro.detectors.base.Detector` contract, parametrized over
   ``save``/``load``;
 * the ``type(d)(**d.config())`` rebuild identity and JSON-serialisable
   configs;
-* ``NotFittedError`` before ``fit``.
+* ``NotFittedError`` before ``fit``;
+* ``labeled_rows`` records the tuples ``fit`` labelled, sampled or
+  pinned.
 
 Registering a detector is all it takes to be covered here.
 """
@@ -113,6 +115,20 @@ class TestConformance:
         detector = get(name).example(seed=SEED)
         with pytest.raises(NotFittedError):
             detector.score_cells(pair.dirty)
+
+    def test_fit_records_labeled_rows(self, name, backend, pair, fitted):
+        detector, _ = fitted(name, backend)
+        rows = detector.labeled_rows
+        assert isinstance(rows, tuple)
+        assert all(type(row) is int for row in rows)
+        assert len(set(rows)) == len(rows) == detector.n_label_tuples
+        assert set(rows) <= set(range(pair.dirty.n_rows))
+        assert get(name).example(seed=SEED).labeled_rows is None
+        pinned = [9, 2, 30, 17, 5, 21]
+        with use_backend(backend):
+            refit = get(name).example(seed=SEED).fit(pair,
+                                                     labeled_rows=pinned)
+        assert refit.labeled_rows == tuple(pinned)
 
     def test_fingerprint_changes_with_fitted_state(self, name, backend,
                                                    fitted):

@@ -12,7 +12,7 @@ from repro.experiments import (
     false_negatives,
     hardest_attributes,
     render_breakdown,
-    run_augmentation_baseline,
+    run_experiment,
 )
 from repro.models import ErrorDetector, ModelConfig, TrainingConfig
 
@@ -106,7 +106,7 @@ class TestFalseNegatives:
 class TestAugmentationBaselineRunner:
     def test_runs_and_scores(self):
         pair = load("beers", n_rows=80, seed=1)
-        result = run_augmentation_baseline(pair, n_runs=2, n_label_tuples=10)
+        result = run_experiment(pair, "augment", n_runs=2, n_label_tuples=10)
         assert result.system == "Augment (ours)"
         assert len(result.runs) == 2
         assert 0.0 <= result.f1.mean <= 1.0
@@ -114,10 +114,10 @@ class TestAugmentationBaselineRunner:
     def test_catches_formatting_errors(self):
         """Suffix-style FI errors are easy for the n-gram classifier."""
         pair = load("beers", n_rows=120, seed=1)
-        result = run_augmentation_baseline(pair, n_runs=1, n_label_tuples=20)
+        result = run_experiment(pair, "augment", n_runs=1, n_label_tuples=20)
         assert result.f1.mean > 0.5
 
     def test_invalid_runs_rejected(self):
         pair = load("beers", n_rows=40, seed=1)
         with pytest.raises(ExperimentError):
-            run_augmentation_baseline(pair, n_runs=0)
+            run_experiment(pair, "augment", n_runs=0)

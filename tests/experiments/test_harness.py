@@ -14,7 +14,6 @@ from repro.experiments import (
     render_table4,
     render_table5,
     run_experiment,
-    run_raha_baseline,
 )
 from repro.experiments.curves import render_curve
 from repro.experiments.reference import PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLE5
@@ -34,7 +33,7 @@ def pair():
 
 @pytest.fixture(scope="module")
 def result(pair):
-    return run_experiment(pair, architecture="etsb", n_runs=2,
+    return run_experiment(pair, "etsb", n_runs=2,
                           n_label_tuples=6, epochs=4, model_config=TINY,
                           track_curves=True)
 
@@ -82,7 +81,7 @@ class TestRunner:
             run_experiment(pair, n_runs=0)
 
     def test_raha_baseline_runs(self, pair):
-        result = run_raha_baseline(pair, n_runs=2, n_label_tuples=6)
+        result = run_experiment(pair, "raha", n_runs=2, n_label_tuples=6)
         assert result.system == "Raha (ours)"
         assert len(result.runs) == 2
         assert 0.0 <= result.f1.mean <= 1.0

@@ -13,7 +13,12 @@ import pytest
 
 from repro import telemetry
 from repro.errors import ExperimentError
-from repro.experiments import TaskJournal, run_experiment, task_key
+from repro.experiments import (
+    TaskJournal,
+    run_detector_comparison,
+    run_experiment,
+    task_key,
+)
 from repro.experiments.journal import run_result_from_json, run_result_to_json
 from repro.faults import (
     FAULTS_ENV_VAR,
@@ -151,7 +156,7 @@ class TestJournal:
         run_experiment(pair, **{**SETTINGS, "n_runs": 2},
                        journal_path=journal_path)
         with open(journal_path, "a", encoding="utf-8") as handle:
-            handle.write('{"type": "task", "key": "hospital:2", "res')
+            handle.write('{"type": "task", "key": "etsb:hospital:2", "res')
         resumed = run_experiment(pair, **SETTINGS, journal_path=journal_path)
         assert reports(resumed) == reports(reference)
 
@@ -171,9 +176,9 @@ class TestJournal:
         journal = TaskJournal(tmp_path / "j.jsonl", {"config": 1})
         assert journal.load() == {}
         run = reference.runs[0]
-        journal.record(task_key("hospital", run.seed), run)
+        journal.record(task_key("etsb", "hospital", run.seed), run)
         reloaded = TaskJournal(tmp_path / "j.jsonl", {"config": 1}).load()
-        assert reloaded == {task_key("hospital", run.seed): run}
+        assert reloaded == {task_key("etsb", "hospital", run.seed): run}
 
 
 @pytest.mark.chaos
@@ -218,3 +223,25 @@ class TestChaosSweep:
         resumed = run_experiment(pair, **SETTINGS, n_workers=2,
                                  journal_path=journal_path)
         assert reports(resumed) == reports(reference)
+
+    def test_comparison_kill_every_task_index_then_resume(self, tmp_path,
+                                                          pair):
+        """One journal holds a whole comparison: its keys name the
+        detector, so a killed sweep resumes every detector's row."""
+        settings = dict(detectors=("etsb", "raha"), n_runs=2,
+                        n_label_tuples=6, epochs=2)
+        reference = run_detector_comparison(pair, **settings)
+        for kill_index in range(4):
+            journal_path = tmp_path / f"comparison-{kill_index}.jsonl"
+            plan = FaultPlan([FaultSpec(point="runner.task_start",
+                                        action="kill",
+                                        match={"task_index": kill_index})])
+            with use_plan(plan):
+                with pytest.raises(WorkerKilled):
+                    run_detector_comparison(pair, **settings,
+                                            journal_path=journal_path)
+            resumed = run_detector_comparison(pair, **settings,
+                                              journal_path=journal_path)
+            for name, result in reference.items():
+                assert reports(resumed[name]) == reports(result)
+                assert resumed[name].failures == ()

@@ -17,7 +17,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from repro.datasets import DATASET_NAMES, load
-from repro.models import ErrorDetector, ModelConfig, TrainingConfig
+from repro.experiments import run_task
+from repro.models import ModelConfig, TrainingConfig
 
 GOLDEN_PATH = Path(__file__).with_name("golden_metrics.json")
 
@@ -33,34 +34,22 @@ TINY = ModelConfig(char_embed_dim=6, value_units=8, attr_embed_dim=3,
                    attr_units=3, length_dense_units=6, head_units=8,
                    attn_dim=6)
 TRAINING = TrainingConfig(epochs=2)
-
-
-def _compute_ensemble_cell(dataset: str) -> dict:
-    """Exact comparison-protocol metrics for the tiny fused ensemble."""
-    from repro.experiments.comparison import run_detector_comparison
-
-    pair = load(dataset, n_rows=N_ROWS, seed=SEED)
-    neural = {"model_config": asdict(TINY),
-              "training_config": asdict(TRAINING), "n_label_tuples": 6}
-    results = run_detector_comparison(
-        pair, detectors=("ensemble",), n_runs=1, n_label_tuples=6,
-        base_seed=SEED,
-        detector_configs={"ensemble": {
-            "members": [("etsb", neural), ("raha", {"n_label_tuples": 6})],
-            "n_label_tuples": 6}})
-    return asdict(results["ensemble"].runs[0].report)
+NEURAL = {"n_label_tuples": 6, "model_config": asdict(TINY),
+          "training_config": asdict(TRAINING)}
+#: Registry config per golden system; every cell picks its own labelled
+#: tuples (DiverSet), as Tables 3-5 do.
+CONFIGS = {
+    **{arch: NEURAL for arch in ARCHITECTURES},
+    "ensemble": {"members": [("etsb", NEURAL), ("raha", {"n_label_tuples": 6})],
+                 "n_label_tuples": 6},
+}
 
 
 def compute_cell(dataset: str, system: str) -> dict:
-    """Exact test-set metrics for one (dataset, system) cell."""
-    if system == "ensemble":
-        return _compute_ensemble_cell(dataset)
+    """Exact held-out metrics for one (dataset, system) cell, computed
+    through the experiment runner's one task."""
     pair = load(dataset, n_rows=N_ROWS, seed=SEED)
-    detector = ErrorDetector(architecture=system, n_label_tuples=6,
-                             model_config=TINY, training_config=TRAINING,
-                             seed=SEED)
-    detector.fit(pair)
-    return asdict(detector.evaluate().report)
+    return asdict(run_task(system, CONFIGS[system], pair, SEED).report)
 
 
 def compute_golden() -> dict:
