@@ -50,15 +50,15 @@ INJECTION_POINTS: dict[str, InjectionPoint] = {
         ),
         InjectionPoint(
             "runner.task_start",
-            "Experiment runner, before a (dataset, seed) task trains "
-            "(simulates a worker dying on pickup).",
-            ("task_index", "dataset", "seed", "attempt"),
+            "Experiment runner, before a (detector, dataset, seed) task "
+            "fits (simulates a worker dying on pickup).",
+            ("task_index", "detector", "dataset", "seed", "attempt"),
         ),
         InjectionPoint(
             "runner.task_end",
-            "Experiment runner, after a task trained but before its "
-            "result is recorded (simulates losing a finished run).",
-            ("task_index", "dataset", "seed", "attempt"),
+            "Experiment runner, after a task fitted and scored but before "
+            "its result is recorded (simulates losing a finished run).",
+            ("task_index", "detector", "dataset", "seed", "attempt"),
         ),
         InjectionPoint(
             "cache.lookup",
