@@ -38,8 +38,7 @@ _SECTIONS: tuple[tuple[str, str, str], ...] = (
      "scales with attributes x max value length: the GPU Keras model pads "
      "every batch to the longest value. On CPU the fused kernels run "
      "packed sequences, so measured cost follows the live characters of "
-     "each batch instead. The measured column was recorded before the "
-     "kernels ran packed sequences and has not been re-measured since."),
+     "each batch instead."),
     ("fig6_learning_curves.csv", "Figure 6 — test accuracy during training",
      "Per-epoch mean test accuracy with 95% confidence intervals over "
      "repeated runs, plus the checkpoint-selected best epochs. Both "
