@@ -1,6 +1,6 @@
 """The evaluation harness: every table and figure of the paper.
 
-* :mod:`~repro.experiments.runner` -- the one experiment driver:
+* :mod:`~repro.experiments.runner` -- one task for every experiment:
   :func:`run_task` fits one registry detector on one pair and seed and
   scores the held-out cells; :func:`run_experiment`, the detector
   comparison and the error-family matrix build task lists for its

@@ -1,15 +1,15 @@
-"""One experiment driver: the paper's protocol over the detector registry.
+"""One task for every experiment: the paper's protocol over the registry.
 
 Section 5.2's protocol is one loop: per seed, choose the labelled
 tuples, fit, and score the cells of the other tuples.  :func:`run_task`
 is that loop's body for any registered detector (:mod:`repro.detectors`),
-and every driver -- :func:`run_experiment`, :func:`run_experiment_matrix`,
-the cross-detector comparison and the error-family matrix -- only builds
-a task list for the one durable executor: completed-task journal,
-per-task retries and timeout, an optional process pool, and task-local
-telemetry.  Each task derives its seed as ``base_seed + run_index``
-wherever it runs, so pooled execution aggregates to the identical result
-(wall-clock timings aside).
+and every entry point -- :func:`run_experiment`,
+:func:`run_experiment_matrix`, the cross-detector comparison and the
+error-family matrix -- only builds a task list for the one durable
+executor: completed-task journal, per-task retries and timeout, an
+optional process pool, and task-local telemetry.  Each task derives its
+seed as ``base_seed + run_index`` wherever it runs, so pooled execution
+aggregates to the identical result (wall-clock timings aside).
 """
 
 from __future__ import annotations
@@ -292,7 +292,7 @@ def run_grid(specs: dict[str, dict], pairs: Sequence[DatasetPair],
              sampler: Sampler | None = None, track_curves: bool = False,
              journal_path: str | Path | None = None, **durability,
              ) -> dict[tuple[str, str], ExperimentResult]:
-    """Run every (pair, detector, seed) task durably; the drivers' core.
+    """Run every (pair, detector, seed) task durably.
 
     ``specs`` maps registry names to constructor configs.  Returns one
     :class:`ExperimentResult` per (detector name, dataset name), in pair

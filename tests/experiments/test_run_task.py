@@ -1,11 +1,11 @@
-"""The one experiment driver: ``run_task`` over the detector registry.
+"""One task for every experiment: ``run_task`` over the detector registry.
 
 Every experiment -- the Table 3-5 runs, the comparison, the family
 matrix -- is a list of ``(detector, config, pair, seed)`` tasks run by
 the runner's durable executor.  These tests pin the task's two
 labelled-row rules, the detectors' neural-only fields, pooled execution
 of non-neural detectors, and equality with the bespoke Raha and
-augmentation loops the driver replaced.
+augmentation loops ``run_task`` replaced.
 """
 
 import time
