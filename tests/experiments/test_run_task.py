@@ -150,6 +150,23 @@ class TestLabelledRowRules:
                                 train_ids=[0, 1, 10_000])
 
 
+    def test_family_matrix_cells_are_single_detector_experiments(self):
+        from repro.datasets import taxonomy
+        from repro.experiments import default_family_specs, run_family_matrix
+        clean = load("beers", n_rows=40, seed=1).clean
+        matrix = run_family_matrix(
+            clean, systems=("etsb", "raha"), families=("missing",),
+            n_runs=1, n_label_tuples=6, epochs=2, seed=3)
+        pair = taxonomy.pair_from_taxonomy(
+            "taxonomy-missing", clean, default_family_specs(clean)["missing"],
+            seed=3)
+        for system in ("etsb", "raha"):
+            alone = run_experiment(pair, system, n_runs=1, n_label_tuples=6,
+                                   epochs=2, base_seed=3)
+            assert reports(matrix.cell("missing", system).result) == \
+                reports(alone)
+
+
 class TestNeuralOnlyFields:
     def test_neural_runs_carry_epochs_and_inference_counters(self, pair):
         result = run_experiment(pair, "etsb", **SETTINGS)
