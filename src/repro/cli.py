@@ -491,10 +491,11 @@ def cmd_benchmark(args) -> int:
             pair, detector=args.arch, n_runs=args.runs,
             n_label_tuples=args.tuples, epochs=args.epochs,
             model_config=ModelConfig(cell_type=args.cell), **durability)}
-    failures = [f for result in results.values() for f in result.failures]
-    for failure in failures:
-        print(f"FAILED task {failure.task_index} "
-              f"(seed {failure.seed}) after {failure.attempts} "
+    failures = [(name, failure) for name, result in results.items()
+                for failure in result.failures]
+    for name, failure in failures:
+        print(f"FAILED task {failure.task_index} ({name}, "
+              f"seed {failure.seed}) after {failure.attempts} "
               f"attempt(s): {failure.error_type}: {failure.error}",
               file=sys.stderr)
     completed = {name: result for name, result in results.items()

@@ -27,8 +27,6 @@ def run_detector_comparison(pair: DatasetPair,
                                                           "ensemble"),
                             n_runs: int = 3, n_label_tuples: int = 20,
                             epochs: int | None = None,
-                            model_config: dict | None = None,
-                            detector_configs: dict[str, dict] | None = None,
                             base_seed: int = 0,
                             **durability) -> dict[str, ExperimentResult]:
     """Run every named detector over shared labelled rows, per seed.
@@ -37,12 +35,9 @@ def run_detector_comparison(pair: DatasetPair,
     ----------
     detectors:
         Registry names (see :func:`repro.detectors.list_detectors`).
-    epochs, model_config:
-        Comparison-scale overrides threaded into every neural detector
-        (and the ensemble's neural members); ``None`` keeps defaults.
-    detector_configs:
-        Per-name constructor overrides, replacing the defaults entirely
-        for that detector (``seed`` is still managed per run).
+    epochs:
+        Threaded into every neural detector (and the ensemble's neural
+        members); ``None`` keeps their default.
     base_seed:
         Run ``i`` uses seed ``base_seed + i`` for sampling and fitting.
     durability:
@@ -50,11 +45,8 @@ def run_detector_comparison(pair: DatasetPair,
         (``n_workers``, ``max_retries``, ``journal_path``, ...); one
         journal holds the whole comparison.
     """
-    overrides = detector_configs or {}
     training = None if epochs is None else {"epochs": epochs}
-    specs = {name: (dict(overrides[name]) if name in overrides
-                    else detector_config(name, n_label_tuples, training,
-                                         model_config))
+    specs = {name: detector_config(name, n_label_tuples, training)
              for name in detectors}
     results = run_grid(specs, [pair], n_runs, base_seed, DiverSet(),
                        **durability)

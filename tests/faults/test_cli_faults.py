@@ -90,3 +90,18 @@ class TestFaultsRun:
         captured = capsys.readouterr()
         assert "FAILED task 1" in captured.err
         assert "F1" in captured.out  # partial aggregate still printed
+
+    def test_degraded_comparison_names_the_detector(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        FaultPlan([FaultSpec(point="runner.task_start", action="raise",
+                             match={"detector": "raha"})]).save(plan_path)
+        code = main(["faults", "run", "--plan", str(plan_path),
+                     "--max-retries", "1", "--detectors", "etsb,raha",
+                     *BENCH])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "FAILED task 2 (raha, seed 0)" in captured.err
+        assert "FAILED task 3 (raha, seed 1)" in captured.err
+        assert "(etsb," not in captured.err
+        assert "ETSB-RNN" in captured.out  # the completed detector's row
+        assert "Raha" not in captured.out
