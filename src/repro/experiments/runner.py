@@ -225,22 +225,26 @@ def run_task(name: str, config: dict, pair: DatasetPair, seed: int,
     ``sampler.select(n_label_tuples, prepare(pair), default_rng(seed))``
     and pins those rows (``fit(pair, labeled_rows=rows)``), so the
     detector starts from a fresh generator.  Precision, recall and F1
-    cover every cell of the tuples the fit did not label.
-    ``train_seconds`` times the row choice and the fit.
+    cover every cell of the tuples the fit did not label, against one
+    ground truth for every detector: ``pair.error_mask()``, which
+    compares whole values.  A difference past ``prepare``'s 128-character
+    cut is therefore an error here, though the neural input never shows
+    it and :meth:`~repro.models.ErrorDetector.evaluate`'s labels (cut
+    values) call it clean.  ``train_seconds`` times ``fit`` alone: under
+    ``sampler=None`` that includes the detector's own row choice, while
+    a sampler's choice (the same rows for every detector of a
+    comparison) is made before the clock starts.
     """
     neural = _is_neural(name, track_curves)
     detector = build(name, **{**config, "seed": seed})
     curves: dict[str, list[float]] = {"train_acc": [], "test_acc": []}
     if track_curves:
         detector.extra_callbacks = (_curve_callback(detector, curves),)
+    rows = None if sampler is None else sampler.select(
+        detector.n_label_tuples, prepare(pair.dirty, pair.clean),
+        np.random.default_rng(seed))
     started = time.perf_counter()
-    if sampler is None:
-        detector.fit(pair)
-    else:
-        rows = sampler.select(detector.n_label_tuples,
-                              prepare(pair.dirty, pair.clean),
-                              np.random.default_rng(seed))
-        detector.fit(pair, labeled_rows=rows)
+    detector.fit(pair, labeled_rows=rows)
     elapsed = time.perf_counter() - started
     predictions = detector.predict_cells(pair.dirty)
     held_out = np.setdiff1d(np.arange(pair.n_rows), detector.labeled_rows)

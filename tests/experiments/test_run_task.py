@@ -17,6 +17,7 @@ from repro.baselines.augment import AugmentationDetector
 from repro.baselines.raha import RahaDetector
 from repro.dataprep import prepare
 from repro.datasets import load
+from repro.datasets.base import DatasetPair
 from repro.errors import ExperimentError
 from repro.experiments import (
     detector_config,
@@ -28,6 +29,7 @@ from repro.faults import FaultPlan, FaultSpec, use_plan
 from repro.metrics import ClassificationReport
 from repro.models import ErrorDetector, ModelConfig, TrainingConfig
 from repro.sampling import DiverSet, RandomSet
+from repro.table import Table
 
 TINY = ModelConfig(char_embed_dim=6, value_units=8, attr_embed_dim=3,
                    attr_units=3, length_dense_units=6, head_units=8)
@@ -167,6 +169,38 @@ class TestLabelledRowRules:
                 reports(alone)
 
 
+class TestGroundTruth:
+    """Every detector is scored against ``pair.error_mask()``, which
+    compares whole values -- also past the 128 characters ``prepare``
+    keeps, where the neural input stops."""
+
+    HELD_OUT = 12  # 16 tuples, 4 labelled
+
+    @pytest.fixture(scope="class")
+    def long_pair(self):
+        """Every ``code`` cell has a typo; every ``note`` differs from
+        its clean value only after character 130."""
+        stem = "x" * 130
+        clean = Table({"code": [f"c{i:02d}" for i in range(16)],
+                       "note": [stem + "ok"] * 16})
+        dirty = Table({"code": [f"c{i:02d}!" for i in range(16)],
+                       "note": [stem + "no"] * 16})
+        return DatasetPair(name="long", dirty=dirty, clean=clean)
+
+    @pytest.mark.parametrize("name", ["etsb", "raha", "augment"])
+    def test_a_difference_past_the_cut_is_an_error(self, long_pair, name):
+        config = detector_config(name, 4, TrainingConfig(epochs=1), TINY)
+        report = run_task(name, config, long_pair, seed=0).report
+        assert report.tp + report.fn == 2 * self.HELD_OUT
+
+    def test_evaluate_labels_the_cut_values(self, long_pair):
+        detector = ErrorDetector(architecture="etsb", seed=0,
+                                 n_label_tuples=4, model_config=TINY,
+                                 training_config=TrainingConfig(epochs=1))
+        report = detector.fit(long_pair).evaluate().report
+        assert report.tp + report.fn == self.HELD_OUT  # the typos only
+
+
 class TestNeuralOnlyFields:
     def test_neural_runs_carry_epochs_and_inference_counters(self, pair):
         result = run_experiment(pair, "etsb", **SETTINGS)
@@ -238,3 +272,15 @@ class TestTaskIdentity:
         started = time.perf_counter()
         run = run_task("raha", {"n_label_tuples": 6}, pair, 0)
         assert 0.0 < run.train_seconds <= time.perf_counter() - started
+
+    def test_a_samplers_choice_is_not_timed(self, pair):
+        class SlowDiverSet(DiverSet):
+            def select(self, *args):
+                time.sleep(0.3)
+                return super().select(*args)
+
+        started = time.perf_counter()
+        run = run_task("raha", {"n_label_tuples": 6}, pair, 0,
+                       sampler=SlowDiverSet())
+        assert 0.0 < run.train_seconds <= \
+            time.perf_counter() - started - 0.3
