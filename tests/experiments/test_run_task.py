@@ -115,7 +115,9 @@ class TestLabelledRowRules:
 
     def test_own_rows_equal_error_detector_evaluate(self, pair):
         """``sampler=None``: the neural task is ``ErrorDetector`` with
-        DiverSet, scored on the whole table, restricted to held-out rows."""
+        DiverSet, scored on the whole table, restricted to held-out rows.
+        The reports agree while no value runs past 128 characters (see
+        :class:`TestGroundTruth`)."""
         run = run_task("etsb", dict(self.NEURAL), pair, seed=3)
         detector = ErrorDetector(architecture="etsb", seed=3, **self.NEURAL)
         assert run.report == detector.fit(pair).evaluate().report
