@@ -18,9 +18,9 @@ def _as_binary(values, name: str) -> np.ndarray:
     array = np.asarray(values)
     if array.ndim != 1:
         raise ExperimentError(f"{name} must be 1-d, got shape {array.shape}")
-    unique = set(np.unique(array).tolist())
-    if not unique <= {0, 1}:
-        raise ExperimentError(f"{name} must contain only 0/1, got values {sorted(unique)}")
+    if not np.all((array == 0) | (array == 1)):
+        raise ExperimentError(f"{name} must contain only 0/1, got values "
+                              f"{sorted(set(array.tolist()))}")
     return array.astype(np.int64)
 
 

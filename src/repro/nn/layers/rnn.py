@@ -319,7 +319,9 @@ PLAN_CHARS = 8192
 def _reversed_live(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Each row's live codes in reverse order, right-padded with 0."""
     out = np.zeros_like(codes)
-    for length in np.unique(lengths).tolist():
+    # The distinct lengths, ascending (a plain np.unique would import
+    # numpy.ma on first use).
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
         rows = np.flatnonzero(lengths == length)
         out[rows, :length] = codes[rows, length - 1::-1]
     return out
