@@ -97,6 +97,8 @@ class EnsembleDetector(Detector):
         One of :data:`~repro.detectors.calibration.CALIBRATION_METHODS`.
     n_label_tuples:
         Labelled budget when ``fit`` picks its own rows (DiverSet).
+    seed:
+        Seeds DiverSet and every member whose spec sets no ``seed``.
 
     The cross-fit member fits run in forked workers, one per CPU the
     process may use (:func:`repro.forkpool.fork_map`), or inline on one
@@ -129,10 +131,16 @@ class EnsembleDetector(Detector):
 
     # -- fitting ------------------------------------------------------------
 
+    def _seeded(self, spec: MemberSpec) -> MemberSpec:
+        """``spec`` with the ensemble's seed, unless the spec sets one."""
+        name, config = spec
+        return name, {"seed": self.seed, **config}
+
     def _cross_fit_scores(self, pair: DatasetPair,
                           folds: tuple[list[int], list[int]]) -> list[np.ndarray]:
         """Per-member full-table score grids, one per (member, fold)."""
-        tasks = [(spec, fit_rows) for spec in self._specs for fit_rows in folds]
+        tasks = [(self._seeded(spec), fit_rows) for spec in self._specs
+                 for fit_rows in folds]
         return forkpool.fork_map(
             lambda task: _fold_fit_scores(task[0], pair, task[1]), tasks,
             forkpool.cpu_count())
@@ -149,7 +157,8 @@ class EnsembleDetector(Detector):
 
         if len(self._specs) == 1:
             # Degenerate ensemble: serve the bare member, byte for byte.
-            member = build(self._specs[0][0], **self._specs[0][1])
+            name, config = self._seeded(self._specs[0])
+            member = build(name, **config)
             member.fit(pair, labeled_rows=labeled_rows)
             self._members = [member]
             self._calibrators = [IdentityCalibrator()]
@@ -182,7 +191,7 @@ class EnsembleDetector(Detector):
         fused = sum(calibrated) / len(calibrated)
 
         self._members = []
-        for name, config in self._specs:
+        for name, config in map(self._seeded, self._specs):
             member = build(name, **config)
             member.fit(pair, labeled_rows=labeled_rows)
             self._members.append(member)
@@ -281,7 +290,8 @@ class EnsembleDetector(Detector):
         ensemble = cls(**{**settings, "members": [
             tuple(m) for m in settings["members"]]})
         ensemble._members = []
-        for i, (name, config) in enumerate(ensemble._specs):
+        for i, (name, config) in enumerate(map(ensemble._seeded,
+                                               ensemble._specs)):
             loaded = get(name).load(path / f"member_{i}.npz")
             # Rebuild from the spec so config() (and hence the
             # fingerprint) matches the saving instance exactly, then

@@ -23,10 +23,13 @@ from repro.datasets import load
 from repro.detectors import (
     EnsembleDetector,
     IdentityCalibrator,
+    build,
     fit_calibrator,
     get,
     restore_calibrator,
 )
+from repro.detectors import ensemble as ensemble_module
+from repro.experiments.runner import detector_config
 
 SEED = 0
 
@@ -149,3 +152,51 @@ class TestEnsembleFusionContracts:
         scores = ensemble.score_cells(pair.dirty)
         assert float(scores.min()) >= 0.0
         assert float(scores.max()) <= 1.0
+
+
+class TestMemberSeeds:
+    """The ensemble's seed reaches every member it builds -- the fold
+    fits, the final members and a loaded archive's -- unless a member's
+    spec sets its own."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return load("beers", n_rows=30, seed=SEED)
+
+    @staticmethod
+    def fitted_seeds(pair, **config):
+        """The ensemble fitted inline, and ``(name, seed)`` of every
+        member it built."""
+        built = []
+        real = ensemble_module.build
+
+        def spy(name, **member_config):
+            member = real(name, **member_config)
+            built.append((name, member.seed))
+            return member
+
+        with mock.patch.object(forkpool, "cpu_count", return_value=1), \
+                mock.patch.object(ensemble_module, "build", spy):
+            ensemble = build("ensemble", **config).fit(
+                pair, labeled_rows=[0, 4, 9, 13, 18, 22])
+        return ensemble, built
+
+    def test_members_fit_with_the_ensembles_seed(self, pair, tmp_path):
+        config = {**detector_config("ensemble", 6, {"epochs": 1}),
+                  "seed": 1}
+        ensemble, built = self.fitted_seeds(pair, **config)
+        # Two fold fits and one final fit per member.
+        assert sorted(built) == [("etsb", 1)] * 3 + [("raha", 1)] * 3
+        assert [member.seed for member in ensemble._members] == [1, 1]
+        ensemble.save(tmp_path / "ensemble")
+        loaded = EnsembleDetector.load(tmp_path / "ensemble")
+        assert [member.seed for member in loaded._members] == [1, 1]
+        assert loaded.fingerprint() == ensemble.fingerprint()
+
+    def test_a_members_own_seed_wins(self, pair):
+        _, built = self.fitted_seeds(
+            pair, members=["raha", ("etsb", {"seed": 5, "n_label_tuples": 6,
+                                             "training_config": {
+                                                 "epochs": 1}})],
+            n_label_tuples=6, seed=2)
+        assert sorted(built) == [("etsb", 5)] * 3 + [("raha", 2)] * 3
