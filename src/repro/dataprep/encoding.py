@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dataprep.pipeline import PreparedData, _normalise_cell, length_ratio
+from repro import telemetry
+from repro.dataprep.pipeline import (
+    CellKeys,
+    PreparedData,
+    first_occurrence_ids,
+    _normalise_cell,
+    length_ratio,
+)
 from repro.errors import DataError
 from repro.inference.index import DedupIndex, build_dedup_index
 from repro.table import Table
@@ -96,14 +103,6 @@ class EncodedCells:
         )
 
 
-def _first_occurrence_ids(items: Sequence) -> tuple[np.ndarray, list]:
-    """Each item's index among the distinct items, in first-seen order."""
-    first: dict = {}
-    ids = np.fromiter((first.setdefault(item, len(first)) for item in items),
-                      dtype=np.int64, count=len(items))
-    return ids, list(first)
-
-
 def encode_values(prepared: PreparedData, values: Sequence,
                   attributes: Sequence[str], unknown: str = "skip",
                   ) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -120,12 +119,12 @@ def encode_values(prepared: PreparedData, values: Sequence,
     if len(values) != len(attributes):
         raise DataError(
             f"{len(values)} values but {len(attributes)} attributes")
-    attr_ids, distinct_attrs = _first_occurrence_ids(attributes)
+    attr_ids, distinct_attrs = first_occurrence_ids(attributes)
     attr_index = np.array([prepared.attribute_index.index_of(name)
                            for name in distinct_attrs], dtype=np.int64)
     longest = np.array([prepared.longest[name] for name in distinct_attrs],
                        dtype=np.float64)
-    value_ids, distinct_values = _first_occurrence_ids(values)
+    value_ids, distinct_values = first_occurrence_ids(values)
     texts = [_normalise_cell(value)[:prepared.max_length]
              for value in distinct_values]
     encoded = prepared.char_index.encode_batch(texts, prepared.max_length,
@@ -163,7 +162,9 @@ def encode_cells(prepared: PreparedData, df: Table | None = None,
     once by :func:`encode_values` and scattered to its rows, and the
     unique-cell index comes out of the same pass, numbered exactly as
     :func:`~repro.inference.index.build_dedup_index` numbers the full
-    feature rows.
+    feature rows.  The prepared table's cells take their keys from
+    :attr:`~repro.dataprep.pipeline.PreparedData.keys`; another ``df``
+    is hashed cell by cell.
 
     Parameters
     ----------
@@ -180,31 +181,32 @@ def encode_cells(prepared: PreparedData, df: Table | None = None,
     for name in _REQUIRED_COLUMNS:
         if name not in table:
             raise DataError(f"encode_cells requires column {name!r}")
+    with telemetry.span("dataprep.encode"):
+        keys = (prepared.keys if df is None else CellKeys.of_cells(
+            table.column("attribute").values, table.column("value_x").values))
+        return _encode_keyed(prepared, table, keys, unknown)
+
+
+def _encode_keyed(prepared: PreparedData, table: Table, keys: CellKeys,
+                  unknown: str) -> EncodedCells:
     n = table.n_rows
-    attr_col = table.column("attribute").values
-    # Row i is distinct (attribute, value) key cell_key[i], numbered in
-    # first-occurrence order.
-    cell_key, keys = _first_occurrence_ids(
-        list(zip(attr_col, table.column("value_x").values)))
-    _, first_row = np.unique(cell_key, return_index=True)
     key_features, key_lengths = encode_values(
-        prepared, [value for _, value in keys], [attr for attr, _ in keys],
-        unknown=unknown)
+        prepared, keys.values, keys.attributes, unknown=unknown)
     # Keys whose features are byte-identical (a skipped character) share
     # a group.  Groups are ranked by their bytes like the full rows'
     # groups, and a group's first key holds its first row, since keys
     # are numbered in row order.
     key_groups = build_dedup_index(key_features)
     return EncodedCells(
-        features={name: np.take(array, cell_key, axis=0)
+        features={name: np.take(array, keys.codes, axis=0)
                   for name, array in key_features.items()},
         labels=np.fromiter(map(int, table.column("label").values),
                            dtype=np.int64, count=n),
         tuple_ids=np.fromiter(map(int, table.column("id_").values),
                               dtype=np.int64, count=n),
-        attribute_names=tuple(attr_col),
-        lengths=np.take(key_lengths, cell_key),
+        attribute_names=table.column("attribute").values,
+        lengths=np.take(key_lengths, keys.codes),
         dedup=DedupIndex(
-            representatives=first_row[key_groups.representatives],
-            inverse=key_groups.inverse[cell_key]),
+            representatives=keys.first[key_groups.representatives],
+            inverse=key_groups.inverse[keys.codes]),
     )

@@ -279,6 +279,12 @@ class InferenceEngine:
             :attr:`~repro.dataprep.encoding.EncodedCells.dedup`); built
             on the fly when omitted.
         """
+        with telemetry.span("inference.predict"):
+            return self._predict_proba(features, lengths, dedup)
+
+    def _predict_proba(self, features: Mapping[str, np.ndarray],
+                       lengths: np.ndarray | None,
+                       dedup: DedupIndex | None) -> np.ndarray:
         n = _validate_rows(features)
         if dedup is None:
             dedup = build_dedup_index(features)

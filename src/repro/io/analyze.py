@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.table import Table
@@ -78,6 +78,11 @@ class ColumnProfile:
     day_first:
         ``True`` for day-first dates, ``False`` for month/year-first;
         ``None`` when undecidable or not a date column.
+    verdicts:
+        Whether each analysed value (stripped, the empty value
+        included) conforms to the dominant pattern: the analysis's own
+        matches, which :func:`conforming_mask` looks up.  Not part of
+        the profile's equality.
     """
 
     name: str
@@ -89,6 +94,8 @@ class ColumnProfile:
     n_distinct: int
     decimal_comma: bool | None = None
     day_first: bool | None = None
+    verdicts: dict[str, bool] = field(default_factory=dict, compare=False,
+                                      repr=False)
 
 
 def _norm(value: object) -> str:
@@ -154,19 +161,22 @@ def analyze_column(name: str, values: Sequence[object]) -> ColumnProfile:
         return ColumnProfile(name=name, kind=ColumnKind.EMPTY,
                              conformance=1.0, pattern="(empty)",
                              n_cells=n_cells, n_missing=n_missing,
-                             n_distinct=0)
+                             n_distinct=0, verdicts={"": False})
 
     date_hits = day_first_votes = month_first_votes = 0
     number_hits = comma_votes = point_votes = 0
     skeletons: Counter[str] = Counter()
+    dates, numbers, shapes = [], [], []
     for cell, count in counts.items():
         is_date, day_first = _match_date(cell)
+        dates.append(is_date)
         if is_date:
             date_hits += count
             if day_first is True:
                 day_first_votes += count
             elif day_first is False:
                 month_first_votes += count
+        is_number = True
         if _NUMBER_POINT.match(cell):
             number_hits += count
             if "." in cell:
@@ -175,8 +185,15 @@ def analyze_column(name: str, values: Sequence[object]) -> ColumnProfile:
             number_hits += count
             if "," in cell:
                 comma_votes += count
-        skeletons[skeleton(cell)] += count
+        else:
+            is_number = False
+        numbers.append(is_number)
+        shapes.append(skeleton(cell))
+        skeletons[shapes[-1]] += count
     modal_skeleton, skeleton_hits = skeletons.most_common(1)[0]
+
+    def verdicts(matches) -> dict[str, bool]:
+        return {"": False, **dict(zip(counts, matches))}
 
     n = n_cells - n_missing
     if date_hits / n >= 0.6 and date_hits >= number_hits:
@@ -186,13 +203,15 @@ def analyze_column(name: str, values: Sequence[object]) -> ColumnProfile:
         return ColumnProfile(
             name=name, kind=ColumnKind.DATE, conformance=date_hits / n,
             pattern="date", n_cells=n_cells, n_missing=n_missing,
-            n_distinct=n_distinct, day_first=day_first)
+            n_distinct=n_distinct, day_first=day_first,
+            verdicts=verdicts(dates))
     if number_hits / n >= 0.6:
         return ColumnProfile(
             name=name, kind=ColumnKind.NUMBER, conformance=number_hits / n,
             pattern="number(decimal comma)" if comma_votes > point_votes
             else "number", n_cells=n_cells, n_missing=n_missing,
-            n_distinct=n_distinct, decimal_comma=comma_votes > point_votes)
+            n_distinct=n_distinct, decimal_comma=comma_votes > point_votes,
+            verdicts=verdicts(numbers))
     # Identifier: one structural skeleton dominates and the values are
     # not just prose (prose skeletons are long A A A... runs that rarely
     # repeat exactly).
@@ -201,11 +220,13 @@ def analyze_column(name: str, values: Sequence[object]) -> ColumnProfile:
         return ColumnProfile(
             name=name, kind=ColumnKind.IDENTIFIER,
             conformance=skeleton_hits / n, pattern=modal_skeleton,
-            n_cells=n_cells, n_missing=n_missing, n_distinct=n_distinct)
+            n_cells=n_cells, n_missing=n_missing, n_distinct=n_distinct,
+            verdicts=verdicts(shape == modal_skeleton for shape in shapes))
     return ColumnProfile(
         name=name, kind=ColumnKind.TEXT,
         conformance=skeleton_hits / n, pattern=modal_skeleton,
-        n_cells=n_cells, n_missing=n_missing, n_distinct=n_distinct)
+        n_cells=n_cells, n_missing=n_missing, n_distinct=n_distinct,
+        verdicts=verdicts([True] * n_distinct))
 
 
 def analyze_table(table: Table) -> dict[str, ColumnProfile]:
@@ -232,6 +253,15 @@ def conforming_mask(profile: ColumnProfile,
 
     Missing cells never conform (they are exactly the MV error family);
     free-text columns accept any non-empty cell.  The complement of
-    this mask is the weak-label signal for unlabeled detection.
+    this mask is the weak-label signal for unlabeled detection.  A value
+    the analysis saw (after stripping) takes the analysis's verdict;
+    any other is matched here.
     """
-    return [_cell_conforms(profile, _norm(v)) for v in values]
+    verdicts = profile.verdicts
+    out = []
+    for value in values:
+        cell = _norm(value)
+        verdict = verdicts.get(cell)
+        out.append(_cell_conforms(profile, cell) if verdict is None
+                   else verdict)
+    return out

@@ -16,9 +16,10 @@ saved detector scores all columns it knows.
 The tables of a folder share nothing, so :func:`detect_path` scores
 them in forked worker processes (:func:`repro.forkpool.fork_map`), one
 worker per CPU the process may use and at most one per table, the
-largest tables first.  Workers inherit the ingested tables and the
-detector; each sends back only its table's cell arrays.  Every output
-is byte for byte what scoring the tables one after another gives.
+tables with the most characters first.  Workers inherit the ingested
+tables and the detector; each sends back only its table's cell arrays.
+Every output is byte for byte what scoring the tables one after another
+gives.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from repro import forkpool, telemetry
 # so it stays importable until that target is dropped.
 from repro.dataprep import encode_cells  # noqa: F401
 from repro.dataprep.encoding import encode_values, table_cells
+from repro.dataprep.pipeline import first_occurrence_ids
 from repro.errors import DataError
+from repro.inference import InferenceEngine
 from repro.io.analyze import ColumnProfile, conforming_mask
 from repro.io.ingest import IngestReport, ingest_path
 from repro.io.readers import IngestedTable
@@ -112,10 +115,9 @@ def _outcome(item: IngestedTable, profiles: dict[str, ColumnProfile],
         columns = np.repeat(np.arange(k), n_rows)
     conforming = np.zeros((k, n_rows), dtype=bool)
     for j, name in enumerate(attributes):
-        values = item.table.column(name).values
-        distinct = list(dict.fromkeys(values))
-        verdict = dict(zip(distinct, conforming_mask(profiles[name], distinct)))
-        conforming[j] = [verdict[value] for value in values]
+        codes, distinct = first_occurrence_ids(item.table.column(name).values)
+        conforming[j] = np.array(conforming_mask(profiles[name], distinct),
+                                 dtype=bool)[codes]
     conforms = conforming[columns, rows]
     if probabilities is None:
         scores, flags = np.where(conforms, 0.0, 1.0), ~conforms
@@ -146,9 +148,12 @@ def _score_with_weak_labels(item: IngestedTable,
     detector.fit_with_labels(table, weak_label_fn(profiles, attributes))
 
     # The prepared cells are the table's, tuple by tuple; the split
-    # encoded them all.
+    # encoded them all.  The fitted model scores them once, so the
+    # detector's cross-call prediction cache could never hit: they go
+    # through the dedup engine alone.
     encoded = detector.split.cells
-    probabilities = detector.trainer.predict_proba(
+    detector.model.eval()
+    probabilities = InferenceEngine(detector.model).predict_proba(
         encoded.features, lengths=encoded.lengths, dedup=encoded.dedup)
     return _outcome(item, profiles, attributes, True, probabilities)
 
@@ -205,11 +210,12 @@ def detect_path(path: str | Path, *, detector: ErrorDetector | None = None,
                     architecture=architecture,
                     n_label_tuples=n_label_tuples, epochs=epochs,
                     cell_type=cell_type, seed=seed)
-    sizes = [item.table.n_rows * len(item.table.column_names)
-             for item in tables]
-    largest_first = sorted(range(len(tables)), key=lambda i: -sizes[i])
+    # A table's characters predict its cost better than its cell count.
+    chars = [sum(sum(map(len, filter(None, item.table.column(name).values)))
+                 for name in item.table.column_names) for item in tables]
+    costliest_first = sorted(range(len(tables)), key=lambda i: -chars[i])
     cells = forkpool.fork_map(score, tables, forkpool.cpu_count(),
-                              order=largest_first)
+                              order=costliest_first)
     return report, [DetectOutcome(item, report.profiles[item.name], *fields)
                     for item, fields in zip(tables, cells)]
 

@@ -14,6 +14,12 @@ into the ``io.*`` telemetry counters:
 
 A file that fails to parse is recorded as skipped with its reason --
 one bad file never aborts a folder.
+
+Files are read and profiled in forked workers
+(:func:`repro.forkpool.fork_map`), one task per file, the largest files
+first; the results are merged in discovery order, so the report is the
+one a file-by-file pass gives.  Each task is an ``io.read`` span
+followed by an ``io.analyze`` span.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import telemetry
+from repro import forkpool, telemetry
 from repro.errors import IngestError
 from repro.io.analyze import ColumnProfile, analyze_table
 from repro.io.discover import DiscoveredFile, discover
@@ -112,39 +118,58 @@ def read_file(path: str | Path,
     return [read_delimited(path)]
 
 
-def ingest_path(path: str | Path) -> IngestReport:
-    """Ingest a file or a whole folder tree (see module docstring)."""
-    discovered = discover(path)
-    tables: list[IngestedTable] = []
-    skipped: list[tuple[Path, str]] = []
-    encoding_fallbacks = 0
-    rows_recovered = 0
-    for entry in discovered:
-        if entry.kind == "skipped":
-            skipped.append((entry.path, entry.reason))
-            continue
-        try:
+def _read_profiled(entry: DiscoveredFile
+                   ) -> tuple[list[IngestedTable], list[dict]] | str:
+    """One ingestion task: a file's tables and their column profiles, or
+    the reason the file is skipped."""
+    try:
+        with telemetry.span("io.read", file=str(entry.path)):
             if entry.kind == "sqlite":
                 ingested = read_sqlite(entry.path)
             else:
                 ingested = [read_delimited(entry.path)]
-        except IngestError as exc:
-            skipped.append((entry.path, str(exc)))
+    except IngestError as exc:
+        return str(exc)
+    with telemetry.span("io.analyze", file=str(entry.path)):
+        return ingested, [analyze_table(item.table) for item in ingested]
+
+
+def _file_size(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
+
+
+def ingest_path(path: str | Path) -> IngestReport:
+    """Ingest a file or a whole folder tree (see module docstring)."""
+    discovered = discover(path)
+    readable = [entry for entry in discovered if entry.kind != "skipped"]
+    sizes = [_file_size(entry.path) for entry in readable]
+    largest_first = sorted(range(len(readable)), key=lambda i: -sizes[i])
+    results = iter(forkpool.fork_map(_read_profiled, readable,
+                                     forkpool.cpu_count(),
+                                     order=largest_first))
+    tables: list[IngestedTable] = []
+    profiles: dict[str, dict[str, ColumnProfile]] = {}
+    skipped: list[tuple[Path, str]] = []
+    for entry in discovered:
+        result = entry.reason if entry.kind == "skipped" else next(results)
+        if isinstance(result, str):
+            skipped.append((entry.path, result))
             continue
-        for item in ingested:
-            encoding_fallbacks += item.n_encoding_fallbacks
-            rows_recovered += item.n_recovered_rows
-        tables.extend(ingested)
+        for item, profile in zip(*result):
+            tables.append(item)
+            profiles[item.name] = profile
     parsed_paths = {t.source for t in tables}
     stats = IngestStats(
         files_discovered=len(discovered),
         files_parsed=len(parsed_paths),
         files_skipped=len(skipped),
-        encoding_fallbacks=encoding_fallbacks,
-        rows_recovered=rows_recovered,
+        encoding_fallbacks=sum(t.n_encoding_fallbacks for t in tables),
+        rows_recovered=sum(t.n_recovered_rows for t in tables),
         tables_ingested=len(tables),
     )
     _emit_telemetry(stats)
-    profiles = {t.name: analyze_table(t.table) for t in tables}
     return IngestReport(tables=tuple(tables), profiles=profiles,
                         skipped=tuple(skipped), stats=stats)

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dataprep.pipeline import PreparedData
+from repro import telemetry
+from repro.dataprep.pipeline import PreparedData, first_occurrence_ids
 from repro.sampling.base import Sampler
 
 
@@ -34,23 +35,28 @@ class DiverSet(Sampler):
     def select(self, n_obs: int, prepared: PreparedData,
                rng: np.random.Generator) -> list[int]:
         available = self._validate(n_obs, prepared)
-        df = prepared.df
-        n = df.n_rows
-        # Tuples by position in first-occurrence order, concat values by
-        # code: cell i belongs to tuple cell_tuple[i] and has concat
-        # codes[i].
-        ids = list(map(int, df.column("id_").values))
-        tuples = list(dict.fromkeys(ids))
+        with telemetry.span("sampling.select"):
+            return self._select(n_obs, prepared, rng, available)
+
+    @staticmethod
+    def _select(n_obs: int, prepared: PreparedData, rng: np.random.Generator,
+                available: list[int]) -> list[int]:
+        # Tuples by position in first-occurrence order: cell i belongs to
+        # tuple cell_tuple[i].
+        cell_tuple, tuples = first_occurrence_ids(
+            list(map(int, prepared.df.column("id_").values)))
         position = {tid: i for i, tid in enumerate(tuples)}
-        cell_tuple = np.fromiter(map(position.__getitem__, ids),
-                                 dtype=np.int64, count=n)
-        concats = df.column("concat").values
-        code_of = {c: i for i, c in enumerate(dict.fromkeys(concats))}
-        codes = np.fromiter(map(code_of.__getitem__, concats),
-                            dtype=np.int64, count=n)
-        empty = np.fromiter(map(int, df.column("empty").values),
-                            dtype=np.int64, count=n)
-        seen = np.zeros(len(code_of), dtype=bool)
+        # Concat values by code, from the prepared cell keys: each key's
+        # ``attribute__value`` string is built once, and cell i has concat
+        # codes[i] and is empty where its value is.
+        keys = prepared.keys
+        concat_of_key, concats = first_occurrence_ids(
+            [f"{attribute}__{value}"
+             for attribute, value in zip(keys.attributes, keys.values)])
+        codes = concat_of_key[keys.codes]
+        empty = np.array([not value for value in keys.values],
+                         dtype=np.int64)[keys.codes]
+        seen = np.zeros(len(concats), dtype=bool)
 
         selected: list[int] = []
         for _ in range(n_obs):
