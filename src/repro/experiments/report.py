@@ -68,8 +68,9 @@ _SECTIONS: tuple[tuple[str, str, str], ...] = (
      "Each family of the authentic-error taxonomy (keyboard-adjacency "
      "typos, correlated multi-column errors, format/locale drift, "
      "truncation, value swaps, missing markers) injected *alone* at a "
-     "10% cell rate into one clean table, with ETSB-RNN and the "
-     "Raha-style baseline trained per pair. Character-visible families "
+     "10% cell rate into one clean table, with ETSB-RNN, Attn-ED, the "
+     "Raha-style baseline and their calibrated ensemble (ETSB + Raha) "
+     "trained per pair. Character-visible families "
      "(missing, format drift, truncation) score high; families whose "
      "evidence lives in other cells (value swaps, correlated errors) "
      "collapse for every per-cell system — the causal version of the "
