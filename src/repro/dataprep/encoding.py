@@ -154,6 +154,7 @@ def table_cells(table: Table, attributes: Iterable[str],
     return columns, values, cell_attributes
 
 
+@telemetry.spanned("dataprep.encode")
 def encode_cells(prepared: PreparedData, df: Table | None = None,
                  unknown: str = "error") -> EncodedCells:
     """Encode (a subset of) the prepared cell table into model arrays.
@@ -181,14 +182,8 @@ def encode_cells(prepared: PreparedData, df: Table | None = None,
     for name in _REQUIRED_COLUMNS:
         if name not in table:
             raise DataError(f"encode_cells requires column {name!r}")
-    with telemetry.span("dataprep.encode"):
-        keys = (prepared.keys if df is None else CellKeys.of_cells(
-            table.column("attribute").values, table.column("value_x").values))
-        return _encode_keyed(prepared, table, keys, unknown)
-
-
-def _encode_keyed(prepared: PreparedData, table: Table, keys: CellKeys,
-                  unknown: str) -> EncodedCells:
+    keys = (prepared.keys if df is None else CellKeys.of_cells(
+        table.column("attribute").values, table.column("value_x").values))
     n = table.n_rows
     key_features, key_lengths = encode_values(
         prepared, keys.values, keys.attributes, unknown=unknown)

@@ -197,6 +197,7 @@ def _gather(per_value: Sequence[Sequence], codes: Sequence[np.ndarray],
     return _cell_order(columns, n, dtype)
 
 
+@telemetry.spanned("dataprep.prepare")
 def prepare(dirty: Table, clean: Table,
             max_value_length: int = MAX_VALUE_LENGTH) -> PreparedData:
     """Run the full preparation pipeline on a (dirty, clean) table pair.
@@ -228,12 +229,6 @@ def prepare(dirty: Table, clean: Table,
         )
     if "id_" in clean.column_names:
         raise DataError("input tables must not already contain an 'id_' column")
-    with telemetry.span("dataprep.prepare"):
-        return _prepare(dirty, clean, max_value_length)
-
-
-def _prepare(dirty: Table, clean: Table,
-             max_value_length: int) -> PreparedData:
     attributes = tuple(clean.column_names)
     # Raises for a table without columns.
     attribute_index = AttributeDictionary(attributes)

@@ -262,6 +262,7 @@ class InferenceEngine:
 
     # -- prediction ---------------------------------------------------------
 
+    @telemetry.spanned("inference.predict")
     def predict_proba(self, features: Mapping[str, np.ndarray],
                       lengths: np.ndarray | None = None,
                       dedup: DedupIndex | None = None) -> np.ndarray:
@@ -279,12 +280,6 @@ class InferenceEngine:
             :attr:`~repro.dataprep.encoding.EncodedCells.dedup`); built
             on the fly when omitted.
         """
-        with telemetry.span("inference.predict"):
-            return self._predict_proba(features, lengths, dedup)
-
-    def _predict_proba(self, features: Mapping[str, np.ndarray],
-                       lengths: np.ndarray | None,
-                       dedup: DedupIndex | None) -> np.ndarray:
         n = _validate_rows(features)
         if dedup is None:
             dedup = build_dedup_index(features)

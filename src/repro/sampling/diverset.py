@@ -32,15 +32,10 @@ class DiverSet(Sampler):
 
     name = "DiverSet"
 
+    @telemetry.spanned("sampling.select")
     def select(self, n_obs: int, prepared: PreparedData,
                rng: np.random.Generator) -> list[int]:
         available = self._validate(n_obs, prepared)
-        with telemetry.span("sampling.select"):
-            return self._select(n_obs, prepared, rng, available)
-
-    @staticmethod
-    def _select(n_obs: int, prepared: PreparedData, rng: np.random.Generator,
-                available: list[int]) -> list[int]:
         # Tuples by position in first-occurrence order: cell i belongs to
         # tuple cell_tuple[i].
         cell_tuple, tuples = first_occurrence_ids(

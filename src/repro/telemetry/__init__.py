@@ -52,7 +52,7 @@ from repro.telemetry.sinks import (
     Sink,
     StderrSummarySink,
 )
-from repro.telemetry.spans import Span, current_span, span
+from repro.telemetry.spans import Span, current_span, span, spanned
 from repro.telemetry.summarize import (
     percentile_from_buckets,
     read_records,
@@ -87,6 +87,7 @@ __all__ = [
     "Span",
     "current_span",
     "span",
+    "spanned",
     "percentile_from_buckets",
     "read_records",
     "render_summary",

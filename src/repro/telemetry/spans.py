@@ -13,7 +13,9 @@ manager -- no allocation, no clock reads.
 
 from __future__ import annotations
 
+import functools
 import time
+from collections.abc import Callable
 
 from repro.telemetry.registry import MetricsRegistry, enabled, get_registry
 
@@ -94,6 +96,18 @@ def span(name: str, registry: MetricsRegistry | None = None, **fields):
     if not enabled():
         return _NULL_SPAN
     return Span(name, registry=registry, **fields)
+
+
+def spanned(name: str) -> Callable[[Callable], Callable]:
+    """Decorator: every call of the function runs in a :func:`span`
+    called ``name``."""
+    def decorate(fn: Callable) -> Callable:
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            with span(name):
+                return fn(*args, **kwargs)
+        return wrapper
+    return decorate
 
 
 def current_span() -> Span | None:

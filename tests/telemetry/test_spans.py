@@ -58,6 +58,16 @@ class TestSpan:
             pass
         assert _records(registry)[0]["epochs"] == 7
 
+    def test_spanned_function_runs_in_a_span_per_call(self, registry):
+        @telemetry.spanned("stage")
+        def stage(x, *, y):
+            assert current_span().name == "stage"
+            return x + y
+
+        assert stage(1, y=2) == 3 and stage(2, y=2) == 4
+        assert [r["name"] for r in _records(registry)] == ["stage", "stage"]
+        assert stage.__name__ == "stage"
+
     def test_stack_unwinds_on_exception(self, registry):
         with pytest.raises(RuntimeError):
             with span("broken"):
