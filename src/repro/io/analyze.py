@@ -176,7 +176,7 @@ def analyze_column(name: str, values: Sequence[object]) -> ColumnProfile:
                 day_first_votes += count
             elif day_first is False:
                 month_first_votes += count
-        is_number = True
+        numbers.append(True)
         if _NUMBER_POINT.match(cell):
             number_hits += count
             if "." in cell:
@@ -186,8 +186,7 @@ def analyze_column(name: str, values: Sequence[object]) -> ColumnProfile:
             if "," in cell:
                 comma_votes += count
         else:
-            is_number = False
-        numbers.append(is_number)
+            numbers[-1] = False
         shapes.append(skeleton(cell))
         skeletons[shapes[-1]] += count
     modal_skeleton, skeleton_hits = skeletons.most_common(1)[0]

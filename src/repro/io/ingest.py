@@ -118,8 +118,8 @@ def read_file(path: str | Path,
     return [read_delimited(path)]
 
 
-def _read_profiled(entry: DiscoveredFile
-                   ) -> tuple[list[IngestedTable], list[dict]] | str:
+def _read_profiled(entry: DiscoveredFile) -> tuple[
+        list[IngestedTable], list[dict[str, ColumnProfile]]] | str:
     """One ingestion task: a file's tables and their column profiles, or
     the reason the file is skipped."""
     try:
