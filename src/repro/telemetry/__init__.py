@@ -20,8 +20,11 @@ paths.  Instrumented sites: ``Trainer.fit`` (per-epoch loss, grad norm,
 batch occupancy, wall time), the fused kernels and the graph backend
 (per-layer forward/backward timers), ``InferenceEngine.predict_proba``
 and ``PredictionCache`` (dedup/cache counters, representative-forward
-latency histogram), ``repro detect <path>`` (a ``detect.table`` span per
-table), the experiment runner and :mod:`repro.forkpool` (per-task
+latency histogram), the data path (``dataprep.prepare``,
+``dataprep.encode``, ``sampling.select`` and ``inference.predict``
+spans, added with :func:`spanned`), ``repro detect <path>`` (``io.read``
+and ``io.analyze`` spans per file, a ``detect.table`` span per table),
+the experiment runner and :mod:`repro.forkpool` (per-task
 snapshots captured with :func:`run_captured`, possibly in worker
 processes, and merged by :func:`publish_captured`) and the CLI
 (``--telemetry-out`` / ``repro telemetry summarize``).
