@@ -100,8 +100,8 @@ def effective_lengths(values: np.ndarray) -> np.ndarray:
 def _length_groups(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Deterministic (ascending length, ascending row index) grouping."""
     groups = []
-    # np.flatnonzero(np.bincount(...)): the distinct lengths, ascending,
-    # without the numpy.ma import a plain np.unique makes on first use.
+    # The distinct lengths, ascending (a plain np.unique would import
+    # numpy.ma on first use).
     for length in np.flatnonzero(np.bincount(lengths)):
         groups.append((int(length), np.flatnonzero(lengths == length)))
     return groups
