@@ -53,6 +53,9 @@ _NUMBER_COMMA = re.compile(r"^[+-]?(\d{1,3}(\.\d{3})+|\d+)(,\d+)?$")
 #: Character classes for identifier skeletons: runs of digits collapse
 #: to ``9``, runs of letters to ``A``; everything else stays literal.
 _SKELETON_RUNS = re.compile(r"[0-9]+|[^\W\d_]+|.", re.DOTALL)
+#: The same runs in ASCII text, which has no other letters or digits.
+_ASCII_DIGIT_RUNS = re.compile(r"[0-9]+")
+_ASCII_LETTER_RUNS = re.compile(r"[A-Za-z]+")
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,9 @@ def skeleton(text: str) -> str:
     of digits and letters collapse so identifiers of varying widths
     share one skeleton.
     """
+    if text.isascii():
+        # Two substitutions in C give what the token loop below gives.
+        return _ASCII_LETTER_RUNS.sub("A", _ASCII_DIGIT_RUNS.sub("9", text))
     parts = []
     for match in _SKELETON_RUNS.finditer(text):
         token = match.group(0)

@@ -50,16 +50,18 @@ class DiverSet(Sampler):
              for attribute, value in zip(keys.attributes, keys.values)])
         codes = concat_of_key[keys.codes]
         empty = np.array([not value for value in keys.values],
-                         dtype=np.int64)[keys.codes]
+                         dtype=bool)[keys.codes]
         seen = np.zeros(len(concats), dtype=bool)
+        # Each tuple's unseen and unseen-empty cell counts, kept up to
+        # date: marking a concat seen removes its cells, found through
+        # the cells grouped by code, from their tuples' counts.
+        n_unseen = np.bincount(cell_tuple, minlength=len(tuples))
+        n_empty = np.bincount(cell_tuple[empty], minlength=len(tuples))
+        by_code, code_start = _grouped(codes, len(concats))
+        by_tuple, tuple_start = _grouped(cell_tuple, len(tuples))
 
         selected: list[int] = []
         for _ in range(n_obs):
-            unseen = ~seen[codes]
-            owners = cell_tuple[unseen]
-            n_unseen = np.bincount(owners, minlength=len(tuples))
-            n_empty = np.bincount(owners, weights=empty[unseen],
-                                  minlength=len(tuples))
             # A chosen tuple's values are all seen, so it never
             # qualifies again; nor does any tuple fully covered.
             best = n_unseen > 0
@@ -74,5 +76,25 @@ class DiverSet(Sampler):
                 ties = np.flatnonzero(best)
                 chosen = tuples[ties[int(rng.integers(len(ties)))]]
             selected.append(chosen)
-            seen[codes[cell_tuple == position[chosen]]] = True
+            t = position[chosen]
+            cells = by_tuple[tuple_start[t]:tuple_start[t + 1]]
+            new = [k for k in dict.fromkeys(codes[cells].tolist())
+                   if not seen[k]]
+            seen[new] = True
+            gone = np.concatenate(
+                [by_code[code_start[k]:code_start[k + 1]] for k in new]
+                or [np.empty(0, dtype=np.int64)])
+            n_unseen -= np.bincount(cell_tuple[gone], minlength=len(tuples))
+            n_empty -= np.bincount(cell_tuple[gone[empty[gone]]],
+                                   minlength=len(tuples))
         return selected
+
+
+def _grouped(groups: np.ndarray, n_groups: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Cell indices ordered by group, and where each group starts: group
+    ``g``'s cells are ``order[start[g]:start[g + 1]]``."""
+    order = np.argsort(groups, kind="stable")
+    start = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(groups, minlength=n_groups), out=start[1:])
+    return order, start

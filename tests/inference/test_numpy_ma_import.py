@@ -1,4 +1,4 @@
-"""Scoring never imports ``numpy.ma``.
+"""Fitting and scoring a table never import ``numpy.ma``.
 
 A plain ``np.unique(x)`` calls ``np.ma.is_masked``, which imports
 ``numpy.ma`` on first use (about 20 ms).  A ``repro detect`` worker is
@@ -25,10 +25,14 @@ from repro.dataprep import encode_cells, prepare
 from repro.datasets import load
 from repro.inference import InferenceEngine
 from repro.metrics import ClassificationReport
-from repro.models import ModelConfig, build_model
+from repro.models import ErrorDetector, ModelConfig, TrainingConfig, build_model
 
 assert "numpy.ma" not in sys.modules, "imported with repro"
 table = load("beers", n_rows=30, seed=0).dirty
+# A weak-label fit, as repro detect runs one per table: prepare,
+# DiverSet, encoding and training.
+ErrorDetector(n_label_tuples=5, training_config=TrainingConfig(epochs=1)
+              ).fit_with_labels(table, lambda tid, row: [0] * len(row))
 prepared = prepare(table, table)
 cells = encode_cells(prepared)
 for architecture in ("etsb", "attn"):
@@ -45,7 +49,7 @@ print("numpy.ma" in sys.modules)
 """
 
 
-def test_scoring_does_not_import_numpy_ma():
+def test_fit_and_scoring_do_not_import_numpy_ma():
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("REPRO_")}
     env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])

@@ -9,6 +9,7 @@ by its count; the profiles must agree field for field, including which
 skeleton wins a tie.
 """
 
+import re
 from collections import Counter
 
 import pytest
@@ -23,6 +24,7 @@ from repro.io.analyze import (
     _match_date,
     _norm,
     analyze_column,
+    conforming_mask,
     skeleton,
 )
 
@@ -110,3 +112,42 @@ def test_distinct_value_profile_matches_per_cell_loop(cells):
 @given(st.lists(st.text(alphabet="aZ09-/.,: ", max_size=8), max_size=40))
 def test_arbitrary_short_text(cells):
     assert analyze_column("c", cells) == reference_analyze_column("c", cells)
+
+
+def reference_skeleton(text):
+    """The token loop: digit runs, letter runs, any other character."""
+    parts = []
+    for token in re.findall(r"[0-9]+|[^\W\d_]+|.", text, re.DOTALL):
+        if token[0].isdigit():
+            parts.append("9")
+        elif token[0].isalpha():
+            parts.append("A")
+        else:
+            parts.append(token)
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet=st.characters(max_codepoint=127)),
+                 st.text()))
+@example("AB-1234_x\n9z")
+@example("Zürich ²3 ٣٤ Ⅻab _")
+def test_skeleton_matches_token_loop(text):
+    """ASCII text takes two regex substitutions, other text the token
+    loop; both give the loop's skeleton."""
+    assert skeleton(text) == reference_skeleton(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(CELLS), max_size=40),
+       st.lists(st.sampled_from(CELLS + ["99/99/9999", "ZZ-1", "?"]),
+                max_size=10))
+def test_conformance_looks_up_the_analysis(cells, probes):
+    """``conforming_mask`` gives each value the verdict matching it
+    against the profile would: looked up for analysed values, matched
+    for unseen ones."""
+    profile = analyze_column("c", cells)
+    matched = ColumnProfile(**{**profile.__dict__, "verdicts": {}})
+    for values in (cells, probes):
+        assert conforming_mask(profile, values) == \
+            conforming_mask(matched, values)
