@@ -102,8 +102,7 @@ def test_dedup_predict_speedup_smoke():
                                  batch_size=BATCH_SIZE)
 
         def naive():
-            return predict_proba(model, features, batch_size=BATCH_SIZE,
-                                 deduplicate=False)
+            return predict_proba(model, features, batch_size=BATCH_SIZE)
 
         def dedup_cold():
             engine.cache.invalidate()  # every call re-evaluates uniques

@@ -1,7 +1,7 @@
 """Step 4 of the pipeline: numeric encoding of cells.
 
 :func:`encode_values` is the one cell encoder.  Training encodes the
-long-format cell table through it (:func:`encode_cells`), and every
+prepared cells through it (:func:`encode_cells`), and every
 scoring path encodes the cells of new tables through it, so a fitted
 model scores a cell the same way on every path.  It produces the arrays
 the models consume: padded character-index sequences (``values``),
@@ -19,7 +19,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.dataprep.pipeline import (
-    CellKeys,
     PreparedData,
     first_occurrence_ids,
     _normalise_cell,
@@ -28,8 +27,6 @@ from repro.dataprep.pipeline import (
 from repro.errors import DataError
 from repro.inference.index import DedupIndex, build_dedup_index
 from repro.table import Table
-
-_REQUIRED_COLUMNS = ("id_", "attribute", "value_x", "label")
 
 
 @dataclass(frozen=True)
@@ -155,51 +152,41 @@ def table_cells(table: Table, attributes: Iterable[str],
 
 
 @telemetry.spanned("dataprep.encode")
-def encode_cells(prepared: PreparedData, df: Table | None = None,
+def encode_cells(prepared: PreparedData,
                  unknown: str = "error") -> EncodedCells:
-    """Encode (a subset of) the prepared cell table into model arrays.
+    """Encode the prepared cells into model arrays, in cell order.
 
-    Each distinct cell -- the same attribute and value -- is encoded
-    once by :func:`encode_values` and scattered to its rows, and the
+    Each distinct cell -- the same attribute and value, a key of
+    :attr:`~repro.dataprep.pipeline.PreparedData.keys` -- is encoded
+    once by :func:`encode_values` and scattered to its cells, and the
     unique-cell index comes out of the same pass, numbered exactly as
     :func:`~repro.inference.index.build_dedup_index` numbers the full
-    feature rows.  The prepared table's cells take their keys from
-    :attr:`~repro.dataprep.pipeline.PreparedData.keys`; another ``df``
-    is hashed cell by cell.
+    feature rows.  Use :meth:`EncodedCells.subset` for a subset.
 
     Parameters
     ----------
     prepared:
-        Pipeline output carrying the dictionaries and sequence lengths.
-    df:
-        Long-format table to encode; defaults to ``prepared.df``.  Must
-        contain the pipeline's columns.
+        Pipeline output carrying the cells, dictionaries and sequence
+        lengths.
     unknown:
         Passed to the character dictionary: ``"error"`` (default) or
         ``"skip"`` for out-of-dictionary characters.
     """
-    table = prepared.df if df is None else df
-    for name in _REQUIRED_COLUMNS:
-        if name not in table:
-            raise DataError(f"encode_cells requires column {name!r}")
-    keys = (prepared.keys if df is None else CellKeys.of_cells(
-        table.column("attribute").values, table.column("value_x").values))
-    n = table.n_rows
+    keys = prepared.keys
     key_features, key_lengths = encode_values(
         prepared, keys.values, keys.attributes, unknown=unknown)
     # Keys whose features are byte-identical (a skipped character) share
     # a group.  Groups are ranked by their bytes like the full rows'
-    # groups, and a group's first key holds its first row, since keys
-    # are numbered in row order.
+    # groups, and a group's first key holds its first cell, since keys
+    # are numbered in cell order.
     key_groups = build_dedup_index(key_features)
     return EncodedCells(
         features={name: np.take(array, keys.codes, axis=0)
                   for name, array in key_features.items()},
-        labels=np.fromiter(map(int, table.column("label").values),
-                           dtype=np.int64, count=n),
-        tuple_ids=np.fromiter(map(int, table.column("id_").values),
-                              dtype=np.int64, count=n),
-        attribute_names=table.column("attribute").values,
+        labels=prepared.labels,
+        tuple_ids=(np.arange(prepared.labels.size, dtype=np.int64)
+                   // len(prepared.attributes)),
+        attribute_names=prepared.attributes * prepared.n_tuples,
         lengths=np.take(key_lengths, keys.codes),
         dedup=DedupIndex(
             representatives=keys.first[key_groups.representatives],

@@ -1,8 +1,14 @@
 """Steps 1-3 of the data-preparation pipeline (Figure 3).
 
-Builds the long-format cell table ``df`` with the columns the paper
-describes: ``id_``, ``attribute``, ``value_x`` (dirty), ``value_y``
-(clean), ``label``, ``empty``, ``concat`` and ``length_norm``.
+The paper builds a long table with one row per cell and the columns
+``id_``, ``attribute``, ``value_x`` (dirty), ``value_y`` (clean),
+``label``, ``empty``, ``concat`` and ``length_norm``.  Here the cells
+are numbered instead: cell ``k`` of an ``n`` x ``m`` table is tuple
+``k // m`` and attribute ``k % m``, so ``id_`` and ``attribute`` follow
+from ``k``.  :class:`PreparedData` keeps each cell's ``label`` and the
+key of its dirty text; ``empty``, ``concat`` and ``length_norm`` are
+derived from the keys where they are used (DiverSet and the encoder),
+and the clean text only decides the label.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ def _first_rows(codes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CellKeys:
-    """The distinct ``(attribute, value_x)`` keys of a long cell table.
+    """The distinct ``(attribute, value)`` keys of the prepared cells.
 
     Attributes
     ----------
@@ -53,7 +59,7 @@ class CellKeys:
     first:
         ``(n_keys,)`` int64 first cell of each key (ascending).
     attributes, values:
-        Each key's attribute name and value text.
+        Each key's attribute name and prepared dirty text.
     """
 
     codes: np.ndarray
@@ -61,74 +67,61 @@ class CellKeys:
     attributes: list[str]
     values: list[str]
 
-    @classmethod
-    def of_cells(cls, attributes: Sequence[str],
-                 values: Sequence[str]) -> "CellKeys":
-        """The keys of cells ``(attributes[k], values[k])``, hashed cell
-        by cell."""
-        codes, pairs = first_occurrence_ids(list(zip(attributes, values)))
-        return cls(codes=codes, first=_first_rows(codes),
-                   attributes=[attribute for attribute, _ in pairs],
-                   values=[value for _, value in pairs])
-
 
 @dataclass(frozen=True)
 class PreparedData:
-    """Output of :func:`prepare`.
+    """Output of :func:`prepare`: the cells of an ``n`` x ``m`` table,
+    column by column.
+
+    Cell ``k`` is tuple ``k // m`` and attribute ``k % m``: the order of
+    the paper's melt followed by its merge on ``(id_, attribute)``.
+    Every per-cell array below is in that order.
 
     Attributes
     ----------
-    df:
-        Long-format table with one row per cell and columns ``id_``,
-        ``attribute``, ``value_x``, ``value_y``, ``label``, ``empty``,
-        ``concat``, ``length_norm``.
     attributes:
-        Attribute names in original column order.
+        Attribute names in original column order (``m`` of them).
     char_index:
-        Character dictionary built over all ``value_x`` texts.
+        Character dictionary built over all dirty texts.
     attribute_index:
         Attribute dictionary for the metadata input.
     max_length:
-        Longest (truncated) ``value_x`` in characters; the padded
+        Longest (truncated) dirty text in characters; the padded
         sequence length used by the models.
     longest:
-        Longest ``value_x`` of each attribute: the denominator of
-        ``length_norm``.  Measured on ``df`` when not given.
+        Longest dirty text of each attribute: the denominator of
+        ``length_norm``.
     keys:
-        The :class:`CellKeys` of ``df``'s cells, which ``encode_cells``
-        and DiverSet use instead of hashing every cell.  Hashed from
-        ``df`` when not given; a ``replace`` that changes ``df``'s
-        ``attribute`` or ``value_x`` cells must pass ``keys=None``.
+        The :class:`CellKeys` of the cells: each cell's dirty text is
+        ``keys.values[keys.codes[k]]``.  ``encode_cells`` and DiverSet
+        use them instead of hashing every cell.
+    labels:
+        ``(n_cells,)`` int64: 1 where the dirty text differs from the
+        clean one.
     """
 
-    df: Table
     attributes: tuple[str, ...]
     char_index: CharDictionary
     attribute_index: AttributeDictionary
     max_length: int
-    longest: dict[str, int] | None = None
-    keys: CellKeys | None = None
-
-    def __post_init__(self) -> None:
-        if self.longest is None:
-            longest = dict.fromkeys(self.attributes, 0)
-            for attribute, value in zip(self.df.column("attribute").values,
-                                        self.df.column("value_x").values):
-                longest[attribute] = max(longest[attribute], len(value))
-            object.__setattr__(self, "longest", longest)
-        if self.keys is None:
-            object.__setattr__(self, "keys", CellKeys.of_cells(
-                self.df.column("attribute").values,
-                self.df.column("value_x").values))
+    longest: dict[str, int]
+    keys: CellKeys
+    labels: np.ndarray
 
     @property
     def n_tuples(self) -> int:
-        """Number of distinct tuples (``id_`` values)."""
-        return len(self.df.column("id_").unique())
+        """Number of tuples."""
+        return self.labels.size // len(self.attributes)
 
     def tuple_ids(self) -> list[int]:
-        """Distinct tuple ids in first-occurrence order."""
-        return self.df.column("id_").unique()
+        """Tuple ids ``0 .. n_tuples - 1``."""
+        return list(range(self.n_tuples))
+
+    def cell_texts(self, cells) -> list[str]:
+        """The prepared dirty text of each of ``cells`` (a slice or an
+        index array into the cell order)."""
+        values = self.keys.values
+        return [values[code] for code in self.keys.codes[cells].tolist()]
 
 
 def _normalise_cell(value: object) -> str:
@@ -170,33 +163,6 @@ def _coded_columns(table: Table, max_value_length: int
     return codes, texts
 
 
-def _cell_order(columns: Sequence[np.ndarray], n: int, dtype) -> list:
-    """Interleave per-attribute cell arrays into the long table's cell
-    order, as Python objects.
-
-    Cell ``k`` of the long table is tuple ``k // m``, attribute
-    ``k % m`` (``m`` attributes): the order of the paper's melt followed
-    by its merge on ``(id_, attribute)``, which pairs the dirty and
-    clean cells of the same position.
-    """
-    out = np.empty((n, len(columns)), dtype=dtype)
-    for j, column in enumerate(columns):
-        out[:, j] = column
-    return out.ravel().tolist()
-
-
-def _gather(per_value: Sequence[Sequence], codes: Sequence[np.ndarray],
-            n: int, dtype) -> list:
-    """:func:`_cell_order` of each column's per-value items taken at its
-    cells' codes."""
-    columns = []
-    for items, column in zip(per_value, codes):
-        table = np.empty(len(items), dtype=dtype)
-        table[:] = items
-        columns.append(table[column])
-    return _cell_order(columns, n, dtype)
-
-
 @telemetry.spanned("dataprep.prepare")
 def prepare(dirty: Table, clean: Table,
             max_value_length: int = MAX_VALUE_LENGTH) -> PreparedData:
@@ -214,14 +180,14 @@ def prepare(dirty: Table, clean: Table,
     Returns
     -------
     PreparedData
-        The long-format cell table plus dictionaries and sequence length.
+        The cells' labels and keys plus dictionaries and sequence length.
     """
     if max_value_length < 1:
         raise DataError(f"max_value_length must be >= 1, got {max_value_length}")
     # Step 2, structure transformation: the dirty columns are aligned to
     # the clean names by position, cells are left-stripped and ``None``
-    # becomes "".  Values are cut at ``max_value_length`` before any
-    # helper column is derived from them.
+    # becomes "".  Values are cut at ``max_value_length`` before
+    # anything is derived from them.
     if dirty.shape != clean.shape:
         raise DataError(
             f"dirty and clean tables must have the same shape, "
@@ -235,67 +201,41 @@ def prepare(dirty: Table, clean: Table,
     n, m = clean.n_rows, len(attributes)
     dirty_codes, dirty_texts = _coded_columns(dirty, max_value_length)
 
-    # Step 3, built column by column on the distinct texts and gathered
-    # into cell order: ``label`` marks a dirty value that differs from
-    # its clean one, ``empty`` an empty dirty value, ``concat`` is
-    # DiverSet's ``attribute__value`` key and ``length_norm`` the
-    # value's length over the longest value of the same attribute.
-    longest: dict[str, int] = {}
-    ratios = []
-    for attribute, texts in zip(attributes, dirty_texts):
-        sizes = np.fromiter(map(len, texts), dtype=np.float64,
-                            count=len(texts))
-        longest[attribute] = int(sizes.max(initial=0))
-        ratios.append(length_ratio(sizes, longest[attribute]))
-    value_x = _gather(dirty_texts, dirty_codes, n, object)
-    if clean is dirty:
-        value_y, labels = value_x, [0] * (n * m)
-    else:
+    # Step 3, column by column on the distinct texts: ``label`` marks a
+    # dirty value that differs from its clean one, ``longest`` is each
+    # attribute's ``length_norm`` denominator, and the keys number the
+    # distinct (attribute, value) pairs in cell order.
+    longest = {attribute: max(map(len, texts), default=0)
+               for attribute, texts in zip(attributes, dirty_texts)}
+    labels = np.zeros((n, m), dtype=np.int64)
+    if clean is not dirty:
         clean_codes, clean_texts = _coded_columns(clean, max_value_length)
-        value_y = _gather(clean_texts, clean_codes, n, object)
         # A clean value's code among the dirty texts of its column (-1
         # when absent): a cell is an error where the two codes differ.
-        differs = []
-        for xs, ys, x_codes, y_codes in zip(dirty_texts, clean_texts,
-                                            dirty_codes, clean_codes):
+        for j, (xs, ys, x_codes, y_codes) in enumerate(zip(
+                dirty_texts, clean_texts, dirty_codes, clean_codes)):
             index = {text: i for i, text in enumerate(xs)}
             as_dirty = np.array([index.get(text, -1) for text in ys],
                                 dtype=np.int64)
-            differs.append(x_codes != as_dirty[y_codes])
-        labels = _cell_order(differs, n, np.int64)
-    df = Table({
-        "id_": np.repeat(np.arange(n), m).tolist(),
-        "attribute": list(attributes) * n,
-        "value_x": value_x,
-        "value_y": value_y,
-        "label": labels,
-        "empty": _gather([[0 if text else 1 for text in texts]
-                          for texts in dirty_texts], dirty_codes, n,
-                         np.int64),
-        "concat": _gather([[f"{attribute}__{text}" for text in texts]
-                           for attribute, texts in zip(attributes,
-                                                       dirty_texts)],
-                          dirty_codes, n, object),
-        "length_norm": _gather(ratios, dirty_codes, n, np.float64),
-    })
-    keys = _long_keys(attributes, n, dirty_codes, dirty_texts)
+            labels[:, j] = x_codes != as_dirty[y_codes]
+    keys = _cell_keys(attributes, n, dirty_codes, dirty_texts)
     # Characters are numbered in first-occurrence order over the cells;
     # a repeated value adds none, so the keys, in first-occurrence
     # order, give the same dictionary.
     return PreparedData(
-        df=df,
         attributes=attributes,
         char_index=CharDictionary(keys.values),
         attribute_index=attribute_index,
         max_length=max(max(map(len, keys.values), default=1), 1),
         longest=longest,
         keys=keys,
+        labels=labels.ravel(),
     )
 
 
-def _long_keys(attributes: tuple[str, ...], n: int,
+def _cell_keys(attributes: tuple[str, ...], n: int,
                codes: list[np.ndarray], texts: list[list[str]]) -> CellKeys:
-    """The long table's :class:`CellKeys` from each column's codes.
+    """The cells' :class:`CellKeys` from each column's codes.
 
     Key ``(j, c)`` first occurs at cell ``first_row * m + j``, where
     ``first_row`` is the first row of code ``c`` in column ``j``; the

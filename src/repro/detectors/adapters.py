@@ -337,16 +337,18 @@ class AugmentAdapter(Detector):
             labeled_rows = DiverSet().select(self.n_label_tuples, prepared,
                                              rng)
         self.labeled_rows = tuple(int(t) for t in labeled_rows)
-        train_ids = set(self.labeled_rows)
-        rows = prepared.df.to_rows()
+        # The labelled tuples' cells of attribute j, in ascending tuple
+        # order: tuple t's cell of attribute j is t * m + j.
+        m = len(prepared.attributes)
+        tuples = np.array(sorted(set(self.labeled_rows).intersection(
+            range(prepared.n_tuples))), dtype=np.int64)
         models: dict[str, AugmentationDetector] = {}
-        for attribute in prepared.attributes:
-            train = [r for r in rows
-                     if r["attribute"] == attribute and r["id_"] in train_ids]
+        for j, attribute in enumerate(prepared.attributes):
+            cells = tuples * m + j
             model = AugmentationDetector(n_augments=self.n_augments,
                                          n_buckets=self.n_buckets, rng=rng)
-            model.fit([r["value_x"] for r in train],
-                      [int(r["label"]) for r in train])
+            model.fit(prepared.cell_texts(cells),
+                      prepared.labels[cells].tolist())
             models[attribute] = model
         self._models = models
         self._columns = tuple(pair.dirty.column_names)

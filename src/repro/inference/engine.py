@@ -40,8 +40,8 @@ from repro.inference.cache import PredictionCache
 from repro.inference.index import DedupIndex, build_dedup_index
 
 #: Feature keys with a (batch, time) layout whose padded tails may be
-#: trimmed to the chunk maximum (mirrors repro.nn.training.SEQUENCE_KEYS).
-TRIM_KEYS = ("values",)
+#: trimmed to the chunk maximum.
+SEQUENCE_KEYS = ("values",)
 
 
 def model_fingerprint(model) -> str:
@@ -135,7 +135,9 @@ class InferenceStats:
         }
 
 
-def _validate_rows(features: Mapping[str, np.ndarray]) -> int:
+def validate_rows(features: Mapping[str, np.ndarray]) -> int:
+    """Check the feature dict is non-empty and row-aligned; return the
+    row count."""
     if not features:
         raise ConfigurationError("at least one feature array is required")
     counts = {name: int(arr.shape[0]) for name, arr in features.items()}
@@ -182,8 +184,6 @@ class InferenceEngine:
         applies).
     batch_size:
         Representative chunk size for the network forward.
-    trim_keys:
-        Feature keys whose padded time axis is trimmed per chunk.
     fingerprint:
         Identity prefixed to every cache key (default: derived from the
         model's class and parameter topology via
@@ -193,12 +193,10 @@ class InferenceEngine:
 
     def __init__(self, model, cache: PredictionCache | None = None,
                  batch_size: int = 256,
-                 trim_keys: tuple[str, ...] = TRIM_KEYS,
                  fingerprint: str | None = None):
         self.model = model
         self.cache = cache
         self.batch_size = batch_size
-        self.trim_keys = trim_keys
         self.fingerprint = (fingerprint if fingerprint is not None
                             else model_fingerprint(model))
         self._key_tag = self.fingerprint.encode() + b"|"
@@ -237,7 +235,7 @@ class InferenceEngine:
         chunk = {}
         for name, arr in features.items():
             part = self._gather(name, arr, padded_rows)
-            if row_lengths is not None and name in self.trim_keys \
+            if row_lengths is not None and name in SEQUENCE_KEYS \
                     and part.ndim >= 2:
                 width = max(int(
                     row_lengths[start:start + self.batch_size].max()), 1)
@@ -280,7 +278,7 @@ class InferenceEngine:
             :attr:`~repro.dataprep.encoding.EncodedCells.dedup`); built
             on the fly when omitted.
         """
-        n = _validate_rows(features)
+        n = validate_rows(features)
         if dedup is None:
             dedup = build_dedup_index(features)
         elif dedup.n_rows != n:

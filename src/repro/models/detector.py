@@ -221,19 +221,18 @@ class ErrorDetector:
         no ground truth for the test cells); use :meth:`predict_table`.
         """
         # Preparing the table against itself labels every cell 0; the
-        # user's labels overwrite the sampled tuples' cells below.  Cell
-        # k of the long table is tuple k // m, attribute k % m.
+        # user's labels overwrite the sampled tuples' cells below.  Tuple
+        # t holds cells t * m .. t * m + m - 1.
         prepared = prepare(dirty, dirty)
         rng = np.random.default_rng(self.seed)
         train_ids = self.sampler.select(self.n_label_tuples, prepared, rng)
 
         m = len(prepared.attributes)
-        values = prepared.df.column("value_x").values
-        labels = list(prepared.df.column("label").values)
+        labels = prepared.labels.copy()
         for tid in train_ids:
-            start = tid * m
+            cells = slice(tid * m, (tid + 1) * m)
             given = list(label_fn(tid, dict(zip(prepared.attributes,
-                                                values[start:start + m]))))
+                                                prepared.cell_texts(cells)))))
             if len(given) != m:
                 raise ConfigurationError(
                     f"label_fn returned {len(given)} labels for tuple {tid}, "
@@ -244,10 +243,9 @@ class ErrorDetector:
                     raise ConfigurationError(
                         f"labels must be 0 or 1, got {label!r}"
                     )
-            labels[start:start + m] = [int(label) for label in given]
+            labels[cells] = [int(label) for label in given]
 
-        prepared = replace(prepared,
-                           df=prepared.df.with_column("label", labels))
+        prepared = replace(prepared, labels=labels)
         split = split_by_tuple_ids(prepared, train_ids)
         return self._train(prepared, split, rng)
 

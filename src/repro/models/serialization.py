@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.dataprep import PreparedData
+from repro.dataprep.pipeline import CellKeys
 from repro.dataprep.encoding import encode_values
 from repro.dataprep.dictionaries import AttributeDictionary, CharDictionary
 from repro.errors import ConfigurationError, DataError, NotFittedError
@@ -40,7 +41,6 @@ from repro.models.detector import ErrorDetector, build_model
 from repro.nn.callbacks import Callback
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer
-from repro.table import Table
 
 #: Detector archive version: 2 added the optimizer state, 3 the
 #: per-attribute longest values (v1 and v2 still load).
@@ -170,18 +170,18 @@ def load_detector(path: str | Path) -> ErrorDetector:
         raise DataError(
             f"{path}: 'longest' must map each of the archive's attributes "
             f"to an int in [0, {max_length}], got {longest!r}")
-    # A minimal PreparedData carrying only what prediction needs: the
-    # dictionaries and sequence lengths (the df is an empty placeholder).
-    placeholder = Table({name: [] for name in
-                         ("id_", "attribute", "value_x", "value_y", "label",
-                          "empty", "concat", "length_norm")})
+    # A PreparedData with zero cells: prediction needs only the
+    # dictionaries and sequence lengths.
+    no_cells = np.zeros(0, dtype=np.int64)
     prepared = PreparedData(
-        df=placeholder,
         attributes=tuple(meta["attributes"]),
         char_index=char_index,
         attribute_index=attribute_index,
         max_length=max_length,
         longest=longest,
+        keys=CellKeys(codes=no_cells, first=no_cells, attributes=[],
+                      values=[]),
+        labels=no_cells,
     )
     rng = np.random.default_rng(meta["seed"])
     model = build_model(meta["architecture"], prepared, config, rng)

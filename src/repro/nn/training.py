@@ -28,16 +28,17 @@ from repro.autograd import Tensor, no_grad
 from repro.errors import ConfigurationError
 from repro.faults import inject
 from repro.inference import InferenceEngine, InferenceStats, PredictionCache
-from repro.inference.engine import row_block_index
+from repro.inference.engine import (
+    SEQUENCE_KEYS,
+    row_block_index,
+    validate_rows,
+)
 from repro.inference.index import DedupIndex
 from repro.nn.callbacks import Callback, History
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer, clip_gradients
 
 Features = dict[str, np.ndarray]
-
-#: Feature keys that carry a per-step (time) axis and may be trimmed.
-SEQUENCE_KEYS = ("values",)
 
 
 @dataclass
@@ -51,21 +52,6 @@ class Batch:
     def size(self) -> int:
         """Number of examples in the batch."""
         return int(self.labels.shape[0])
-
-
-def _validate_features(features: Mapping[str, np.ndarray]) -> int:
-    """Check the feature dict is non-empty and row-aligned; return the row count."""
-    if not features:
-        raise ConfigurationError("at least one feature array is required")
-    lengths = {name: int(arr.shape[0]) for name, arr in features.items()}
-    if len(set(lengths.values())) > 1:
-        raise ConfigurationError(
-            f"feature arrays disagree on the number of rows: {lengths}"
-        )
-    n = next(iter(lengths.values()))
-    if n == 0:
-        raise ConfigurationError("feature set is empty")
-    return n
 
 
 def _validate(features: Mapping[str, np.ndarray], labels: np.ndarray) -> int:
@@ -203,7 +189,7 @@ class Trainer:
         self.model.train()
         for callback in self._all_callbacks:
             callback.on_train_begin(self.model)
-        # Restore AFTER on_train_begin so begin-hooks (e.g. a schedule
+        # Restore AFTER on_train_begin so begin-hooks (e.g. a callback
         # resetting the learning rate for epoch 0) cannot clobber the
         # checkpointed state; the checkpoint already reflects them.
         start_epoch = 0
@@ -365,7 +351,7 @@ class Trainer:
             return self._engine.predict_proba(features, lengths=lengths,
                                               dedup=dedup)
         return predict_proba(self.model, features, batch_size=batch_size,
-                             lengths=lengths, deduplicate=False)
+                             lengths=lengths)
 
     @property
     def inference_stats(self) -> InferenceStats:
@@ -380,31 +366,21 @@ class Trainer:
 
 def predict_proba(model: Module, features: Features,
                   batch_size: int = 256,
-                  lengths: np.ndarray | None = None,
-                  dedup: DedupIndex | None = None,
-                  deduplicate: bool = False) -> np.ndarray:
+                  lengths: np.ndarray | None = None) -> np.ndarray:
     """Run ``model`` over ``features`` in chunks; returns ``(n, n_classes)``.
 
-    The output array is preallocated once and filled chunk by chunk, so
-    peak memory is one output array plus one chunk (not a full second
-    copy from concatenation).  With per-example ``lengths``, examples are
-    processed in sorted-by-length chunks whose ``values`` arrays are
-    trimmed to the chunk maximum (padding steps carry state unchanged, so
-    per-example outputs are bit-for-bit identical), and results are
-    un-permuted back to input order.
-
-    ``deduplicate=True`` switches to the dedup-memoized fast path: the
-    model runs once per group of byte-identical feature rows (``dedup``
-    optionally supplies the precomputed unique-cell index) and outputs
-    are scattered back, bit-for-bit identical to the naive path.  The
-    default stays ``False`` here -- this function is the naive reference;
-    :meth:`Trainer.predict_proba` (the serving path) defaults to the
-    fast path and adds cross-call caching.
+    The naive reference for the dedup-memoized
+    :class:`~repro.inference.InferenceEngine`, which
+    :meth:`Trainer.predict_proba` runs by default: every row goes through
+    the model.  The output array is preallocated once and filled chunk by
+    chunk, so peak memory is one output array plus one chunk (not a full
+    second copy from concatenation).  With per-example ``lengths``,
+    examples are processed in sorted-by-length chunks whose ``values``
+    arrays are trimmed to the chunk maximum (padding steps carry state
+    unchanged, so per-example outputs are bit-for-bit identical), and
+    results are un-permuted back to input order.
     """
-    if deduplicate:
-        engine = InferenceEngine(model, cache=None, batch_size=batch_size)
-        return engine.predict_proba(features, lengths=lengths, dedup=dedup)
-    n = _validate_features(features)
+    n = validate_rows(features)
     out: np.ndarray | None = None
     if lengths is None:
         with no_grad():

@@ -12,7 +12,7 @@ class Sampler:
     """Base class for trainset-selection algorithms.
 
     A sampler inspects only the *dirty* side of the prepared data (the
-    paper is explicit that ``value_y`` and ``label`` must not be used)
+    paper is explicit that the clean values and labels must not be used)
     and returns the tuple ids the user should label.
     """
 

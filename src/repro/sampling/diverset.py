@@ -36,11 +36,9 @@ class DiverSet(Sampler):
     def select(self, n_obs: int, prepared: PreparedData,
                rng: np.random.Generator) -> list[int]:
         available = self._validate(n_obs, prepared)
-        # Tuples by position in first-occurrence order: cell i belongs to
-        # tuple cell_tuple[i].
-        cell_tuple, tuples = first_occurrence_ids(
-            list(map(int, prepared.df.column("id_").values)))
-        position = {tid: i for i, tid in enumerate(tuples)}
+        # Tuple t holds cells t * m .. t * m + m - 1 (the cell order).
+        m, n_tuples = len(prepared.attributes), prepared.n_tuples
+        cell_tuple = np.arange(prepared.labels.size) // m
         # Concat values by code, from the prepared cell keys: each key's
         # ``attribute__value`` string is built once, and cell i has concat
         # codes[i] and is empty where its value is.
@@ -55,10 +53,9 @@ class DiverSet(Sampler):
         # Each tuple's unseen and unseen-empty cell counts, kept up to
         # date: marking a concat seen removes its cells, found through
         # the cells grouped by code, from their tuples' counts.
-        n_unseen = np.bincount(cell_tuple, minlength=len(tuples))
-        n_empty = np.bincount(cell_tuple[empty], minlength=len(tuples))
+        n_unseen = np.bincount(cell_tuple, minlength=n_tuples)
+        n_empty = np.bincount(cell_tuple[empty], minlength=n_tuples)
         by_code, code_start = _grouped(codes, len(concats))
-        by_tuple, tuple_start = _grouped(cell_tuple, len(tuples))
 
         selected: list[int] = []
         for _ in range(n_obs):
@@ -74,19 +71,17 @@ class DiverSet(Sampler):
                 best &= n_unseen == n_unseen[best].max()
                 best &= n_empty == n_empty[best].max()
                 ties = np.flatnonzero(best)
-                chosen = tuples[ties[int(rng.integers(len(ties)))]]
+                chosen = int(ties[int(rng.integers(len(ties)))])
             selected.append(chosen)
-            t = position[chosen]
-            cells = by_tuple[tuple_start[t]:tuple_start[t + 1]]
-            new = [k for k in dict.fromkeys(codes[cells].tolist())
-                   if not seen[k]]
+            chosen_codes = codes[chosen * m:(chosen + 1) * m].tolist()
+            new = [k for k in dict.fromkeys(chosen_codes) if not seen[k]]
             seen[new] = True
             gone = np.concatenate(
                 [by_code[code_start[k]:code_start[k + 1]] for k in new]
                 or [np.empty(0, dtype=np.int64)])
-            n_unseen -= np.bincount(cell_tuple[gone], minlength=len(tuples))
+            n_unseen -= np.bincount(cell_tuple[gone], minlength=n_tuples)
             n_empty -= np.bincount(cell_tuple[gone[empty[gone]]],
-                                   minlength=len(tuples))
+                                   minlength=n_tuples)
         return selected
 
 

@@ -16,14 +16,15 @@ from repro.table import Table
 
 
 def dirty_wide_view(prepared: PreparedData) -> Table:
-    """Reconstruct the wide dirty table from the long-format cell table.
+    """The wide table of prepared dirty texts: one row per tuple, in
+    original attribute order.
 
-    The sampler must only see ``value_x``; this pivots the prepared long
-    table back to one row per tuple in original attribute order.
+    The sampler must only see the dirty side; column ``j`` holds cells
+    ``j, j + m, j + 2m, ...``.
     """
-    wide = prepared.df.pivot("id_", "attribute", "value_x",
-                             column_order=prepared.attributes)
-    return wide.drop(["id_"])
+    m = len(prepared.attributes)
+    return Table({name: prepared.cell_texts(slice(j, None, m))
+                  for j, name in enumerate(prepared.attributes)})
 
 
 class RahaSet(Sampler):

@@ -2,12 +2,12 @@
 
 Cells are arbitrary Python objects; ``None`` represents a missing value
 (the library never uses ``float('nan')`` as a sentinel because NaN breaks
-equality-based operations such as joins and group-bys).
+equality: ``nan != nan``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from typing import Any
 
 from repro.errors import SchemaError
@@ -16,8 +16,8 @@ from repro.errors import SchemaError
 class Column:
     """A named sequence of cell values.
 
-    Columns are value objects: every transforming method returns a new
-    :class:`Column` and leaves the receiver untouched.
+    Columns are value objects: :meth:`rename` and slicing return a new
+    :class:`Column` and leave the receiver untouched.
 
     Parameters
     ----------
@@ -74,45 +74,3 @@ class Column:
     def rename(self, name: str) -> Column:
         """Return a copy of this column under a new name."""
         return Column(name, self._values)
-
-    def map(self, fn: Callable[[Any], Any]) -> Column:
-        """Return a new column with ``fn`` applied to every cell."""
-        return Column(self._name, (fn(v) for v in self._values))
-
-    def take(self, indices: Sequence[int]) -> Column:
-        """Return a new column containing the cells at ``indices``."""
-        values = self._values
-        return Column(self._name, (values[i] for i in indices))
-
-    def astype_str(self) -> Column:
-        """Return a copy with every non-missing cell converted to ``str``."""
-        return self.map(lambda v: v if v is None else str(v))
-
-    # -- predicates and summaries ------------------------------------------
-
-    def is_missing(self) -> list[bool]:
-        """Per-cell missingness mask (``True`` where the cell is ``None``)."""
-        return [v is None for v in self._values]
-
-    def n_missing(self) -> int:
-        """Number of missing cells."""
-        return sum(1 for v in self._values if v is None)
-
-    def unique(self) -> list[Any]:
-        """Distinct values in first-occurrence order (``None`` included)."""
-        return list(dict.fromkeys(self._values))
-
-    def value_counts(self) -> dict[Any, int]:
-        """Map each distinct value to its number of occurrences."""
-        counts: dict[Any, int] = {}
-        for v in self._values:
-            counts[v] = counts.get(v, 0) + 1
-        return counts
-
-    def equals_mask(self, other: Column) -> list[bool]:
-        """Element-wise equality with ``other`` (missing == missing)."""
-        if len(other) != len(self):
-            raise SchemaError(
-                f"cannot compare columns of length {len(self)} and {len(other)}"
-            )
-        return [a == b for a, b in zip(self._values, other._values)]

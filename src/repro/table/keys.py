@@ -1,10 +1,9 @@
-"""Candidate-key and functional-dependency discovery.
+"""Functional-dependency discovery.
 
-Section 5.7 of the paper lists two future-work directions: exploiting
-*functional dependencies* between attributes and *identifying primary keys*
-to recognise duplicate records (the Flights failure mode).  This module
-implements both discovery primitives; they feed the rule-violation strategy
-of the Raha-style baseline (:mod:`repro.baselines.strategies`).
+Section 5.7 of the paper lists exploiting *functional dependencies*
+between attributes as future work.  This module mines approximate
+dependencies; they feed the rule-violation strategy of the Raha-style
+baseline (:mod:`repro.baselines.strategies`).
 """
 
 from __future__ import annotations
@@ -38,43 +37,6 @@ class FunctionalDependency:
     rhs: str
     support: float
     violation_rate: float
-
-
-def discover_candidate_keys(table: Table, max_size: int = 2) -> list[tuple[str, ...]]:
-    """Find minimal column combinations whose values are unique per row.
-
-    Parameters
-    ----------
-    table:
-        Table to analyse.
-    max_size:
-        Largest key size to consider (combinatorial cost grows quickly).
-
-    Returns
-    -------
-    list of tuples of column names, smallest keys first.  Supersets of an
-    already-found key are skipped (only *minimal* keys are reported).
-    """
-    if table.n_rows == 0:
-        return []
-    found: list[tuple[str, ...]] = []
-    names = table.column_names
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(names, size):
-            if any(set(key) <= set(combo) for key in found):
-                continue
-            cols = [table.column(n).values for n in combo]
-            seen = set()
-            unique = True
-            for i in range(table.n_rows):
-                row_key = tuple(c[i] for c in cols)
-                if None in row_key or row_key in seen:
-                    unique = False
-                    break
-                seen.add(row_key)
-            if unique:
-                found.append(combo)
-    return found
 
 
 def discover_functional_dependencies(

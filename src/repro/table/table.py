@@ -1,30 +1,18 @@
 """The :class:`Table` type: an ordered collection of equal-length columns.
 
-Tables are immutable value objects.  All transforming methods return a new
-table, which makes the data-preparation pipeline (Figure 3 of the paper)
-easy to reason about and to test step by step.
+Tables are immutable value objects: :meth:`Table.rename` returns a new
+table and leaves the receiver untouched.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.errors import SchemaError
 from repro.table.column import Column
 
 Row = dict[str, Any]
-
-
-def _sort_key(value: Any) -> tuple[int, Any]:
-    """Total order over heterogeneous cells: missing first, then by type."""
-    if value is None:
-        return (0, "")
-    if isinstance(value, bool):
-        return (1, int(value))
-    if isinstance(value, (int, float)):
-        return (2, value)
-    return (3, str(value))
 
 
 class Table:
@@ -76,11 +64,6 @@ class Table:
             names = list(column_names)
         data = {name: [row.get(name) for row in rows] for name in names}
         return cls(data)
-
-    @classmethod
-    def empty(cls, column_names: Sequence[str]) -> Table:
-        """An empty (zero-row) table with the given columns."""
-        return cls({name: [] for name in column_names})
 
     # -- basic accessors -------------------------------------------------------
 
@@ -143,10 +126,6 @@ class Table:
         """Materialise all rows as a list of dicts."""
         return list(self.iter_rows())
 
-    def to_dict(self) -> dict[str, list[Any]]:
-        """Return ``{column: [values...]}`` with fresh lists."""
-        return {name: list(col.values) for name, col in self._columns.items()}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Table):
             return NotImplemented
@@ -170,19 +149,7 @@ class Table:
             lines.append(f"... ({self._n_rows - n} more rows)")
         return "\n".join(lines)
 
-    # -- column-level transformations -----------------------------------------
-
-    def select(self, names: Sequence[str]) -> Table:
-        """Return a table with only ``names``, in the given order."""
-        return Table({name: self.column(name) for name in names})
-
-    def drop(self, names: Sequence[str]) -> Table:
-        """Return a table without the given columns."""
-        doomed = set(names)
-        missing = doomed - set(self._columns)
-        if missing:
-            raise SchemaError(f"cannot drop unknown columns: {sorted(missing)}")
-        return Table({n: c for n, c in self._columns.items() if n not in doomed})
+    # -- transformations -------------------------------------------------------
 
     def rename(self, mapping: Mapping[str, str]) -> Table:
         """Return a table with columns renamed per ``mapping``."""
@@ -191,135 +158,3 @@ class Table:
             raise SchemaError(f"cannot rename unknown columns: {sorted(unknown)}")
         return Table({mapping.get(n, n): c.rename(mapping.get(n, n))
                       for n, c in self._columns.items()})
-
-    def with_column(self, name: str, values: Iterable[Any]) -> Table:
-        """Return a table with ``name`` added (or replaced)."""
-        data = dict(self._columns)
-        data[name] = Column(name, values)
-        return Table(data)
-
-    def with_computed(self, name: str, fn: Callable[[Row], Any]) -> Table:
-        """Return a table with ``name`` computed per-row by ``fn``."""
-        return self.with_column(name, (fn(row) for row in self.iter_rows()))
-
-    def map_column(self, name: str, fn: Callable[[Any], Any]) -> Table:
-        """Return a table with ``fn`` applied to every cell of ``name``."""
-        return self.with_column(name, self.column(name).map(fn))
-
-    # -- row-level transformations ---------------------------------------------
-
-    def take(self, indices: Sequence[int]) -> Table:
-        """Return a table with the rows at ``indices`` (order preserved)."""
-        return Table({n: c.take(indices) for n, c in self._columns.items()})
-
-    def head(self, n: int) -> Table:
-        """The first ``n`` rows."""
-        return self.take(range(min(n, self._n_rows)))
-
-    def filter(self, predicate: Callable[[Row], bool]) -> Table:
-        """Return the rows for which ``predicate(row)`` is truthy."""
-        indices = [i for i, row in enumerate(self.iter_rows()) if predicate(row)]
-        return self.take(indices)
-
-    def filter_mask(self, mask: Sequence[bool]) -> Table:
-        """Return the rows where ``mask`` is ``True``."""
-        if len(mask) != self._n_rows:
-            raise SchemaError(
-                f"mask length {len(mask)} does not match row count {self._n_rows}"
-            )
-        return self.take([i for i, keep in enumerate(mask) if keep])
-
-    def filter_in(self, name: str, allowed: Iterable[Any]) -> Table:
-        """Rows whose ``name`` cell is a member of ``allowed``."""
-        allowed_set = set(allowed)
-        values = self.column(name).values
-        return self.take([i for i, v in enumerate(values) if v in allowed_set])
-
-    def filter_not_in(self, name: str, banned: Iterable[Any]) -> Table:
-        """Rows whose ``name`` cell is *not* a member of ``banned``."""
-        banned_set = set(banned)
-        values = self.column(name).values
-        return self.take([i for i, v in enumerate(values) if v not in banned_set])
-
-    def sort_by(self, names: Sequence[str], reverse: bool = False) -> Table:
-        """Return a table stably sorted by the given columns."""
-        cols = [self.column(n).values for n in names]
-        order = sorted(
-            range(self._n_rows),
-            key=lambda i: tuple(_sort_key(c[i]) for c in cols),
-            reverse=reverse,
-        )
-        return self.take(order)
-
-    def distinct(self, names: Sequence[str] | None = None) -> Table:
-        """Return the first occurrence of each distinct key combination.
-
-        When ``names`` is ``None``, full rows are de-duplicated.
-        """
-        keys = names if names is not None else self.column_names
-        cols = [self.column(n).values for n in keys]
-        seen: set[tuple[Any, ...]] = set()
-        indices: list[int] = []
-        for i in range(self._n_rows):
-            key = tuple(c[i] for c in cols)
-            if key not in seen:
-                seen.add(key)
-                indices.append(i)
-        return self.take(indices)
-
-    def concat(self, other: Table) -> Table:
-        """Stack ``other`` below this table (schemas must match)."""
-        if self.column_names != other.column_names:
-            raise SchemaError(
-                "cannot concat tables with different schemas: "
-                f"{self.column_names} vs {other.column_names}"
-            )
-        return Table({
-            n: list(self._columns[n].values) + list(other._columns[n].values)
-            for n in self._columns
-        })
-
-    # -- reshaping ----------------------------------------------------------------
-
-    def pivot(self, index: str, columns: str, values: str,
-              column_order: Sequence[str] | None = None) -> Table:
-        """Reshape from long to wide format.
-
-        One output row per distinct ``index`` value (first-seen order);
-        one output column per distinct ``columns`` value plus the index
-        column itself.  Missing combinations become ``None``; duplicate
-        combinations keep the last value.
-
-        Parameters
-        ----------
-        index:
-            Column identifying the output row (e.g. ``id_``).
-        columns:
-            Column whose values become output column names.
-        values:
-            Column supplying the cell values.
-        column_order:
-            Explicit output column order; defaults to first-seen order.
-        """
-        index_col = self.column(index).values
-        name_col = self.column(columns).values
-        value_col = self.column(values).values
-        row_order: list[Any] = []
-        seen_rows: set[Any] = set()
-        names: list[str] = list(column_order) if column_order else []
-        cells: dict[tuple[Any, Any], Any] = {}
-        for key, name, value in zip(index_col, name_col, value_col):
-            if key not in seen_rows:
-                seen_rows.add(key)
-                row_order.append(key)
-            if column_order is None and name not in names:
-                names.append(name)
-            cells[(key, name)] = value
-        data: dict[str, list[Any]] = {index: row_order}
-        for name in names:
-            if not isinstance(name, str):
-                raise SchemaError(
-                    f"pivot column values must be strings, got {name!r}"
-                )
-            data[name] = [cells.get((key, name)) for key in row_order]
-        return Table(data)

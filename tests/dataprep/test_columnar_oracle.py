@@ -7,18 +7,21 @@ tuple, pair every dirty cell with the clean cell of the same
 ``(id_, attribute)`` through a hash lookup, derive the helper columns per
 row, number characters one at a time, and encode every cell on its own
 before grouping duplicate feature rows with ``build_dedup_index``.  The
-production code must agree with it exactly: the same ``df`` cells with
-the same Python types, the same character numbering, and byte-equal
-``EncodedCells``, unique-cell index included.
+production code must agree with it exactly: the same labels and dirty
+texts cell by cell, the same character numbering, ``max_length`` and
+per-attribute ``longest``, and byte-equal ``EncodedCells``, unique-cell
+index included, for the whole table and for a subset of its cells.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.dataprep import PreparedData, encode_cells, prepare
-from repro.dataprep.dictionaries import AttributeDictionary, CharDictionary
+from repro.dataprep import encode_cells, prepare
+from repro.dataprep.dictionaries import CharDictionary
 from repro.datasets import load
 from repro.errors import EncodingError
 from repro.inference.index import build_dedup_index
@@ -30,8 +33,8 @@ MAX_VALUE_LENGTH = 128
 
 
 def reference_prepare(dirty, clean, max_value_length=MAX_VALUE_LENGTH):
-    """Row-wise Figure 3, steps 2-4: returns (df rows, characters,
-    max_length)."""
+    """Row-wise Figure 3, steps 2-4: returns (long rows, characters,
+    max_length, longest)."""
     attributes = clean.column_names
 
     def long_rows(table):
@@ -55,11 +58,9 @@ def reference_prepare(dirty, clean, max_value_length=MAX_VALUE_LENGTH):
         row["value_x"] = row["value_x"][:max_value_length]
         row["value_y"] = row["value_y"][:max_value_length]
         row["label"] = 0 if row["value_x"] == row["value_y"] else 1
-        row["empty"] = 1 if row["value_x"] == "" else 0
-        row["concat"] = f"{row['attribute']}__{row['value_x']}"
-    longest: dict[str, int] = {}
+    longest = dict.fromkeys(attributes, 0)
     for row in df:
-        longest[row["attribute"]] = max(longest.get(row["attribute"], 0),
+        longest[row["attribute"]] = max(longest[row["attribute"]],
                                         len(row["value_x"]))
     for row in df:
         top = longest[row["attribute"]]
@@ -70,18 +71,18 @@ def reference_prepare(dirty, clean, max_value_length=MAX_VALUE_LENGTH):
             if char not in characters:
                 characters[char] = len(characters) + 1
     max_length = max((len(row["value_x"]) for row in df), default=1)
-    return df, list(characters), max(max_length, 1)
+    return df, list(characters), max(max_length, 1), longest
 
 
-def reference_encode(prepared, table, unknown="error"):
+def reference_encode(prepared, rows, unknown="error"):
     """One cell at a time, then ``build_dedup_index`` over the rows."""
-    n = table.n_rows
+    n = len(rows)
     values = np.zeros((n, prepared.max_length), dtype=np.int64)
     attributes = np.zeros(n, dtype=np.int64)
     length_norm = np.zeros((n, 1), dtype=np.float64)
     labels = np.zeros(n, dtype=np.int64)
     tuple_ids = np.zeros(n, dtype=np.int64)
-    for i, row in enumerate(table.iter_rows()):
+    for i, row in enumerate(rows):
         values[i] = prepared.char_index.encode(
             row["value_x"], prepared.max_length, unknown=unknown)
         attributes[i] = prepared.attribute_index.index_of(row["attribute"])
@@ -92,7 +93,7 @@ def reference_encode(prepared, table, unknown="error"):
                 "length_norm": length_norm}
     return {
         "features": features, "labels": labels, "tuple_ids": tuple_ids,
-        "attribute_names": tuple(table.column("attribute").values),
+        "attribute_names": tuple(row["attribute"] for row in rows),
         "lengths": np.count_nonzero(values, axis=1).astype(np.int64),
         "dedup": build_dedup_index(features),
     }
@@ -118,25 +119,24 @@ def assert_same_encoding(got, want):
 
 
 def assert_matches_reference(dirty, clean):
+    """Checks ``prepare`` and ``encode_cells``; returns the prepared data
+    and the reference's long rows."""
     prepared = prepare(dirty, clean)
-    rows, characters, max_length = reference_prepare(dirty, clean)
-    df = prepared.df
-    names = ["id_", "attribute", "value_x", "value_y", "label", "empty",
-             "concat", "length_norm"]
-    assert df.column_names == names
-    for name in names:
-        got = df.column(name).values
-        want = tuple(row[name] for row in rows)
-        assert got == want, name
-        # Same Python types cell by cell: no numpy scalars.
-        assert [type(v) for v in got] == [type(v) for v in want], name
+    rows, characters, max_length, longest = reference_prepare(dirty, clean)
+    assert_same_array(prepared.labels,
+                      np.array([row["label"] for row in rows], dtype=np.int64))
+    texts = prepared.cell_texts(slice(None))
+    assert texts == [row["value_x"] for row in rows]
+    assert all(type(text) is str for text in texts)
     assert [prepared.char_index.char_of(i)
             for i in range(1, prepared.char_index.n_chars + 1)] == characters
     assert prepared.max_length == max_length
+    assert prepared.longest == longest
     assert prepared.attributes == tuple(clean.column_names)
+    assert prepared.n_tuples == dirty.n_rows
     assert_same_encoding(encode_cells(prepared),
-                         reference_encode(prepared, df))
-    return prepared
+                         reference_encode(prepared, rows))
+    return prepared, rows
 
 
 # Leading/trailing whitespace, values over 128 characters, non-ASCII
@@ -169,13 +169,12 @@ def table_pairs(draw):
 @settings(max_examples=120, deadline=None)
 def test_prepare_and_encode_match_row_wise_reference(pair):
     dirty, clean = pair
-    prepared = assert_matches_reference(dirty, clean)
+    prepared, rows = assert_matches_reference(dirty, clean)
     # A subset of the cells, as the train/test split encodes them.
-    df = prepared.df
-    keep = [i for i in range(df.n_rows) if i % 3 != 1]
-    subset = df.take(keep)
-    assert_same_encoding(encode_cells(prepared, subset),
-                         reference_encode(prepared, subset))
+    keep = [i for i in range(len(rows)) if i % 3 != 1]
+    assert_same_encoding(
+        encode_cells(prepared).subset(np.array(keep, dtype=np.int64)),
+        reference_encode(prepared, [rows[i] for i in keep]))
 
 
 @given(table_pairs(), st.integers(0, 6))
@@ -185,17 +184,14 @@ def test_encode_with_unknown_characters_matches_reference(pair, n_known):
     values may then encode alike and share a group), ``error`` raises
     the reference's error."""
     prepared = prepare(*pair)
+    rows = reference_prepare(*pair)[0]
     known = [prepared.char_index.char_of(i)
              for i in range(1, prepared.char_index.n_chars + 1)][:n_known]
-    narrow = PreparedData(df=prepared.df, attributes=prepared.attributes,
-                          char_index=CharDictionary(known),
-                          attribute_index=AttributeDictionary(
-                              prepared.attributes),
-                          max_length=prepared.max_length)
+    narrow = replace(prepared, char_index=CharDictionary(known))
     assert_same_encoding(encode_cells(narrow, unknown="skip"),
-                         reference_encode(narrow, prepared.df, "skip"))
+                         reference_encode(narrow, rows, "skip"))
     try:
-        want = reference_encode(narrow, prepared.df)
+        want = reference_encode(narrow, rows)
     except EncodingError as exc:
         with pytest.raises(EncodingError) as got:
             encode_cells(narrow)

@@ -36,7 +36,8 @@ def table_pairs(draw):
 def test_prepare_cell_count(pair):
     dirty, clean = pair
     prepared = prepare(dirty, clean)
-    assert prepared.df.n_rows == dirty.n_rows * dirty.n_cols
+    assert prepared.labels.shape == (dirty.n_rows * dirty.n_cols,)
+    assert prepared.keys.codes.shape == prepared.labels.shape
 
 
 @given(table_pairs())
@@ -44,8 +45,12 @@ def test_prepare_cell_count(pair):
 def test_labels_iff_values_differ(pair):
     dirty, clean = pair
     prepared = prepare(dirty, clean)
-    for row in prepared.df.iter_rows():
-        assert row["label"] == (0 if row["value_x"] == row["value_y"] else 1)
+    m = clean.n_cols
+    for k, (text, label) in enumerate(zip(prepared.cell_texts(slice(None)),
+                                          prepared.labels.tolist())):
+        assert text == dirty.column(dirty.column_names[k % m])[k // m].lstrip()
+        clean_text = clean.column(clean.column_names[k % m])[k // m].lstrip()
+        assert label == (0 if text == clean_text else 1)
 
 
 @given(table_pairs())
@@ -54,9 +59,9 @@ def test_encoding_decodes_to_value(pair):
     dirty, clean = pair
     prepared = prepare(dirty, clean)
     encoded = encode_cells(prepared)
-    for i, row in enumerate(prepared.df.iter_rows()):
+    for i, text in enumerate(prepared.cell_texts(slice(None))):
         assert prepared.char_index.decode(
-            encoded.features["values"][i]) == row["value_x"]
+            encoded.features["values"][i]) == text
 
 
 @given(table_pairs())
@@ -64,8 +69,8 @@ def test_encoding_decodes_to_value(pair):
 def test_length_norm_in_unit_interval(pair):
     dirty, clean = pair
     prepared = prepare(dirty, clean)
-    for row in prepared.df.iter_rows():
-        assert 0.0 <= row["length_norm"] <= 1.0
+    length_norm = encode_cells(prepared).features["length_norm"]
+    assert ((0.0 <= length_norm) & (length_norm <= 1.0)).all()
 
 
 @given(table_pairs(), st.integers(0, 1000))
@@ -92,5 +97,5 @@ def test_split_partitions_cells(pair, seed):
         return
     ids = RandomSet().select(n_obs, prepared, np.random.default_rng(seed))
     split = split_by_tuple_ids(prepared, ids)
-    assert split.train_size + split.test_size == prepared.df.n_rows
+    assert split.train_size + split.test_size == prepared.labels.size
     assert set(split.train.tuple_ids).isdisjoint(set(split.test.tuple_ids))

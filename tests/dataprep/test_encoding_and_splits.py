@@ -17,7 +17,7 @@ def prepared(paper_example):
 class TestEncodeCells:
     def test_feature_shapes(self, prepared):
         encoded = encode_cells(prepared)
-        n = prepared.df.n_rows
+        n = prepared.labels.size
         assert encoded.features["values"].shape == (n, prepared.max_length)
         assert encoded.features["attributes"].shape == (n,)
         assert encoded.features["length_norm"].shape == (n, 1)
@@ -25,15 +25,18 @@ class TestEncodeCells:
 
     def test_values_decode_back(self, prepared):
         encoded = encode_cells(prepared)
-        for i, row in enumerate(prepared.df.iter_rows()):
+        for i, text in enumerate(prepared.cell_texts(slice(None))):
             decoded = prepared.char_index.decode(encoded.features["values"][i])
-            assert decoded == row["value_x"]
+            assert decoded == text
 
     def test_attribute_indices_valid(self, prepared):
         encoded = encode_cells(prepared)
-        for i, row in enumerate(prepared.df.iter_rows()):
+        m = len(prepared.attributes)
+        for i in range(encoded.n_cells):
+            assert encoded.attribute_names[i] == prepared.attributes[i % m]
             assert (encoded.features["attributes"][i]
-                    == prepared.attribute_index.index_of(row["attribute"]))
+                    == prepared.attribute_index.index_of(
+                        prepared.attributes[i % m]))
 
     def test_labels_are_binary(self, prepared):
         encoded = encode_cells(prepared)
@@ -55,8 +58,8 @@ class TestEncodeCells:
         assert encoded.lengths is not None
         assert encoded.lengths.shape == encoded.labels.shape
         assert encoded.lengths.dtype == np.int64
-        for i, row in enumerate(prepared.df.iter_rows()):
-            assert encoded.lengths[i] == len(row["value_x"])
+        for i, text in enumerate(prepared.cell_texts(slice(None))):
+            assert encoded.lengths[i] == len(text)
         # The length is exactly the non-pad prefix of the padded row.
         values = encoded.features["values"]
         for i, ell in enumerate(encoded.lengths):
@@ -109,11 +112,6 @@ class TestEncodeCells:
         assert sub.dedup is not None
         assert sub.dedup.n_rows == 3
         assert sub.dedup.n_unique <= 3
-
-    def test_missing_column_rejected(self, prepared):
-        broken = prepared.df.drop(["label"])
-        with pytest.raises(DataError):
-            encode_cells(prepared, df=broken)
 
 
 class TestSplitByTupleIds:

@@ -1,50 +1,62 @@
 """Tests for the Figure 3 data-preparation pipeline."""
 
+import numpy as np
 import pytest
 
-from repro.dataprep import prepare
+from repro.dataprep import encode_cells, prepare
 from repro.errors import DataError
 from repro.table import Table
 
 
-def _cells(prepared, column):
-    """``{(id_, attribute): cell}`` of one long-table column."""
-    df = prepared.df
-    return dict(zip(zip(df.column("id_").values, df.column("attribute").values),
-                    df.column(column).values))
+def _texts(prepared):
+    """Every cell's prepared dirty text, in cell order."""
+    return prepared.cell_texts(slice(None))
+
+
+def _cells(prepared, values):
+    """``{(tuple, attribute): value}`` of per-cell ``values``: cell ``k``
+    is tuple ``k // m``, attribute ``k % m``."""
+    m = len(prepared.attributes)
+    return {(k // m, prepared.attributes[k % m]): value
+            for k, value in enumerate(values)}
 
 
 class TestStructureTransformation:
     def test_id_column_added(self, paper_example):
         dirty, clean = paper_example
         prepared = prepare(dirty, clean)
-        assert prepared.df.column("id_").values == tuple(
-            i for i in range(5) for _ in range(4))
+        assert prepared.n_tuples == 5
+        assert encode_cells(prepared).tuple_ids.tolist() == [
+            i for i in range(5) for _ in range(4)]
 
     def test_leading_whitespace_stripped(self):
         dirty = Table({"a": ["  x", "y"]})
         clean = Table({"a": ["x", " y"]})
         prepared = prepare(dirty, clean)
-        assert prepared.df.column("value_x").values == ("x", "y")
-        assert prepared.df.column("value_y").values == ("x", "y")
+        assert _texts(prepared) == ["x", "y"]
+        # The clean side is stripped too: neither cell is an error.
+        assert prepared.labels.tolist() == [0, 0]
 
     def test_trailing_whitespace_kept(self):
         dirty = Table({"a": ["x  "]})
         prepared = prepare(dirty, Table({"a": ["x"]}))
-        assert prepared.df.column("value_x")[0] == "x  "
+        assert _texts(prepared) == ["x  "]
+        assert prepared.labels.tolist() == [1]
 
     def test_columns_renamed_positionally(self):
         dirty = Table({"colA": ["1"], "colB": ["2"]})
         clean = Table({"a": ["1"], "b": ["3"]})
         prepared = prepare(dirty, clean)
         assert prepared.attributes == ("a", "b")
-        assert _cells(prepared, "value_x") == {(0, "a"): "1", (0, "b"): "2"}
-        assert _cells(prepared, "label") == {(0, "a"): 0, (0, "b"): 1}
+        assert _cells(prepared, _texts(prepared)) == {(0, "a"): "1",
+                                                      (0, "b"): "2"}
+        assert _cells(prepared, prepared.labels.tolist()) == {(0, "a"): 0,
+                                                              (0, "b"): 1}
 
     def test_none_becomes_empty_string(self):
         dirty = Table({"a": [None]})
         prepared = prepare(dirty, Table({"a": ["x"]}))
-        assert prepared.df.column("value_x")[0] == ""
+        assert _texts(prepared) == [""]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
@@ -59,28 +71,27 @@ class TestStructureTransformation:
 class TestMergeToLong:
     def test_long_format_shape(self, paper_example):
         dirty, clean = paper_example
-        df = prepare(dirty, clean).df
-        assert df.n_rows == 5 * 4  # tuples x attributes
-        assert df.column_names == ["id_", "attribute", "value_x", "value_y",
-                                   "label", "empty", "concat", "length_norm"]
+        prepared = prepare(dirty, clean)
+        assert prepared.labels.shape == (5 * 4,)  # tuples x attributes
+        assert prepared.labels.dtype == np.int64
         # Cell k is tuple k // 4, attribute k % 4, paired with the clean
         # cell of the same position.
-        for k, row in enumerate(df.iter_rows()):
+        for k, (text, label) in enumerate(zip(_texts(prepared),
+                                              prepared.labels.tolist())):
             name = clean.column_names[k % 4]
-            assert row["id_"] == k // 4
-            assert row["attribute"] == name
-            assert row["value_x"] == (dirty.column(dirty.column_names[k % 4])
-                                      [k // 4] or "").lstrip()
-            assert row["value_y"] == (clean.column(name)[k // 4] or "").lstrip()
+            assert prepared.attributes[k % 4] == name
+            assert text == (dirty.column(dirty.column_names[k % 4])
+                            [k // 4] or "").lstrip()
+            clean_text = (clean.column(name)[k // 4] or "").lstrip()
+            assert label == int(text != clean_text)
 
     def test_labels_match_table1(self, paper_example):
         """The highlighted cells of Table 1 must be labelled 1."""
         dirty, clean = paper_example
         prepared = prepare(dirty, clean)
-        errors = {
-            (row["id_"], row["attribute"])
-            for row in prepared.df.iter_rows() if row["label"] == 1
-        }
+        errors = {cell for cell, label
+                  in _cells(prepared, prepared.labels.tolist()).items()
+                  if label == 1}
         assert errors == {
             (0, "Sal"), (0, "City"),        # '80,000', 'NaN'
             (1, "City"),                    # 'Romr'
@@ -89,39 +100,45 @@ class TestMergeToLong:
         }
 
     def test_empty_flag(self):
+        """An empty dirty value (DiverSet's ``#empty``) is a cell whose
+        text is empty."""
         dirty = Table({"a": ["", "x"]})
         clean = Table({"a": ["y", "x"]})
         prepared = prepare(dirty, clean)
-        by_id = {r["id_"]: r["empty"] for r in prepared.df.iter_rows()}
-        assert by_id == {0: 1, 1: 0}
+        by_id = _cells(prepared, [int(not text) for text in _texts(prepared)])
+        assert by_id == {(0, "a"): 1, (1, "a"): 0}
 
     def test_concat_column(self, paper_example):
+        """A cell's key is its ``(attribute, value)`` pair, DiverSet's
+        ``attribute__value`` concat."""
         dirty, clean = paper_example
         prepared = prepare(dirty, clean)
-        first = prepared.df.row(0)
-        assert first["concat"] == f"{first['attribute']}__{first['value_x']}"
+        keys = prepared.keys
+        first = keys.codes[0]
+        assert (keys.attributes[first], keys.values[first]) == (
+            prepared.attributes[0], _texts(prepared)[0])
 
     def test_length_norm_is_ratio_per_attribute(self):
         dirty = Table({"a": ["xx", "xxxx"], "b": ["y", "y"]})
         prepared = prepare(dirty, dirty)
-        ratios = {
-            (r["attribute"], r["id_"]): r["length_norm"]
-            for r in prepared.df.iter_rows()
-        }
-        assert ratios[("a", 0)] == 0.5
-        assert ratios[("a", 1)] == 1.0
-        assert ratios[("b", 0)] == 1.0
+        ratios = _cells(prepared, encode_cells(prepared)
+                        .features["length_norm"][:, 0].tolist())
+        assert ratios[(0, "a")] == 0.5
+        assert ratios[(1, "a")] == 1.0
+        assert ratios[(0, "b")] == 1.0
 
     def test_length_norm_zero_for_all_empty_attribute(self):
         dirty = Table({"a": ["", ""], "b": ["x", "y"]})
         prepared = prepare(dirty, dirty)
-        a_rows = [r for r in prepared.df.iter_rows() if r["attribute"] == "a"]
-        assert all(r["length_norm"] == 0.0 for r in a_rows)
+        ratios = _cells(prepared, encode_cells(prepared)
+                        .features["length_norm"][:, 0].tolist())
+        assert prepared.longest["a"] == 0
+        assert ratios[(0, "a")] == ratios[(1, "a")] == 0.0
 
     def test_truncation_at_max_length(self):
         dirty = Table({"a": ["x" * 200]})
         prepared = prepare(dirty, dirty, max_value_length=128)
-        assert len(prepared.df.row(0)["value_x"]) == 128
+        assert len(_texts(prepared)[0]) == 128
 
     def test_truncation_can_mask_errors(self):
         """Values differing only beyond the cut become label 0 -- the
@@ -129,7 +146,7 @@ class TestMergeToLong:
         dirty = Table({"a": ["x" * 128 + "A"]})
         clean = Table({"a": ["x" * 128 + "B"]})
         prepared = prepare(dirty, clean)
-        assert prepared.df.row(0)["label"] == 0
+        assert prepared.labels[0] == 0
 
 
 class TestPrepare:
@@ -138,14 +155,13 @@ class TestPrepare:
         prepared = prepare(dirty, clean)
         assert prepared.attributes == ("A", "Sal", "ZIP", "City")
         assert prepared.n_tuples == 5
-        assert prepared.max_length == max(
-            len(r["value_x"]) for r in prepared.df.iter_rows())
+        assert prepared.max_length == max(map(len, _texts(prepared)))
 
     def test_char_index_covers_dirty_values(self, paper_example):
         dirty, clean = paper_example
         prepared = prepare(dirty, clean)
-        for row in prepared.df.iter_rows():
-            for char in row["value_x"]:
+        for text in _texts(prepared):
+            for char in text:
                 assert char in prepared.char_index
 
     def test_attribute_index_covers_attributes(self, paper_example):

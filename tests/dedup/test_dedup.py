@@ -39,7 +39,9 @@ class TestScoreRecordKey:
         assert 0.5 < candidate.agreement < 1.0
 
     def test_unique_key_scores_zero_duplication(self, flights_like):
-        with_id = flights_like.with_column("id", range(6))
+        with_id = Table({**{name: flights_like.column(name).values
+                            for name in flights_like.column_names},
+                         "id": list(range(6))})
         candidate = score_record_key(with_id, ("id",))
         assert candidate.duplication == 0.0
 

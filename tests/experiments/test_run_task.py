@@ -70,7 +70,11 @@ def retired_augment_loop(pair, n_runs, n_label_tuples, base_seed=0):
     """The augmentation baseline's former bespoke loop: DiverSet rows,
     one classifier per attribute, the same generator throughout."""
     prepared = prepare(pair.dirty, pair.clean)
-    rows = prepared.df.to_rows()
+    m = len(prepared.attributes)
+    rows = [{"id_": k // m, "attribute": prepared.attributes[k % m],
+             "value_x": text, "label": label}
+            for k, (text, label) in enumerate(zip(
+                prepared.cell_texts(slice(None)), prepared.labels.tolist()))]
     out = []
     for seed in range(base_seed, base_seed + n_runs):
         rng = np.random.default_rng(seed)

@@ -21,9 +21,8 @@ from repro.models.serialization import (
     save_training_checkpoint,
 )
 from repro.nn import RMSprop, Trainer
-from repro.nn.callbacks import BestWeightsCheckpoint, EarlyStopping
+from repro.nn.callbacks import BestWeightsCheckpoint, Callback, EarlyStopping
 from repro.nn.module import Module, Parameter
-from repro.nn.schedules import LearningRateScheduler, StepDecay
 
 
 class TinyClassifier(Module):
@@ -36,6 +35,34 @@ class TinyClassifier(Module):
 
     def forward(self, features):
         return softmax(Tensor(features["x"]) @ self.w + self.b)
+
+
+class HalvingRate(Callback):
+    """Halves the optimizer's rate every third epoch: a callback that
+    changes training, so a resume must bring back both the applied rate
+    (optimizer state) and the callback's own record of it."""
+
+    def __init__(self, optimizer, base_rate=0.01, every=3):
+        self.optimizer = optimizer
+        self.base_rate = base_rate
+        self.every = every
+        self.rates: list[float] = []
+
+    def on_train_begin(self, model):
+        self.optimizer.learning_rate = self.base_rate
+        self.rates = [self.base_rate]
+
+    def on_epoch_end(self, model, epoch, logs):
+        logs["learning_rate"] = self.optimizer.learning_rate
+        self.optimizer.learning_rate = (
+            self.base_rate * 0.5 ** ((epoch + 1) // self.every))
+        self.rates.append(self.optimizer.learning_rate)
+
+    def state_dict(self):
+        return {"rates": list(self.rates)}
+
+    def load_state_dict(self, state):
+        self.rates = [float(rate) for rate in state.get("rates", [])]
 
 
 def _loss(probs, labels):
@@ -53,8 +80,7 @@ def make_trainer(seed=0, with_schedule=True):
     optimizer = RMSprop(model.parameters(), learning_rate=0.01)
     callbacks = [BestWeightsCheckpoint(), EarlyStopping(patience=50)]
     if with_schedule:
-        callbacks.append(LearningRateScheduler(
-            optimizer, StepDecay(0.01, factor=0.5, step_epochs=3)))
+        callbacks.append(HalvingRate(optimizer))
     return Trainer(model=model, optimizer=optimizer, loss_fn=_loss,
                    rng=np.random.default_rng(123), callbacks=callbacks)
 

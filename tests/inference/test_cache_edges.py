@@ -73,7 +73,7 @@ class TestLoadStateDictMidStream:
         assert engine.last_stats.cache_misses == engine.last_stats.n_unique
         np.testing.assert_array_equal(warm, reloaded)
         np.testing.assert_array_equal(
-            reloaded, predict_proba(model, features, deduplicate=False))
+            reloaded, predict_proba(model, features))
 
     def test_version_survives_across_multiple_reloads(self, model):
         versions = [model.weights_version]
@@ -126,7 +126,7 @@ class TestEvictionOrdering:
         features, lengths = _pool_features(rng, 8, 24)
         engine = InferenceEngine(model, cache=PredictionCache(capacity=2),
                                  batch_size=5)
-        naive = predict_proba(model, features, deduplicate=False)
+        naive = predict_proba(model, features)
         for _ in range(3):
             got = engine.predict_proba(features, lengths=lengths)
             np.testing.assert_array_equal(naive, got)

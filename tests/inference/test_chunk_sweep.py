@@ -58,8 +58,7 @@ def _distinct_features(rng, n_rows):
 def dataset(model):
     rng = np.random.default_rng(17)
     features, lengths = _distinct_features(rng, N_ROWS)
-    reference = predict_proba(model, features, batch_size=N_ROWS,
-                              deduplicate=False)
+    reference = predict_proba(model, features, batch_size=N_ROWS)
     return features, lengths, reference
 
 
@@ -67,8 +66,7 @@ class TestChunkSweep:
     @pytest.mark.parametrize("batch_size", range(1, N_ROWS + 1))
     def test_naive_path_any_chunk_size(self, model, dataset, batch_size):
         features, _, reference = dataset
-        got = predict_proba(model, features, batch_size=batch_size,
-                            deduplicate=False)
+        got = predict_proba(model, features, batch_size=batch_size)
         assert got.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("batch_size", range(1, N_ROWS + 1))

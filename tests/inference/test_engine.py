@@ -66,11 +66,9 @@ class TestBitIdentity:
                                              n_rows, use_lengths):
         rng = np.random.default_rng(seed)
         features, lengths = _pool_features(rng, n_unique, n_rows)
-        naive = predict_proba(model, features, batch_size=7,
-                              deduplicate=False)
-        memoized = predict_proba(model, features, batch_size=7,
-                                 lengths=lengths if use_lengths else None,
-                                 deduplicate=True)
+        naive = predict_proba(model, features, batch_size=7)
+        memoized = InferenceEngine(model, batch_size=7).predict_proba(
+            features, lengths=lengths if use_lengths else None)
         np.testing.assert_array_equal(naive, memoized)
 
         engine = InferenceEngine(model, cache=PredictionCache(),
@@ -96,10 +94,10 @@ class TestBitIdentity:
         identity survives any remainder/unique-count combination."""
         rng = np.random.default_rng(0)
         features, lengths = _pool_features(rng, n_unique, n_rows)
-        naive = predict_proba(model, features, batch_size=batch_size,
-                              deduplicate=False)
-        memoized = predict_proba(model, features, batch_size=batch_size,
-                                 lengths=lengths, deduplicate=True)
+        naive = predict_proba(model, features, batch_size=batch_size)
+        memoized = InferenceEngine(
+            model, batch_size=batch_size).predict_proba(features,
+                                                        lengths=lengths)
         engine = InferenceEngine(model, cache=PredictionCache(),
                                  batch_size=batch_size)
         cold = engine.predict_proba(features, lengths=lengths)
@@ -118,7 +116,7 @@ class TestBitIdentity:
                                  batch_size=6)
         engine.predict_proba(features_a, lengths=lengths_a)  # warm half
         got = engine.predict_proba(mixed, lengths=mixed_lengths)
-        want = predict_proba(model, mixed, deduplicate=False)
+        want = predict_proba(model, mixed)
         np.testing.assert_array_equal(got, want)
         assert engine.last_stats.cache_hits > 0
         assert engine.last_stats.cache_misses > 0
@@ -148,10 +146,9 @@ class TestTable2Datasets:
                         prepared.attribute_index.vocab_size,
                         TINY, np.random.default_rng(0))
         model.eval()
-        naive = predict_proba(model, encoded.features, deduplicate=False)
-        memoized = predict_proba(model, encoded.features,
-                                 lengths=encoded.lengths,
-                                 dedup=encoded.dedup, deduplicate=True)
+        naive = predict_proba(model, encoded.features)
+        memoized = InferenceEngine(model).predict_proba(
+            encoded.features, lengths=encoded.lengths, dedup=encoded.dedup)
         engine = InferenceEngine(model, cache=PredictionCache())
         cached_cold = engine.predict_proba(encoded.features,
                                            lengths=encoded.lengths,
@@ -191,7 +188,7 @@ class TestInvalidation:
         assert trainer.inference_stats.cache_hits == 0
         # ... and the fresh predictions match a naive forward, not the
         # stale pre-training probabilities.
-        naive = predict_proba(model, features, deduplicate=False)
+        naive = predict_proba(model, features)
         np.testing.assert_array_equal(after, naive)
         assert not np.array_equal(before, after)
 
@@ -201,7 +198,7 @@ class TestInvalidation:
         checkpoint = BestWeightsCheckpoint()
         checkpoint.on_epoch_end(model, 0, {"loss": 1.0})  # snapshot now
         model.eval()
-        snapshot_probs = predict_proba(model, features, deduplicate=False)
+        snapshot_probs = predict_proba(model, features)
         trainer.fit(features, labels, epochs=1, batch_size=24)
         trainer.predict_proba(features, lengths=lengths)  # warm post-fit
         assert len(cache) > 0

@@ -194,7 +194,7 @@ class TestEncodedCellsIntegration:
         prepared = prepare(*duplicated_pair)
         encoded = encode_cells(prepared)
         pairs = list(zip(encoded.attribute_names,
-                         (prepared.df.column("value_x").values)))
+                         prepared.cell_texts(slice(None))))
         groups = {}
         for i, pair in enumerate(pairs):
             groups.setdefault(pair, []).append(i)

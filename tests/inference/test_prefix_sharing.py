@@ -8,7 +8,7 @@ BiRNN once per distinct value, and each stack once per distinct prefix
 The oracle below derives what a plan must hold from Python sets of
 prefixes; the property then checks that the engine, whatever the
 duplicate, prefix and suffix structure of a call, returns exactly the
-bytes of ``predict_proba(..., deduplicate=False)``.  On the graph
+bytes of the naive ``predict_proba``.  On the graph
 backend the engine keeps the packed path and the property still holds.
 """
 
@@ -204,8 +204,7 @@ def test_engine_matches_naive_forward(architecture, cell, widths, call,
     a few, or one per value)."""
     features, lengths = call
     model = _model(architecture, cell, widths)
-    naive = predict_proba(model, features, batch_size=256,
-                          deduplicate=False)
+    naive = predict_proba(model, features, batch_size=256)
     engine = InferenceEngine(model, cache=PredictionCache(),
                              batch_size=batch_size)
     with mock.patch.object(engine_module, "VALUE_WINDOW", window), \
@@ -223,7 +222,7 @@ def test_single_value_call(architecture):
     features = {"values": np.array([[3, 1, 4, 1, 5, 0]] * 3),
                 "attributes": np.array([1, 2, 3]),
                 "length_norm": np.full((3, 1), 5 / 6)}
-    naive = predict_proba(model, features, deduplicate=False)
+    naive = predict_proba(model, features)
     got = InferenceEngine(model, batch_size=2).predict_proba(features)
     assert got.tobytes() == naive.tobytes()
 

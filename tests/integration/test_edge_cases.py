@@ -67,9 +67,9 @@ class TestEmptyValues:
         dirty = Table({"a": [None, "x", None, "y", "z", "w"]})
         clean = Table({"a": ["q", "x", "r", "y", "z", "w"]})
         prepared = prepare(dirty, clean)
-        values = [r["value_x"] for r in prepared.df.iter_rows()]
+        values = prepared.cell_texts(slice(None))
         assert values[0] == ""
-        labels = [r["label"] for r in prepared.df.iter_rows()]
+        labels = prepared.labels.tolist()
         assert labels[0] == 1
 
 

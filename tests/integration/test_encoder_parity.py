@@ -26,6 +26,7 @@ from repro.dataprep.encoding import table_cells
 from repro.datasets import load
 from repro.datasets.base import DatasetPair
 from repro.detectors import NeuralDetector, get
+from repro.inference import InferenceEngine
 from repro.io import detect_path
 from repro.models import ErrorDetector
 from repro.models.serialization import (
@@ -33,9 +34,8 @@ from repro.models.serialization import (
     load_detector,
     save_detector,
 )
-from repro.nn.training import predict_proba
 from repro.serving import ServingClient, ServingDaemon
-from repro.table import read_csv, write_csv
+from repro.table import Table, read_csv, write_csv
 
 pytestmark = pytest.mark.equivalence
 
@@ -54,9 +54,14 @@ def parity_pair() -> DatasetPair:
     padded = [(" \t " if i % 3 == 0 else "") + str(v)
               for i, v in enumerate(dirty.column(first).values)]
     blank = [""] * dirty.n_rows
-    return DatasetPair("parity", dirty.with_column(first, padded)
-                       .with_column("blank", blank),
-                       clean.with_column("blank", blank))
+
+    def with_blank(table, replaced):
+        columns = {name: table.column(name).values
+                   for name in table.column_names}
+        return Table({**columns, **replaced, "blank": blank})
+
+    return DatasetPair("parity", with_blank(dirty, {first: padded}),
+                       with_blank(clean, {}))
 
 
 @dataclass
@@ -134,7 +139,7 @@ def test_table_has_whitespace_and_an_empty_attribute(fitted):
     first = fitted.pair.dirty.column_names[0]
     raw = fitted.pair.dirty.column(first).values
     assert raw[0].startswith(" \t ")
-    assert prepared.df.column("value_x").values[0] == raw[0].lstrip()
+    assert prepared.cell_texts(slice(0, 1)) == [raw[0].lstrip()]
 
 
 def test_in_memory_encoder_matches_training(fitted):
@@ -213,16 +218,15 @@ def test_one_cell_calls_match_the_whole_table(fitted):
     bytes it gets inside the whole-table call."""
     values, attributes = raw_cells(fitted)
     model = fitted.detector.model
-    whole = predict_proba(model, encode_values_for(
-        fitted.detector, values, attributes), deduplicate=True)
+    whole = InferenceEngine(model).predict_proba(encode_values_for(
+        fitted.detector, values, attributes))
     first = fitted.pair.dirty.column_names[0]
     picks = [0, 1, attributes.index("blank"), len(values) - 1,
              attributes.index(first) + 3]      # a whitespace-led value
     assert values[picks[-1]].startswith(" \t ")
     for k in picks:
-        one = predict_proba(model, encode_values_for(
-            fitted.detector, [values[k]], [attributes[k]]),
-            deduplicate=True)
+        one = InferenceEngine(model).predict_proba(encode_values_for(
+            fitted.detector, [values[k]], [attributes[k]]))
         assert_bytes_equal(one, whole[k:k + 1])
 
 

@@ -29,7 +29,7 @@ class TestPipelineOnEveryDataset:
     def test_label_rate_matches_error_rate(self, name):
         pair = load(name, n_rows=80, seed=8)
         prepared = prepare(pair.dirty, pair.clean)
-        labels = [row["label"] for row in prepared.df.iter_rows()]
+        labels = prepared.labels.tolist()
         assert sum(labels) / len(labels) == pytest.approx(
             pair.measured_error_rate(), abs=1e-9)
 

@@ -169,8 +169,7 @@ class TestDedupInference:
         chunked forward over every test row."""
         memoized = fitted.evaluate()
         test = fitted.split.test
-        naive = predict_proba(fitted.model, test.features,
-                              deduplicate=False)
+        naive = predict_proba(fitted.model, test.features)
         np.testing.assert_array_equal(memoized.predictions,
                                       naive.argmax(axis=1))
         assert memoized.inference.n_rows == test.n_cells

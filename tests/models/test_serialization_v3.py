@@ -56,9 +56,9 @@ def rewrite(path, edit):
 def probe(detector):
     """The training cells plus, per attribute, an overlong, a
     whitespace-led and an empty value."""
-    df = detector.prepared.df
-    values = list(df.column("value_x").values)
-    attributes = list(df.column("attribute").values)
+    prepared = detector.prepared
+    values = prepared.cell_texts(slice(None))
+    attributes = list(prepared.attributes * prepared.n_tuples)
     for name in detector.prepared.attributes:
         for value in ("x" * 300, "  7", ""):
             values.append(value)

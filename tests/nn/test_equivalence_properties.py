@@ -114,8 +114,7 @@ class TestDedupNaiveProperty:
                                        batch_size, use_lengths, use_cache):
         rng = np.random.default_rng(seed)
         features, lengths = _pool_features(rng, n_unique, n_rows)
-        naive = predict_proba(model, features, batch_size=batch_size,
-                              deduplicate=False)
+        naive = predict_proba(model, features, batch_size=batch_size)
         engine = InferenceEngine(
             model, cache=PredictionCache() if use_cache else None,
             batch_size=batch_size)
@@ -130,10 +129,8 @@ class TestDedupNaiveProperty:
         1-row path on both the naive and the dedup engine."""
         rng = np.random.default_rng(11)
         features, lengths = _pool_features(rng, 4, 9)
-        naive_wide = predict_proba(model, features, batch_size=64,
-                                   deduplicate=False)
-        naive_single = predict_proba(model, features, batch_size=1,
-                                     deduplicate=False)
+        naive_wide = predict_proba(model, features, batch_size=64)
+        naive_single = predict_proba(model, features, batch_size=1)
         engine = InferenceEngine(model, cache=PredictionCache(),
                                  batch_size=1)
         dedup_single = engine.predict_proba(features, lengths=lengths)

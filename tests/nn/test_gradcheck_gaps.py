@@ -1,11 +1,9 @@
 """Gradient checks for paths the main suites leave uncovered.
 
-Three gaps: dropout (train-mode masks are stochastic, so no suite
-gradchecked them), gated cells through a *nonzero* recurrent state (the
-cell suites start from ``initial_state``, where ``h_prev @ w_h`` is zero
-and ``w_h`` gets a vanishing-by-construction gradient), and schedule /
-RMSprop interaction (the rate changes between steps while the moving
-average persists).
+Two gaps: dropout (train-mode masks are stochastic, so no suite
+gradchecked them), and gated cells through a *nonzero* recurrent state
+(the cell suites start from ``initial_state``, where ``h_prev @ w_h`` is
+zero and ``w_h`` gets a vanishing-by-construction gradient).
 """
 
 import numpy as np
@@ -17,15 +15,8 @@ from repro.nn import (
     Dropout,
     GRUCell,
     LSTMCell,
-    RMSprop,
     StackedRNN,
     use_backend,
-)
-from repro.nn.schedules import (
-    CosineAnnealing,
-    ExponentialDecay,
-    LearningRateScheduler,
-    StepDecay,
 )
 
 
@@ -115,84 +106,3 @@ class TestGatedRecurrentStateGradients:
         with use_backend("graph"):
             check_gradients(lambda: (rnn(x, mask=mask) ** 2).sum(),
                             [x] + rnn.parameters())
-
-
-class TestSchedulesWithRMSprop:
-    """The schedule mutates ``learning_rate`` between epochs while the
-    RMSprop moving average persists across the change."""
-
-    def _run(self, schedule, epochs, steps_per_epoch=2, seed=0):
-        rng = np.random.default_rng(seed)
-        param = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        target = rng.normal(size=(3,))
-        optimizer = RMSprop([param], learning_rate=schedule.base_rate)
-        scheduler = LearningRateScheduler(optimizer, schedule)
-        scheduler.on_train_begin(model=None)
-        rates = []
-        for epoch in range(epochs):
-            for _ in range(steps_per_epoch):
-                param.zero_grad()
-                ((param - Tensor(target)) ** 2).sum().backward()
-                optimizer.step()
-            scheduler.on_epoch_end(model=None, epoch=epoch, logs={})
-            rates.append(optimizer.learning_rate)
-        return param, optimizer, rates
-
-    @pytest.mark.parametrize("schedule", [
-        StepDecay(0.05, factor=0.5, step_epochs=2),
-        ExponentialDecay(0.05, decay=0.3),
-        CosineAnnealing(0.05, total_epochs=4),
-    ], ids=["step", "exponential", "cosine"])
-    def test_rate_tracks_schedule_and_state_persists(self, schedule):
-        param, optimizer, rates = self._run(schedule, epochs=4)
-        # on_epoch_end(epoch) pre-sets the rate for epoch + 1
-        assert rates == [schedule.rate_at(e + 1) for e in range(4)]
-        # the moving average survived every rate change intact
-        (mean_square,) = optimizer._mean_square
-        assert (mean_square > 0.0).all()
-
-    def test_decayed_run_steps_smaller_than_constant(self):
-        """Same gradients, same moving average -- only the rate differs,
-        so the decayed trajectory must end closer to its start."""
-        decayed, _, _ = self._run(ExponentialDecay(0.05, decay=1.0),
-                                  epochs=6)
-        constant, _, _ = self._run(ExponentialDecay(0.05, decay=0.0),
-                                   epochs=6)
-        start = np.random.default_rng(0).normal(size=(3,))
-        assert (np.abs(decayed.data - start).sum()
-                < np.abs(constant.data - start).sum())
-
-    def test_scheduler_resume_matches_uninterrupted(self):
-        """state_dict round trip mid-schedule: the restored pair keeps
-        both the epoch position and the RMSprop slots."""
-        full_param, full_opt, _ = self._run(StepDecay(0.05, step_epochs=2),
-                                            epochs=6)
-
-        rng = np.random.default_rng(0)
-        param = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        target = rng.normal(size=(3,))
-        optimizer = RMSprop([param], learning_rate=0.05)
-        scheduler = LearningRateScheduler(optimizer, StepDecay(0.05, step_epochs=2))
-        scheduler.on_train_begin(model=None)
-        for epoch in range(3):
-            for _ in range(2):
-                param.zero_grad()
-                ((param - Tensor(target)) ** 2).sum().backward()
-                optimizer.step()
-            scheduler.on_epoch_end(model=None, epoch=epoch, logs={})
-
-        resumed_param = Tensor(param.data.copy(), requires_grad=True)
-        resumed_opt = RMSprop([resumed_param], learning_rate=0.05)
-        resumed_opt.load_state_dict(optimizer.state_dict())
-        resumed_sched = LearningRateScheduler(resumed_opt,
-                                              StepDecay(0.05, step_epochs=2))
-        resumed_sched.load_state_dict(scheduler.state_dict())
-        for epoch in range(3, 6):
-            for _ in range(2):
-                resumed_param.zero_grad()
-                ((resumed_param - Tensor(target)) ** 2).sum().backward()
-                resumed_opt.step()
-            resumed_sched.on_epoch_end(model=None, epoch=epoch, logs={})
-
-        assert resumed_param.data.tobytes() == full_param.data.tobytes()
-        assert resumed_opt.learning_rate == full_opt.learning_rate

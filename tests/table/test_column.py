@@ -63,41 +63,3 @@ class TestTransformations:
         renamed = Column("a", [1]).rename("b")
         assert renamed.name == "b"
         assert renamed.values == (1,)
-
-    def test_map(self):
-        assert Column("a", [1, 2]).map(lambda v: v + 1).values == (2, 3)
-
-    def test_map_preserves_name(self):
-        assert Column("a", [1]).map(str).name == "a"
-
-    def test_take(self):
-        assert Column("a", "abcd").take([3, 0]).values == ("d", "a")
-
-    def test_astype_str_keeps_none(self):
-        assert Column("a", [1, None]).astype_str().values == ("1", None)
-
-
-class TestSummaries:
-    def test_is_missing(self):
-        assert Column("a", [1, None, 2]).is_missing() == [False, True, False]
-
-    def test_n_missing(self):
-        assert Column("a", [None, None, 1]).n_missing() == 2
-
-    def test_unique_preserves_order(self):
-        assert Column("a", [3, 1, 3, 2, 1]).unique() == [3, 1, 2]
-
-    def test_unique_includes_none(self):
-        assert Column("a", [None, 1, None]).unique() == [None, 1]
-
-    def test_value_counts(self):
-        assert Column("a", ["x", "y", "x"]).value_counts() == {"x": 2, "y": 1}
-
-    def test_equals_mask(self):
-        a = Column("a", [1, None, 3])
-        b = Column("b", [1, None, 4])
-        assert a.equals_mask(b) == [True, True, False]
-
-    def test_equals_mask_length_mismatch(self):
-        with pytest.raises(SchemaError):
-            Column("a", [1]).equals_mask(Column("b", [1, 2]))

@@ -1,12 +1,8 @@
-"""Tests for repro.table.keys (candidate keys and FDs)."""
+"""Tests for repro.table.keys (functional dependencies)."""
 
 import pytest
 
-from repro.table import (
-    Table,
-    discover_candidate_keys,
-    discover_functional_dependencies,
-)
+from repro.table import Table, discover_functional_dependencies
 from repro.table.keys import FunctionalDependency, fd_violating_rows
 
 
@@ -18,32 +14,6 @@ def cities() -> Table:
         "city": ["Rome", "Rome", "Paris", "Paris", "Rome", "Paris"],
         "state": ["IT", "IT", "FR", "FR", "FR", "FR"],
     })
-
-
-class TestCandidateKeys:
-    def test_single_column_key_found(self, cities):
-        keys = discover_candidate_keys(cities)
-        assert ("id",) in keys
-
-    def test_non_unique_column_not_key(self, cities):
-        keys = discover_candidate_keys(cities, max_size=1)
-        assert ("city",) not in keys
-
-    def test_composite_key(self):
-        table = Table({"a": [1, 1, 2, 2], "b": ["x", "y", "x", "y"]})
-        assert ("a", "b") in discover_candidate_keys(table, max_size=2)
-
-    def test_minimality_supersets_skipped(self, cities):
-        keys = discover_candidate_keys(cities, max_size=2)
-        assert ("id",) in keys
-        assert all("id" not in key or key == ("id",) for key in keys)
-
-    def test_none_disqualifies(self):
-        table = Table({"a": [1, None]})
-        assert discover_candidate_keys(table) == []
-
-    def test_empty_table(self):
-        assert discover_candidate_keys(Table({"a": []})) == []
 
 
 class TestFunctionalDependencies:
@@ -76,13 +46,12 @@ class TestFunctionalDependencies:
         assert discover_functional_dependencies(Table({"a": [], "b": []})) == []
 
     def test_multi_column_lhs(self):
-        table = Table({
-            "a": ["1", "1", "2", "2"],
-            "b": ["x", "y", "x", "y"],
-            "c": ["p", "q", "r", "s"],
-        })
         # c is determined only by (a, b) jointly; need duplicates to see it.
-        doubled = table.concat(table)
+        doubled = Table({
+            "a": ["1", "1", "2", "2"] * 2,
+            "b": ["x", "y", "x", "y"] * 2,
+            "c": ["p", "q", "r", "s"] * 2,
+        })
         fds = discover_functional_dependencies(doubled, max_lhs_size=2)
         assert any(fd.lhs == ("a", "b") and fd.rhs == "c" for fd in fds)
 

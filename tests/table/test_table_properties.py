@@ -24,36 +24,3 @@ def tables(draw, min_rows=0, max_rows=12):
 @given(tables())
 def test_round_trip_rows(table):
     assert Table.from_rows(table.to_rows(), table.column_names) == table
-
-
-@given(tables())
-def test_take_identity(table):
-    assert table.take(range(table.n_rows)) == table
-
-
-@given(tables(min_rows=1))
-def test_sort_is_permutation(table):
-    key = table.column_names[0]
-    sorted_table = table.sort_by([key])
-    assert sorted(map(repr, sorted_table.column(key).values)) == \
-        sorted(map(repr, table.column(key).values))
-
-
-@given(tables())
-def test_distinct_idempotent(table):
-    once = table.distinct()
-    assert once.distinct() == once
-
-
-@given(tables(min_rows=1))
-def test_filter_true_keeps_all(table):
-    assert table.filter(lambda r: True) == table
-
-
-@given(tables(min_rows=1))
-def test_filter_partitions(table):
-    key = table.column_names[0]
-    pred = lambda r: r[key] is None
-    kept = table.filter(pred)
-    dropped = table.filter(lambda r: not pred(r))
-    assert kept.n_rows + dropped.n_rows == table.n_rows

@@ -114,10 +114,3 @@ class TestSamplerBase:
         from repro.sampling import Sampler
         with pytest.raises(NotImplementedError):
             Sampler().select(1, None, rng)
-
-
-class TestScheduleBase:
-    def test_rate_at_abstract(self):
-        from repro.nn.schedules import Schedule
-        with pytest.raises(NotImplementedError):
-            Schedule(0.1).rate_at(0)
