@@ -14,6 +14,8 @@ published numbers; this detector powers the ablation benchmarks that ask
 
 from __future__ import annotations
 
+import zlib
+
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -65,12 +67,16 @@ DEFAULT_OPS: tuple[AugmentOp, ...] = (
 
 def hashed_ngram_features(text: str, n_buckets: int = 256,
                           ngram: int = 3) -> np.ndarray:
-    """Hashed character n-gram counts plus coarse shape features."""
+    """Hashed character n-gram counts plus coarse shape features.
+
+    N-grams are bucketed by their CRC-32, which, unlike ``hash()``, is
+    the same in every process, so features and fitted models are too.
+    """
     features = np.zeros(n_buckets + 3)
     padded = f"^{text}$"
     for i in range(max(len(padded) - ngram + 1, 1)):
         gram = padded[i:i + ngram]
-        features[hash(gram) % n_buckets] += 1.0
+        features[zlib.crc32(gram.encode()) % n_buckets] += 1.0
     features[n_buckets] = len(text) / 64.0
     features[n_buckets + 1] = sum(c.isdigit() for c in text) / max(len(text), 1)
     features[n_buckets + 2] = 1.0 if text == "" else 0.0

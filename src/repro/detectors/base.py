@@ -33,12 +33,7 @@ POINTWISE = "pointwise"
 #: table, and subset/permutation invariance is not required.
 TRANSDUCTIVE = "transductive"
 
-#: Archives written by this detector are only readable by the process
-#: that wrote them (e.g. features keyed on the per-process ``hash()``
-#: salt).  The conformance round-trip still applies in-process.
-PROCESS_LOCAL = "process_local"
-
-CAPABILITIES = (POINTWISE, TRANSDUCTIVE, PROCESS_LOCAL)
+CAPABILITIES = (POINTWISE, TRANSDUCTIVE)
 
 
 class Detector(abc.ABC):

@@ -1,7 +1,14 @@
 """Tests for the Raha-style detector and the augmentation baseline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.baselines import AugmentationDetector, RahaDetector
 from repro.baselines.augment import (
@@ -107,6 +114,28 @@ class TestHashedNgramFeatures:
     def test_same_text_same_features(self):
         np.testing.assert_array_equal(hashed_ngram_features("abc"),
                                       hashed_ngram_features("abc"))
+
+    def test_scores_do_not_depend_on_the_hash_salt(self):
+        """Two interpreters with different ``PYTHONHASHSEED`` fit the
+        registry's augment detector and score byte-equal."""
+        script = (
+            "import sys\n"
+            "from repro.datasets import load\n"
+            "from repro.detectors import build\n"
+            "pair = load('hospital', n_rows=60, seed=0)\n"
+            "detector = build('augment', n_label_tuples=6).fit(pair)\n"
+            "sys.stdout.write(detector.score_cells(pair.dirty).tobytes().hex())\n")
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for salt in ("1", "2"):
+            done = subprocess.run([sys.executable, "-c", script],
+                                  env={**env, "PYTHONHASHSEED": salt},
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestAugmentationDetector:

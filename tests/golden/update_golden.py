@@ -23,11 +23,9 @@ from repro.models import ModelConfig, TrainingConfig
 GOLDEN_PATH = Path(__file__).with_name("golden_metrics.json")
 
 ARCHITECTURES = ("tsb", "etsb", "attn")
-#: All golden systems: the neural grid plus the fused ensemble.  The
-#: augmentation baseline is deliberately absent -- its hashed n-gram
-#: features ride on the per-process ``hash()`` salt, so its metrics are
-#: process-local and can never be golden.
-SYSTEMS = ARCHITECTURES + ("ensemble",)
+#: All golden systems: the neural grid, the fused ensemble and the
+#: augmentation baseline.
+SYSTEMS = ARCHITECTURES + ("ensemble", "augment")
 N_ROWS = 40
 SEED = 0
 TINY = ModelConfig(char_embed_dim=6, value_units=8, attr_embed_dim=3,
@@ -42,6 +40,7 @@ CONFIGS = {
     **{arch: NEURAL for arch in ARCHITECTURES},
     "ensemble": {"members": [("etsb", NEURAL), ("raha", {"n_label_tuples": 6})],
                  "n_label_tuples": 6},
+    "augment": {"n_label_tuples": 6},
 }
 
 
