@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,13 +23,20 @@ class TrainTestSplit:
     """Encoded train and test cell sets for one experiment run.
 
     ``cells`` is the whole prepared table's encoding, both sides in the
-    prepared cell order, for callers that score every cell.
+    prepared cell order, for callers that score every cell.  ``test`` is
+    gathered from it on first use: callers that train and then score
+    every cell never read it.
     """
 
     train: EncodedCells
-    test: EncodedCells
     train_tuple_ids: tuple[int, ...]
     cells: EncodedCells
+
+    @cached_property
+    def test(self) -> EncodedCells:
+        """The cells of the tuples not in ``train_tuple_ids``."""
+        in_train = np.isin(self.cells.tuple_ids, self.train_tuple_ids)
+        return self.cells.subset(np.flatnonzero(~in_train))
 
     @property
     def train_size(self) -> int:
@@ -38,7 +46,7 @@ class TrainTestSplit:
     @property
     def test_size(self) -> int:
         """Number of test cells."""
-        return self.test.n_cells
+        return self.cells.n_cells - self.train.n_cells
 
 
 def split_by_tuple_ids(prepared: PreparedData,
@@ -64,10 +72,8 @@ def split_by_tuple_ids(prepared: PreparedData,
         raise DataError(f"train_ids not present in data: {unknown}")
 
     encoded = encode_cells(prepared)
-    in_train = np.isin(encoded.tuple_ids, ids)
-    train = encoded.subset(np.flatnonzero(in_train))
-    test = encoded.subset(np.flatnonzero(~in_train))
-    if test.n_cells == 0:
+    train = encoded.subset(np.flatnonzero(np.isin(encoded.tuple_ids, ids)))
+    if train.n_cells == encoded.n_cells:
         raise DataError("test set is empty; choose fewer training tuples")
-    return TrainTestSplit(train=train, test=test, train_tuple_ids=tuple(ids),
+    return TrainTestSplit(train=train, train_tuple_ids=tuple(ids),
                           cells=encoded)
