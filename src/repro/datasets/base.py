@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.datasets.errors import CellError
 from repro.errors import DataError
 from repro.table import Table
@@ -77,20 +79,19 @@ class DatasetPair:
         """Total cell count."""
         return self.n_rows * self.n_attributes
 
-    def error_mask(self) -> list[list[bool]]:
-        """Per-cell ground-truth error mask (``dirty != clean``)."""
-        mask: list[list[bool]] = []
-        for dirty_row, clean_row in zip(self.dirty.iter_rows(), self.clean.iter_rows()):
-            mask.append([
-                _norm(dirty_row[name]) != _norm(clean_row[name])
-                for name in self.dirty.column_names
-            ])
+    def error_mask(self) -> np.ndarray:
+        """Per-cell ground-truth error mask (``dirty != clean``), a
+        ``(rows, attributes)`` bool array built column by column."""
+        mask = np.zeros((self.n_rows, self.n_attributes), dtype=bool)
+        for j, name in enumerate(self.dirty.column_names):
+            mask[:, j] = [_norm(dirty) != _norm(clean) for dirty, clean in
+                          zip(self.dirty.column(name).values,
+                              self.clean.column(name).values)]
         return mask
 
     def measured_error_rate(self) -> float:
         """Fraction of cells whose dirty value deviates from the clean one."""
-        mask = self.error_mask()
-        wrong = sum(sum(row) for row in mask)
+        wrong = int(self.error_mask().sum())
         return wrong / self.n_cells if self.n_cells else 0.0
 
     def distinct_characters(self) -> int:

@@ -36,6 +36,18 @@ class TestAllGenerators:
             assert mask[row][attr_pos[attr]], \
                 f"{pair.name}: ledger entry ({row},{attr}) not in mask"
 
+    def test_error_mask_equals_the_row_wise_comparison(self, pair):
+        def norm(value):
+            return "" if value is None else str(value).lstrip()
+
+        names = pair.dirty.column_names
+        expected = [[norm(dirty[name]) != norm(clean[name]) for name in names]
+                    for dirty, clean in zip(pair.dirty.iter_rows(),
+                                            pair.clean.iter_rows())]
+        mask = pair.error_mask()
+        assert mask.dtype == bool
+        assert mask.tolist() == expected
+
     def test_error_types_match_table2(self, pair):
         assert pair.error_types == dataset_spec(pair.name).error_types
 
