@@ -40,6 +40,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.datasets import DATASET_NAMES, load
+from repro.datasets.base import DatasetPair
 from repro.errors import ConfigurationError
 from repro.detectors import list_detectors
 from repro.experiments import (
@@ -152,7 +153,7 @@ def _fit_detector(args) -> tuple[ErrorDetector, Table]:
     print(f"training {args.arch.upper()}-RNN on {dirty.n_rows} rows "
           f"x {dirty.n_cols} columns ({args.epochs} epochs)...",
           file=sys.stderr)
-    detector.fit_tables(dirty, clean)
+    detector.fit(DatasetPair(name=args.dirty, dirty=dirty, clean=clean))
     result = detector.evaluate()
     print(f"held-out metrics: {result.report}", file=sys.stderr)
     return detector, dirty
@@ -279,21 +280,22 @@ def _score_csv(detector: ErrorDetector, dirty: Table) -> Table | None:
     calls, previously seen cells) skip the network.  The table keeps
     each flagged cell's value as the file holds it.
     """
-    from repro.dataprep.encoding import encode_values, table_cells
-
-    usable, values, attrs = table_cells(dirty, detector.prepared.attributes)
+    usable, probabilities = detector.score_columns(dirty)
     skipped = [name for name in dirty.column_names if name not in usable]
     if skipped:
         print(f"skipping columns the model never saw: {skipped}",
               file=sys.stderr)
     if not usable:
         return None
-    features, lengths = encode_values(detector.prepared, values, attrs)
-    flagged = np.flatnonzero(detector.predict(features, lengths=lengths))
+    flagged = np.flatnonzero(probabilities.argmax(axis=1))
+    rows = (flagged % dirty.n_rows).tolist()
+    attributes = [usable[j] for j in (flagged // dirty.n_rows).tolist()]
+    values = [dirty.column(name).values[row]
+              for row, name in zip(rows, attributes)]
     return Table({
-        "row": (flagged % dirty.n_rows).tolist(),
-        "attribute": [attrs[i] for i in flagged],
-        "value": [values[i] for i in flagged],
+        "row": rows,
+        "attribute": attributes,
+        "value": ["" if value is None else str(value) for value in values],
     })
 
 

@@ -31,13 +31,13 @@ import numpy as np
 from repro import telemetry
 from repro.dataprep import prepare
 from repro.datasets.base import DatasetPair
-from repro.detectors import NeuralDetector, build, get
+from repro.detectors import build, get
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.journal import TaskJournal, task_key
 from repro.faults import inject
 from repro.metrics import ClassificationReport, summarize
 from repro.metrics.stats import Summary
-from repro.models import ModelConfig, TrainingConfig
+from repro.models import ErrorDetector, ModelConfig, TrainingConfig
 from repro.nn import EpochEvaluator
 from repro.nn.training import predict_proba
 from repro.sampling import Sampler
@@ -60,7 +60,7 @@ def _is_neural(name: str, track_curves: bool = False) -> bool:
     """Whether ``name`` is a neural family; :class:`ExperimentError` for
     an unknown name and for ``track_curves`` on any other detector."""
     try:
-        neural = issubclass(get(name), NeuralDetector)
+        neural = issubclass(get(name), ErrorDetector)
     except ConfigurationError as error:
         raise ExperimentError(str(error)) from None
     if track_curves and not neural:
@@ -254,12 +254,11 @@ def run_task(name: str, config: dict, pair: DatasetPair, seed: int,
     if not neural:
         return RunResult(seed=seed, report=report, train_seconds=elapsed,
                          best_epoch=None)
-    fitted = detector.error_detector
-    assert fitted.checkpoint is not None
-    stats = fitted.inference_stats
+    assert detector.checkpoint is not None
+    stats = detector.inference_stats
     return RunResult(
         seed=seed, report=report, train_seconds=elapsed,
-        best_epoch=fitted.checkpoint.best_epoch,
+        best_epoch=detector.checkpoint.best_epoch,
         train_accuracy_curve=tuple(curves["train_acc"]),
         test_accuracy_curve=tuple(curves["test_acc"]),
         unique_cell_ratio=round(stats.unique_ratio, 4),
@@ -575,16 +574,15 @@ def _run_now(fn, *args) -> Future:
     return future
 
 
-def _curve_callback(detector: NeuralDetector,
+def _curve_callback(detector: ErrorDetector,
                     logs: dict[str, list[float]]) -> EpochEvaluator:
     """Per-epoch train/test accuracy recorder for the figure benches."""
 
     def evaluate() -> dict[str, float]:
-        fitted = detector.error_detector
-        assert fitted.model is not None and fitted.split is not None
-        split = fitted.split
-        train_probs = predict_proba(fitted.model, split.train.features)
-        test_probs = predict_proba(fitted.model, split.test.features)
+        assert detector.model is not None and detector.split is not None
+        split = detector.split
+        train_probs = predict_proba(detector.model, split.train.features)
+        test_probs = predict_proba(detector.model, split.test.features)
         train_acc = float(
             (train_probs.argmax(axis=1) == split.train.labels).mean())
         test_acc = float(

@@ -35,7 +35,6 @@ from repro import forkpool, telemetry
 # end-to-end benchmark's tracer still wraps this name as an encode layer,
 # so it stays importable until that target is dropped.
 from repro.dataprep import encode_cells  # noqa: F401
-from repro.dataprep.encoding import encode_values, table_cells
 from repro.dataprep.pipeline import first_occurrence_ids
 from repro.errors import DataError
 from repro.inference import InferenceEngine
@@ -161,13 +160,8 @@ def _score_with_weak_labels(item: IngestedTable,
 def _score_with_model(item: IngestedTable,
                       profiles: dict[str, ColumnProfile],
                       detector: ErrorDetector) -> tuple:
-    usable, values, attrs = table_cells(item.table,
-                                        detector.prepared.attributes)
-    if not usable:
-        return _outcome(item, profiles, [], False, np.zeros((0, 2)))
-    features, lengths = encode_values(detector.prepared, values, attrs)
-    probabilities = detector.trainer.predict_proba(features, lengths=lengths)
-    return _outcome(item, profiles, usable, False, probabilities)
+    columns, probabilities = detector.score_columns(item.table)
+    return _outcome(item, profiles, columns, False, probabilities)
 
 
 def _score_table(item: IngestedTable, report: IngestReport,

@@ -6,11 +6,19 @@
 * :class:`ModelConfig` -- the architecture hyperparameters of Figure 5;
 * :class:`ErrorDetector` -- the end-to-end API: preparation, trainset
   selection, training with best-train-loss checkpointing, prediction and
-  evaluation.
+  evaluation; its subclasses :class:`TSBDetector`, :class:`ETSBDetector`
+  and :class:`AttnDetector` are the registry's neural families.
 """
 
 from repro.models.config import ModelConfig, TrainingConfig
-from repro.models.detector import DetectionResult, ErrorDetector, build_model
+from repro.models.detector import (
+    AttnDetector,
+    DetectionResult,
+    ErrorDetector,
+    ETSBDetector,
+    TSBDetector,
+    build_model,
+)
 from repro.models.etsb_rnn import ETSBRNN
 from repro.models.tsb_rnn import TSBRNN
 
@@ -21,5 +29,8 @@ __all__ = [
     "ETSBRNN",
     "build_model",
     "ErrorDetector",
+    "TSBDetector",
+    "ETSBDetector",
+    "AttnDetector",
     "DetectionResult",
 ]

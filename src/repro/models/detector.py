@@ -1,15 +1,24 @@
 """The end-to-end error-detection API (the paper's "system in action").
 
 :class:`ErrorDetector` wires the whole pipeline together: data
-preparation, trainset selection, label acquisition (from the clean table
-or a user-supplied labelling function), training with best-train-loss
-checkpointing, and evaluation on the held-out cells.
+preparation, trainset selection (DiverSet), label acquisition (from the
+clean table or a user-supplied labelling function), training with
+best-train-loss checkpointing, and evaluation on the held-out cells.
+
+It implements the registry's :class:`~repro.detectors.base.Detector`
+protocol itself.  The registered neural families ``tsb``, ``etsb`` and
+``attn`` are its subclasses, each pinning one architecture, and
+``ErrorDetector(architecture=...)`` constructs the matching family, the
+way ``pathlib.Path`` constructs the platform's path class.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -20,13 +29,20 @@ from repro.dataprep import (
     prepare,
     split_by_tuple_ids,
 )
+from repro.dataprep.encoding import encode_values, table_cells
 from repro.datasets.base import DatasetPair
-from repro.errors import ConfigurationError, NotFittedError
+from repro.detectors.base import POINTWISE, Detector
+from repro.detectors.registry import register
+from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.inference import InferenceStats, PredictionCache
 from repro.inference.index import DedupIndex
 from repro.metrics import ClassificationReport
 from repro.models.attn import PatternAttentionEncoder
-from repro.models.config import ModelConfig, TrainingConfig
+from repro.models.config import (
+    ModelConfig,
+    TrainingConfig,
+    training_config_from_dict,
+)
 from repro.models.etsb_rnn import ETSBRNN
 from repro.models.tsb_rnn import TSBRNN
 from repro.nn import (
@@ -38,10 +54,15 @@ from repro.nn import (
 )
 from repro.nn.losses import one_hot
 from repro.nn.module import Module
-from repro.sampling import DiverSet, Sampler
+from repro.sampling import DiverSet
 from repro.table import Table
 
 ARCHITECTURES = ("tsb", "etsb", "attn")
+
+#: Tiny widths for :meth:`ErrorDetector.example` (conformance-suite speed).
+_EXAMPLE_MODEL = dict(char_embed_dim=6, value_units=8, attr_embed_dim=3,
+                      attr_units=3, length_dense_units=6, head_units=8,
+                      attn_dim=6)
 
 #: Maps a tuple id and its attribute-ordered dirty values to 0/1 labels.
 LabelFunction = Callable[[int, dict[str, str]], Sequence[int]]
@@ -115,50 +136,65 @@ class DetectionResult:
         ]
 
 
-class ErrorDetector:
+class ErrorDetector(Detector):
     """Detect erroneous cells in a dirty table with a BiRNN classifier.
 
     Parameters
     ----------
     architecture:
-        ``"etsb"`` (default, the paper's best model) or ``"tsb"``.
-    sampler:
-        Trainset-selection algorithm (default: the paper's DiverSet).
+        ``"etsb"`` (default, the paper's best model), ``"tsb"`` or
+        ``"attn"``: the family class to construct.  A family class
+        accepts only its own architecture (or ``None``).
     n_label_tuples:
-        Number of tuples the user labels (the paper uses 20).
+        Number of tuples :meth:`fit` samples for labelling (the paper
+        uses 20).
     model_config, training_config:
-        Architecture and training hyperparameters.
+        Architecture and training hyperparameters, as the dataclasses or
+        their dict form (the registry's JSON configs).
     seed:
-        Controls initialization, batching and sampler tie-breaks.
+        Controls sampling, initialization and batching.
     extra_callbacks:
         Additional training callbacks (e.g. an
-        :class:`~repro.nn.callbacks.EpochEvaluator` for learning curves).
-    prediction_cache_size:
-        Capacity of the cross-call :class:`~repro.inference.PredictionCache`
-        shared by every prediction this detector serves.
+        :class:`~repro.nn.callbacks.EpochEvaluator` for learning
+        curves); not part of :meth:`config`.
+
+    Every prediction this detector serves shares one cross-call
+    :class:`~repro.inference.PredictionCache`.
     """
 
-    def __init__(self, architecture: str = "etsb",
-                 sampler: Sampler | None = None,
+    architecture = ""
+    capabilities = frozenset({POINTWISE})
+
+    def __new__(cls, architecture: str | None = None, *args, **kwargs):
+        if cls is ErrorDetector:
+            cls = FAMILIES.get(architecture or "etsb")
+            if cls is None:
+                raise ConfigurationError(
+                    f"architecture must be one of {ARCHITECTURES}, "
+                    f"got {architecture!r}")
+        return super().__new__(cls)
+
+    def __init__(self, architecture: str | None = None,
                  n_label_tuples: int = 20,
-                 model_config: ModelConfig | None = None,
-                 training_config: TrainingConfig | None = None,
+                 model_config: ModelConfig | dict | None = None,
+                 training_config: TrainingConfig | dict | None = None,
                  seed: int = 0,
-                 extra_callbacks: Sequence[Callback] = (),
-                 prediction_cache_size: int = 65536):
-        if architecture not in ARCHITECTURES:
+                 extra_callbacks: Sequence[Callback] = ()):
+        if architecture not in (None, self.architecture):
             raise ConfigurationError(
-                f"architecture must be one of {ARCHITECTURES}, got {architecture!r}"
-            )
-        self.architecture = architecture
-        self.sampler = sampler if sampler is not None else DiverSet()
+                f"{type(self).__name__} is the {self.architecture!r} family, "
+                f"got architecture={architecture!r}")
+        if isinstance(model_config, dict):
+            model_config = ModelConfig(**model_config)
+        if isinstance(training_config, dict):
+            training_config = training_config_from_dict(training_config)
         self.n_label_tuples = n_label_tuples
         self.model_config = model_config if model_config is not None else ModelConfig()
         self.training_config = (training_config if training_config is not None
                                 else TrainingConfig())
         self.seed = seed
         self.extra_callbacks = tuple(extra_callbacks)
-        self.prediction_cache = PredictionCache(capacity=prediction_cache_size)
+        self.prediction_cache = PredictionCache()
         self.model: Module | None = None
         self.prepared: PreparedData | None = None
         self.split: TrainTestSplit | None = None
@@ -167,49 +203,31 @@ class ErrorDetector:
 
     # -- fitting ---------------------------------------------------------------
 
-    def fit(self, pair: DatasetPair,
-            checkpoint_path: "str | Path | None" = None,
-            resume_from: "str | Path | None" = None) -> "ErrorDetector":
-        """Fit on a benchmark pair, labelling sampled tuples from the clean table.
+    def fit(self, pair: DatasetPair, labeled_rows: Sequence[int] | None = None,
+            checkpoint_path: str | Path | None = None,
+            resume_from: str | Path | None = None) -> "ErrorDetector":
+        """Fit on a benchmark pair, labelling tuples from the clean table.
 
         This mirrors the paper's experiments: the user's labelling of the
-        20 selected tuples is simulated with the ground truth, and *only*
-        those tuples' labels are ever shown to the model.
+        selected tuples is simulated with the ground truth, and *only*
+        those tuples' labels are ever shown to the model.  DiverSet picks
+        ``n_label_tuples`` tuples with ``default_rng(seed)`` and training
+        continues that generator.  ``labeled_rows`` instead pins the
+        labelled tuples (distinct ids present in the data), and training
+        starts from a fresh ``default_rng(seed)``.
 
         ``checkpoint_path`` / ``resume_from`` pass through to
         :meth:`repro.nn.training.Trainer.fit`: epoch checkpoints are
         written atomically, and resuming from one after a crash yields
         final weights bit-identical to the uninterrupted fit.
         """
-        return self.fit_tables(pair.dirty, pair.clean,
-                               checkpoint_path=checkpoint_path,
-                               resume_from=resume_from)
-
-    def fit_tables(self, dirty: Table, clean: Table,
-                   checkpoint_path: "str | Path | None" = None,
-                   resume_from: "str | Path | None" = None,
-                   train_ids: Sequence[int] | None = None) -> "ErrorDetector":
-        """Fit from explicit dirty/clean tables (ground-truth labelling).
-
-        The sampler picks ``n_label_tuples`` tuples with
-        ``default_rng(seed)`` and training continues that generator.
-        ``train_ids`` instead pins the labelled tuples -- exactly
-        ``n_label_tuples`` distinct ids present in the data -- and
-        training starts from a fresh ``default_rng(seed)``.
-        """
-        prepared = prepare(dirty, clean)
+        prepared = prepare(pair.dirty, pair.clean)
         rng = np.random.default_rng(self.seed)
-        if train_ids is None:
-            train_ids = self.sampler.select(self.n_label_tuples, prepared,
-                                            rng)
-        elif len(train_ids) != self.n_label_tuples:
-            raise ConfigurationError(
-                f"{len(train_ids)} train_ids given for n_label_tuples="
-                f"{self.n_label_tuples}")
-        split = split_by_tuple_ids(prepared, train_ids)
-        return self._train(prepared, split, rng,
-                           checkpoint_path=checkpoint_path,
-                           resume_from=resume_from)
+        if labeled_rows is None:
+            labeled_rows = DiverSet().select(self.n_label_tuples, prepared,
+                                             rng)
+        return self._train(prepared, split_by_tuple_ids(prepared, labeled_rows),
+                           rng, checkpoint_path, resume_from)
 
     def fit_with_labels(self, dirty: Table, label_fn: LabelFunction) -> "ErrorDetector":
         """Fit with labels obtained interactively from ``label_fn``.
@@ -225,7 +243,7 @@ class ErrorDetector:
         # t holds cells t * m .. t * m + m - 1.
         prepared = prepare(dirty, dirty)
         rng = np.random.default_rng(self.seed)
-        train_ids = self.sampler.select(self.n_label_tuples, prepared, rng)
+        train_ids = DiverSet().select(self.n_label_tuples, prepared, rng)
 
         m = len(prepared.attributes)
         labels = prepared.labels.copy()
@@ -246,13 +264,13 @@ class ErrorDetector:
             labels[cells] = [int(label) for label in given]
 
         prepared = replace(prepared, labels=labels)
-        split = split_by_tuple_ids(prepared, train_ids)
-        return self._train(prepared, split, rng)
+        return self._train(prepared, split_by_tuple_ids(prepared, train_ids),
+                           rng)
 
     def _train(self, prepared: PreparedData, split: TrainTestSplit,
                rng: np.random.Generator,
-               checkpoint_path: "str | Path | None" = None,
-               resume_from: "str | Path | None" = None) -> "ErrorDetector":
+               checkpoint_path: str | Path | None = None,
+               resume_from: str | Path | None = None) -> "ErrorDetector":
         model = build_model(self.architecture, prepared, self.model_config, rng)
         optimizer = RMSprop(model.parameters(),
                             learning_rate=self.training_config.learning_rate)
@@ -274,6 +292,7 @@ class ErrorDetector:
         self.split = split
         self.trainer = trainer
         self.checkpoint = checkpoint
+        self.labeled_rows = tuple(int(t) for t in split.train_tuple_ids)
         trainer.fit(split.train.features, split.train.labels,
                     epochs=self.training_config.epochs, batch_size=batch_size,
                     checkpoint_path=checkpoint_path, resume_from=resume_from)
@@ -281,11 +300,10 @@ class ErrorDetector:
 
     # -- inference ------------------------------------------------------------
 
-    def _require_fitted(self) -> tuple[Module, PreparedData, TrainTestSplit, Trainer]:
-        if self.model is None or self.prepared is None or self.split is None \
-                or self.trainer is None:
+    def _fitted_split(self) -> TrainTestSplit:
+        if self.split is None or self.trainer is None:
             raise NotFittedError("fit() has not been called")
-        return self.model, self.prepared, self.split, self.trainer
+        return self.split
 
     def predict(self, features: dict[str, np.ndarray],
                 lengths: np.ndarray | None = None,
@@ -322,7 +340,7 @@ class ErrorDetector:
         pass's :class:`~repro.inference.InferenceStats` (unique-cell
         ratio, cache hits/misses) so dedup savings stay observable.
         """
-        _, __, split, ___ = self._require_fitted()
+        split = self._fitted_split()
         predictions = self.predict(split.test.features,
                                    lengths=split.test.lengths,
                                    dedup=split.test.dedup)
@@ -349,7 +367,7 @@ class ErrorDetector:
 
     def predict_table(self) -> list[tuple[int, str]]:
         """Predicted-erroneous cells over the *whole* table (train + test)."""
-        encoded = self._require_fitted()[2].cells
+        encoded = self._fitted_split().cells
         predictions = self.predict(encoded.features, lengths=encoded.lengths,
                                    dedup=encoded.dedup)
         return [
@@ -358,3 +376,104 @@ class ErrorDetector:
                                        encoded.attribute_names, predictions)
             if pred == 1
         ]
+
+    def score_columns(self, table: Table) -> tuple[list[str], np.ndarray]:
+        """The columns of ``table`` the model knows, in table order, and
+        their cells' ``(n, 2)`` class probabilities, column by column (cell
+        ``k`` is row ``k % table.n_rows`` of column ``k // table.n_rows``).
+
+        Cells are encoded as training encoded them
+        (:func:`~repro.dataprep.encoding.encode_values`) and scored through
+        the dedup-memoized engine and the prediction cache; fitted and
+        loaded detectors alike.
+        """
+        if self.prepared is None or self.trainer is None:
+            raise NotFittedError(f"{self.name}: fit() has not been called")
+        columns, values, attributes = table_cells(table,
+                                                  self.prepared.attributes)
+        if not columns:
+            return columns, np.zeros((0, 2))
+        features, lengths = encode_values(self.prepared, values, attributes)
+        return columns, self.trainer.predict_proba(features, lengths=lengths)
+
+    # -- the registry protocol ---------------------------------------------------
+
+    def score_cells(self, table: Table) -> np.ndarray:
+        """Error probabilities of every cell, ``(n_rows, n_attributes)``;
+        ``table`` must have exactly the fitted columns."""
+        if self.prepared is not None \
+                and tuple(table.column_names) != self.prepared.attributes:
+            raise DataError(
+                f"{self.name} was fitted on columns {self.prepared.attributes}, "
+                f"got {tuple(table.column_names)}")
+        _, probabilities = self.score_columns(table)
+        # Cells come column by column; the grid is rows x columns.
+        return np.ascontiguousarray(
+            probabilities[:, 1].reshape(table.n_cols, table.n_rows).T)
+
+    def config(self) -> dict:
+        return {"n_label_tuples": self.n_label_tuples,
+                "model_config": asdict(self.model_config),
+                "training_config": asdict(self.training_config),
+                "seed": self.seed}
+
+    def _state_digest(self) -> str | None:
+        if self.model is None:
+            return None
+        digest = hashlib.sha256()
+        state = self.model.state_dict()
+        for key in sorted(state):
+            digest.update(key.encode())
+            digest.update(np.ascontiguousarray(state[key]).tobytes())
+        return digest.hexdigest()[:16]
+
+    def save(self, path: str | Path) -> None:
+        """:func:`~repro.models.serialization.save_detector`."""
+        from repro.models.serialization import save_detector
+        save_detector(self, path)
+
+    @classmethod
+    def load(cls, path: str | Path) -> "ErrorDetector":
+        """:func:`~repro.models.serialization.load_detector`; a family
+        class accepts only archives of its own architecture."""
+        from repro.models.serialization import load_detector
+        detector = load_detector(path)
+        if not isinstance(detector, cls):
+            raise DataError(
+                f"{path}: archive holds a {detector.architecture!r} model, "
+                f"not {cls.architecture!r}")
+        return detector
+
+    @classmethod
+    def example(cls, seed: int = 0) -> "ErrorDetector":
+        return cls(n_label_tuples=6, model_config=dict(_EXAMPLE_MODEL),
+                   training_config={"epochs": 2}, seed=seed)
+
+
+@register
+class TSBDetector(ErrorDetector):
+    """The paper's two-stacked bidirectional value RNN."""
+
+    name = "tsb"
+    architecture = "tsb"
+
+
+@register
+class ETSBDetector(ErrorDetector):
+    """The enriched three-branch BiRNN (the paper's best model)."""
+
+    name = "etsb"
+    architecture = "etsb"
+
+
+@register
+class AttnDetector(ErrorDetector):
+    """The pattern-perceptive self-attention encoder."""
+
+    name = "attn"
+    architecture = "attn"
+
+
+#: The family class of each architecture.
+FAMILIES = {family.architecture: family
+            for family in (TSBDetector, ETSBDetector, AttnDetector)}

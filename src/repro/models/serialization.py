@@ -5,11 +5,14 @@ weights: prediction needs the character and attribute dictionaries and
 the padded sequence length from data preparation.  ``save_detector``
 packs all of it into a single ``.npz`` archive (weights as arrays,
 metadata as a JSON payload); ``load_detector`` reconstructs a detector
-that predicts identically.  Version 2 added the optimizer's update
-state, making a restored detector truly resumable; version 3 each
-attribute's longest training value, the denominator of ``length_norm``.
-Older archives load with a fresh optimizer (v1) and with ``max_length``
-as every attribute's denominator (v1, v2), as they were scored.
+that predicts identically; ``ErrorDetector.save``/``load`` are these two.
+Version 2 added the optimizer's update state, making a restored detector
+truly resumable; version 3 each attribute's longest training value, the
+denominator of ``length_norm``.  Older archives load with a fresh
+optimizer (v1) and with ``max_length`` as every attribute's denominator
+(v1, v2), as they were scored.  An archive without ``n_label_tuples`` in
+its meta takes it from ``adapter_meta``, written by the registry's
+former neural adapter, or defaults to 20.
 
 This module also owns the *training checkpoint* format used by
 :meth:`repro.nn.training.Trainer.fit` for crash safety: one ``.npz``
@@ -92,6 +95,7 @@ def save_detector(detector: ErrorDetector, path: str | Path) -> None:
     meta = {
         "format_version": _FORMAT_VERSION,
         "architecture": detector.architecture,
+        "n_label_tuples": detector.n_label_tuples,
         "model_config": asdict(detector.model_config),
         "training_config": asdict(detector.training_config),
         "characters": _dictionary_chars(prepared.char_index),
@@ -125,15 +129,18 @@ def save_detector(detector: ErrorDetector, path: str | Path) -> None:
 def load_detector(path: str | Path) -> ErrorDetector:
     """Reconstruct a detector saved with :func:`save_detector`.
 
-    The returned detector can :meth:`~repro.models.detector.ErrorDetector.predict`
-    and encode new values; it carries no training split (``evaluate`` is
-    unavailable -- re-fit for that).
+    The returned detector, an instance of the archive's family class, can
+    :meth:`~repro.models.detector.ErrorDetector.predict` and score new
+    tables; it carries no training split (``evaluate`` is unavailable --
+    re-fit for that).
     """
     path = Path(path)
     with np.load(path, allow_pickle=False) as archive:
         if "meta" not in archive:
             raise DataError(f"{path}: not a repro detector archive")
         meta = json.loads(str(archive["meta"]))
+        adapter_meta = (json.loads(str(archive["adapter_meta"]))
+                        if "adapter_meta" in archive.files else {})
         version = meta.get("format_version")
         if version not in (1, 2, _FORMAT_VERSION):
             raise DataError(
@@ -153,6 +160,9 @@ def load_detector(path: str | Path) -> ErrorDetector:
     if meta.get("training_config") is not None:
         training_config = training_config_from_dict(meta["training_config"])
     detector = ErrorDetector(architecture=meta["architecture"],
+                             n_label_tuples=meta.get(
+                                 "n_label_tuples",
+                                 adapter_meta.get("n_label_tuples", 20)),
                              model_config=config,
                              training_config=training_config,
                              seed=meta["seed"])
@@ -242,7 +252,12 @@ def _rebuild_optimizer(model: Module, opt_meta: dict | None,
 def encode_values_for(detector: ErrorDetector, values: list[str],
                       attributes: list[str]) -> dict[str, np.ndarray]:
     """The features of raw (value, attribute) pairs for ``detector.predict``
-    (:func:`~repro.dataprep.encoding.encode_values`)."""
+    (:func:`~repro.dataprep.encoding.encode_values`).
+
+    Only the end-to-end benchmark's serve-mixed check
+    (``perfbench/run.py``) calls it; scoring code calls
+    :meth:`~repro.models.detector.ErrorDetector.score_columns`.
+    """
     if detector.prepared is None:
         raise NotFittedError("detector carries no dictionaries")
     return encode_values(detector.prepared, values, attributes)[0]

@@ -97,8 +97,8 @@ def retired_augment_loop(pair, n_runs, n_label_tuples, base_seed=0):
 
 @pytest.mark.equivalence
 class TestRetiredLoops:
-    """Augment's hashed features ride on the per-process ``hash()`` salt,
-    so both sides run in this one process."""
+    """``run_task`` equals the bespoke Raha and augmentation loops it
+    replaced."""
 
     @pytest.mark.parametrize("dataset", ["hospital", "beers"])
     def test_raha_matches_retired_loop(self, dataset):
@@ -134,7 +134,7 @@ class TestLabelledRowRules:
         rows = RandomSet().select(6, prepare(pair.dirty, pair.clean),
                                   np.random.default_rng(3))
         detector = ErrorDetector(architecture="etsb", seed=3, **self.NEURAL)
-        detector.fit_tables(pair.dirty, pair.clean, train_ids=rows)
+        detector.fit(pair, labeled_rows=rows)
         assert run.report == detector.evaluate().report
 
     def test_comparison_is_the_diverset_sampler_rule(self, pair):
@@ -147,15 +147,17 @@ class TestLabelledRowRules:
             assert reports(compared[name]) == reports(alone)
 
     def test_pinned_train_ids_are_checked(self, pair):
-        from repro.errors import ConfigurationError, DataError
-        detector = ErrorDetector(n_label_tuples=3, seed=0)
-        with pytest.raises(ConfigurationError):
-            detector.fit_tables(pair.dirty, pair.clean, train_ids=[0, 1])
+        """Pinned rows must be distinct tuples of the pair; how many
+        there are is the caller's budget, as for every registry
+        detector."""
+        from repro.errors import DataError
+        detector = ErrorDetector(n_label_tuples=3, seed=0, model_config=TINY,
+                                 training_config=TrainingConfig(epochs=1))
         with pytest.raises(DataError):
-            detector.fit_tables(pair.dirty, pair.clean, train_ids=[0, 1, 1])
+            detector.fit(pair, labeled_rows=[0, 1, 1])
         with pytest.raises(DataError):
-            detector.fit_tables(pair.dirty, pair.clean,
-                                train_ids=[0, 1, 10_000])
+            detector.fit(pair, labeled_rows=[0, 1, 10_000])
+        assert detector.fit(pair, labeled_rows=[0, 1]).labeled_rows == (0, 1)
 
 
     def test_family_matrix_cells_are_single_detector_experiments(self):

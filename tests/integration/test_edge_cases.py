@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dataprep import prepare, split_by_tuple_ids
+from repro.datasets.base import DatasetPair
 from repro.models import ErrorDetector, ModelConfig, TrainingConfig
 from repro.sampling import DiverSet
 from repro.table import Table
@@ -30,7 +31,7 @@ class TestAllCleanData:
             "b": [f"w{i}" for i in range(20)],
         })
         detector = make_detector(training_config=TrainingConfig(epochs=40))
-        detector.fit_tables(table, table)
+        detector.fit(DatasetPair("edge", table, table))
         result = detector.evaluate()
         assert result.report.accuracy > 0.5
         assert result.report.recall == 0.0  # no positives to recall
@@ -47,7 +48,7 @@ class TestAllErrorColumn:
             "b": [f"w{i}" for i in range(20)],
         })
         detector = make_detector(training_config=TrainingConfig(epochs=25))
-        detector.fit_tables(dirty, clean)
+        detector.fit(DatasetPair("edge", dirty, clean))
         result = detector.evaluate()
         # Every 'XXX' cell is an error and trivially learnable.
         assert result.report.recall > 0.8
@@ -60,7 +61,7 @@ class TestEmptyValues:
             "b": [f"x{i}" for i in range(12)],
         })
         detector = make_detector()
-        detector.fit_tables(dirty, dirty)
+        detector.fit(DatasetPair("edge", dirty, dirty))
         assert detector.evaluate().predictions.shape[0] > 0
 
     def test_missing_cells_treated_as_empty(self):
@@ -77,7 +78,7 @@ class TestSingleAttribute:
     def test_one_column_table(self):
         dirty = Table({"only": [f"value {i}" for i in range(15)]})
         detector = make_detector()
-        detector.fit_tables(dirty, dirty)
+        detector.fit(DatasetPair("edge", dirty, dirty))
         assert detector.split.train_size == 4  # 4 tuples x 1 attribute
 
 
@@ -92,7 +93,7 @@ class TestUnicodeContent:
                      "Oslo", "Roma", "Wien"],
         })
         detector = make_detector()
-        detector.fit_tables(dirty, clean)
+        detector.fit(DatasetPair("edge", dirty, clean))
         result = detector.evaluate()
         assert result.predictions.shape[0] == 4
 
@@ -102,7 +103,7 @@ class TestLongValues:
         base = "x" * 127
         dirty = Table({"text": [base + c for c in "abcdefgh"]})
         detector = make_detector()
-        detector.fit_tables(dirty, dirty)
+        detector.fit(DatasetPair("edge", dirty, dirty))
         assert detector.prepared.max_length == 128
 
 

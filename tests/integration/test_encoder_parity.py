@@ -4,7 +4,7 @@ The reference is what training evaluates: ``encode_cells`` over the
 model's prepared table, scored by the detector's engine.  Every scoring
 path -- ``encode_values_for`` in memory, a saved and reloaded archive,
 ``repro predict``, batch ``repro serve``, the daemon's ``score`` and
-``load_table``, ``repro detect PATH --model`` and the registry adapter's
+``load_table``, ``repro detect PATH --model`` and the registry protocol's
 ``score_cells`` -- must give the same table's raw cells byte-equal
 probabilities (the paths that write only CSVs: the same flags).  One
 model per family (tsb, etsb, attn) is trained on a table with leading
@@ -25,7 +25,7 @@ from repro.dataprep import encode_cells
 from repro.dataprep.encoding import table_cells
 from repro.datasets import load
 from repro.datasets.base import DatasetPair
-from repro.detectors import NeuralDetector, get
+from repro.detectors import get
 from repro.inference import InferenceEngine
 from repro.io import detect_path
 from repro.models import ErrorDetector
@@ -66,7 +66,6 @@ def parity_pair() -> DatasetPair:
 
 @dataclass
 class Fitted:
-    adapter: NeuralDetector
     detector: ErrorDetector
     pair: DatasetPair
     archive: Path
@@ -98,10 +97,9 @@ class Fitted:
 @pytest.fixture(scope="module", params=FAMILIES)
 def fitted(request, tmp_path_factory) -> Fitted:
     pair = parity_pair()
-    adapter = get(request.param)(n_label_tuples=6, model_config=TINY,
-                                 training_config={"epochs": 2}, seed=1)
-    adapter.fit(pair)
-    detector = adapter._detector
+    detector = get(request.param)(n_label_tuples=6, model_config=TINY,
+                                  training_config={"epochs": 2}, seed=1)
+    detector.fit(pair)
     root = tmp_path_factory.mktemp(request.param)
     archive = root / "model.npz"
     save_detector(detector, archive)
@@ -112,8 +110,7 @@ def fitted(request, tmp_path_factory) -> Fitted:
     detector.prediction_cache.invalidate()
     reference = detector.trainer.predict_proba(
         encoded.features, lengths=encoded.lengths, dedup=encoded.dedup)
-    return Fitted(adapter, detector, pair, archive, folder / "dirty.csv",
-                  reference)
+    return Fitted(detector, pair, archive, folder / "dirty.csv", reference)
 
 
 def raw_cells(fitted: Fitted) -> tuple[list[str], list[str]]:
@@ -208,7 +205,7 @@ def test_detect_path_with_model_matches_training(fitted):
 
 def test_registry_adapter_matches_training(fitted):
     fitted.detector.prediction_cache.invalidate()
-    scores = fitted.adapter.score_cells(fitted.pair.dirty)
+    scores = fitted.detector.score_cells(fitted.pair.dirty)
     assert_bytes_equal(scores, np.ascontiguousarray(
         fitted.reference[:, 1]).reshape(fitted.n_rows, -1))
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.dataprep import prepare, split_by_tuple_ids
 from repro.datasets import DATASET_NAMES, load
+from repro.datasets.base import DatasetPair
 from repro.models import ErrorDetector, ModelConfig, TrainingConfig
 from repro.sampling import DiverSet
 from repro.table import read_csv, write_csv
@@ -54,7 +55,7 @@ class TestCsvWorkflow:
         clean = read_csv(tmp_path / "clean.csv")
         detector = ErrorDetector(architecture="tsb", n_label_tuples=6,
                                  model_config=TINY, training_config=FAST)
-        detector.fit_tables(dirty, clean)
+        detector.fit(DatasetPair("csv", dirty, clean))
         assert detector.evaluate().predictions.shape[0] > 0
 
 

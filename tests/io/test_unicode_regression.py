@@ -14,6 +14,7 @@ e.g. the ``repro serve`` batch loop.
 import numpy as np
 import pytest
 
+from repro.datasets.base import DatasetPair
 from repro.errors import CSVFormatError
 from repro.models import ErrorDetector, ModelConfig, TrainingConfig
 from repro.models.serialization import (
@@ -59,7 +60,7 @@ def _fit(dirty, clean, seed=0):
     detector = ErrorDetector(n_label_tuples=4, model_config=TINY,
                              training_config=TrainingConfig(epochs=2),
                              seed=seed)
-    detector.fit_tables(dirty, clean)
+    detector.fit(DatasetPair("unicode", dirty, clean))
     return detector
 
 

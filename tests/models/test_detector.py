@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dataprep import prepare
 from repro.datasets import load
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models import ErrorDetector, ModelConfig, TrainingConfig
@@ -55,13 +56,34 @@ class TestFit:
         np.testing.assert_array_equal(a.predictions, b.predictions)
 
     def test_custom_sampler_used(self, pair):
-        detector = make_detector(sampler=RandomSet())
-        detector.fit(pair)
-        assert len(detector.split.train_tuple_ids) == 8
+        """Another sampler's rows are pinned: ``fit`` trains on them."""
+        rows = RandomSet().select(8, prepare(pair.dirty, pair.clean),
+                                  np.random.default_rng(0))
+        detector = make_detector().fit(pair, labeled_rows=rows)
+        assert detector.split.train_tuple_ids == tuple(rows)
+        assert detector.labeled_rows == tuple(int(t) for t in rows)
 
     def test_invalid_architecture_rejected(self):
         with pytest.raises(ConfigurationError):
             ErrorDetector(architecture="gru")
+
+    def test_architecture_picks_the_registered_family(self):
+        from repro.detectors import get
+        for name in ("tsb", "etsb", "attn"):
+            detector = ErrorDetector(architecture=name)
+            assert type(detector) is get(name)
+            assert detector.name == detector.architecture == name
+        assert type(ErrorDetector()) is get("etsb")
+        with pytest.raises(ConfigurationError):
+            get("tsb")(architecture="etsb")
+
+    def test_family_load_rejects_another_architecture(self, fitted, tmp_path):
+        from repro.detectors import get
+        from repro.errors import DataError
+        fitted.save(tmp_path / "etsb.npz")
+        assert type(ErrorDetector.load(tmp_path / "etsb.npz")) is get("etsb")
+        with pytest.raises(DataError):
+            get("tsb").load(tmp_path / "etsb.npz")
 
 
 class TestEvaluate:

@@ -2,8 +2,7 @@
 
 Archives written while ``TrainingConfig`` had ``bucket_batches``,
 ``n_length_buckets`` and ``bucket_edges`` store them in the archive's
-``training_config`` (and, for registry archives, in ``adapter_meta``);
-ensemble archives written while ``EnsembleDetector`` took ``n_workers``
+``training_config``; ensemble archives written while ``EnsembleDetector`` took ``n_workers``
 store it in ``ensemble.json``'s config.  They must keep loading through
 every entry point and score exactly like the same model saved without
 them.  The retired archive is produced by writing the keys into a
@@ -17,8 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.datasets import load
-from repro.detectors import ETSBDetector
-from repro.models import TrainingConfig
+from repro.models import ETSBDetector, TrainingConfig
 from repro.models.config import RETIRED_TRAINING_KEYS, training_config_from_dict
 from repro.models.serialization import encode_values_for, load_detector
 from repro.table import write_csv
@@ -49,10 +47,7 @@ def archives(pair, tmp_path_factory):
         arrays = {name: archive[name] for name in archive.files}
     meta = json.loads(str(arrays["meta"]))
     meta["training_config"].update(RETIRED)
-    adapter_meta = json.loads(str(arrays["adapter_meta"]))
-    adapter_meta["training_config"].update(RETIRED)
     arrays["meta"] = np.array(json.dumps(meta))
-    arrays["adapter_meta"] = np.array(json.dumps(adapter_meta))
     retired = root / "retired.npz"
     np.savez(retired, **arrays)
     return current, retired
