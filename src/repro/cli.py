@@ -128,9 +128,6 @@ def _add_benchmark_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-retries", type=int, default=0,
                         help="per-task retries with exponential backoff "
                              "(default: 0)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        help="per-task wall-clock limit in seconds "
-                             "(enforced with --workers > 1 only)")
     parser.add_argument("--detectors", default=None, metavar="NAMES",
                         help="comma-separated registry detectors (e.g. "
                              "etsb,raha,attn,ensemble); runs the "
@@ -472,9 +469,8 @@ def cmd_benchmark(args) -> int:
     # Durability flags switch the runner to graceful degradation: a task
     # that exhausts its retries becomes a failure record instead of
     # aborting the sweep, and --resume makes the re-invocation cheap.
-    durable = bool(args.resume or args.max_retries or args.task_timeout)
+    durable = bool(args.resume or args.max_retries)
     durability = dict(n_workers=args.workers, max_retries=args.max_retries,
-                      task_timeout=args.task_timeout,
                       journal_path=args.resume, fail_fast=not durable)
     comparison = bool(getattr(args, "detectors", None))
     if comparison:
@@ -534,22 +530,17 @@ def cmd_faults_list(args) -> int:
 def cmd_faults_run(args) -> int:
     """Run one benchmark experiment under a fault plan (chaos mode).
 
-    The plan activates in this process *and*, via the ``REPRO_FAULTS``
-    environment variable, in every worker process a pooled run spawns.
-    Exit code 0 means the sweep completed (faults absorbed or not
-    triggered); a kill fault escaping to the top level exits like the
-    crash it simulates, after pointing at the --resume journal.
+    The plan is installed in this process; the workers of a pooled run
+    are forked from it, so they inherit it.  Exit code 0 means the sweep
+    completed (faults absorbed or not triggered); a kill fault escaping
+    to the top level exits like the crash it simulates, after pointing
+    at the --resume journal.
     """
-    import os
-
-    from repro.faults import (FAULTS_ENV_VAR, FaultPlan, WorkerKilled,
-                              clear_plan, install_plan)
+    from repro.faults import FaultPlan, WorkerKilled, clear_plan, install_plan
 
     plan = FaultPlan.load(args.plan)
     print(f"fault plan: {len(plan.specs)} spec(s) from {args.plan}",
           file=sys.stderr)
-    previous = os.environ.get(FAULTS_ENV_VAR)
-    os.environ[FAULTS_ENV_VAR] = args.plan
     install_plan(plan)
     try:
         code = cmd_benchmark(args)
@@ -560,10 +551,6 @@ def cmd_faults_run(args) -> int:
                   f"re-invoke to resume", file=sys.stderr)
         return 1
     finally:
-        if previous is None:
-            os.environ.pop(FAULTS_ENV_VAR, None)
-        else:
-            os.environ[FAULTS_ENV_VAR] = previous
         clear_plan()
         # Per-spec trigger counts for this process (pooled workers count
         # their own triggers; those surface via faults.* telemetry).

@@ -134,9 +134,9 @@ class EnsembleDetector(Detector):
         """Per-member full-table score grids, one per (member, fold)."""
         tasks = [(self._seeded(spec), fit_rows) for spec in self._specs
                  for fit_rows in folds]
-        return forkpool.fork_map(
+        return list(forkpool.fork_map(
             lambda task: _fold_fit_scores(task[0], pair, task[1]), tasks,
-            forkpool.cpu_count())
+            forkpool.cpu_count()))
 
     def fit(self, pair: DatasetPair,
             labeled_rows: list[int] | None = None) -> "EnsembleDetector":

@@ -6,10 +6,11 @@ is that loop's body for any registered detector (:mod:`repro.detectors`),
 and every entry point -- :func:`run_experiment`,
 :func:`run_experiment_matrix`, the cross-detector comparison and the
 error-family matrix -- only builds a task list for the one durable
-executor: completed-task journal, per-task retries and timeout, an
-optional process pool, and task-local telemetry.  Each task derives its
-seed as ``base_seed + run_index`` wherever it runs, so pooled execution
-aggregates to the identical result (wall-clock timings aside).
+executor: completed-task journal, per-task retries, optional forked
+workers (:func:`repro.forkpool.fork_map`), and task-local telemetry.
+Each task derives its seed as ``base_seed + run_index`` wherever it
+runs, so pooled execution aggregates to the identical result
+(wall-clock timings aside).
 """
 
 from __future__ import annotations
@@ -17,18 +18,14 @@ from __future__ import annotations
 import time
 
 from collections.abc import Sequence
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    TimeoutError as FutureTimeout,
-)
-from contextlib import nullcontext
+from contextlib import closing
 from dataclasses import asdict, dataclass, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from repro import telemetry
+from repro import forkpool, telemetry
 from repro.dataprep import prepare
 from repro.datasets.base import DatasetPair
 from repro.detectors import build, get
@@ -265,29 +262,53 @@ def run_task(name: str, config: dict, pair: DatasetPair, seed: int,
         cache_hits=stats.cache_hits, cache_misses=stats.cache_misses)
 
 
-def _execute_task(task: Task, task_index: int, attempt: int) -> RunResult:
-    """One durable-executor attempt at one task, bracketed by injects.
+def _attempt_task(tasks: list[Task], task_index: int, max_retries: int,
+                  retry_backoff: float) -> RunResult | TaskFailure:
+    """One task's attempts, in the process that runs the task.
 
-    Module-level so the process pool can pickle it; runs in the worker,
-    so ``runner.task_start`` / ``runner.task_end`` faults fire in the
-    process doing the work (workers inherit plans via ``REPRO_FAULTS``).
-    The context carries the task identity and the attempt number, letting
-    a chaos plan target e.g. "kill task 3" or "fail every first attempt".
+    Up to ``1 + max_retries`` attempts with exponential backoff
+    (``retry_backoff * 2**(n-1)`` seconds before retry ``n``), each
+    bracketed by the ``runner.task_start`` / ``runner.task_end`` faults.
+    Their context carries the task identity and the attempt number,
+    letting a chaos plan target e.g. "kill task 3" or "fail every first
+    attempt".  Only ``Exception`` failures are retried -- a
+    :class:`~repro.faults.WorkerKilled` (``BaseException``) propagates
+    like the SIGKILL it simulates.  Returns the task's result, or a
+    :class:`TaskFailure` once its retries are exhausted.
 
-    With telemetry enabled the task runs under a task-local registry
-    (:func:`~repro.telemetry.run_captured`) whose snapshot is attached to
-    the result: workers never share sinks or metric objects, and the
-    parent merges the snapshots.
+    With telemetry enabled :func:`run_task` runs under a task-local
+    registry (:func:`~repro.telemetry.run_captured`) whose snapshot is
+    attached to the result, for :func:`_publish_experiment_telemetry`.
     """
+    task = tasks[task_index]
     context = {"task_index": task_index, "detector": task.name,
-               "dataset": task.pair.name, "seed": task.seed,
-               "attempt": attempt}
-    inject("runner.task_start", **context)
-    result, snapshot = telemetry.run_captured(
-        run_task, task.name, task.config, task.pair, task.seed,
-        task.sampler, task.track_curves)
-    inject("runner.task_end", **context)
-    return result if snapshot is None else replace(result, telemetry=snapshot)
+               "dataset": task.pair.name, "seed": task.seed}
+    for attempt in range(max_retries + 1):
+        if attempt:
+            _count("retry.attempts")
+            time.sleep(retry_backoff * 2 ** (attempt - 1))
+        try:
+            inject("runner.task_start", **context, attempt=attempt)
+            result, snapshot = telemetry.run_captured(
+                run_task, task.name, task.config, task.pair, task.seed,
+                task.sampler, task.track_curves)
+            inject("runner.task_end", **context, attempt=attempt)
+        except Exception as exc:  # kills (BaseException) propagate
+            error = exc
+            continue
+        if attempt:
+            _count("retry.successes")
+        return result if snapshot is None else replace(result,
+                                                        telemetry=snapshot)
+    _count("retry.failures")
+    return TaskFailure(task_index=task_index, dataset=task.pair.name,
+                       seed=task.seed, attempts=max_retries + 1,
+                       error_type=type(error).__name__, error=str(error))
+
+
+def _count(name: str) -> None:
+    if telemetry.enabled():
+        telemetry.get_registry().counter(name).inc()
 
 
 def run_grid(specs: dict[str, dict], pairs: Sequence[DatasetPair],
@@ -352,7 +373,6 @@ def run_experiment(pair: DatasetPair, detector: str = "etsb",
                    n_workers: int | None = None,
                    max_retries: int = 0,
                    retry_backoff: float = 0.5,
-                   task_timeout: float | None = None,
                    journal_path: str | Path | None = None,
                    fail_fast: bool = True) -> ExperimentResult:
     """Fit and score one registry detector ``n_runs`` times on one dataset.
@@ -378,12 +398,12 @@ def run_experiment(pair: DatasetPair, detector: str = "etsb",
         Record per-epoch train/test accuracy (needed for Figures 6/7;
         costs one extra evaluation pass per epoch; neural families only).
     n_workers:
-        Fan the runs out over this many worker processes.  ``None`` or 1
-        runs serially in-process.  Aggregation is identical either way
-        because every run's seed is ``base_seed + run_index``.
-    max_retries, retry_backoff, task_timeout:
-        Durability knobs: per-task retries with exponential backoff and
-        (pooled execution only) a per-attempt wall-clock limit.
+        Fan the runs out over this many forked worker processes
+        (:func:`repro.forkpool.fork_map`).  ``None`` or 1 runs serially
+        in-process.  Aggregation is identical either way because every
+        run's seed is ``base_seed + run_index``.
+    max_retries, retry_backoff:
+        Durability knobs: per-task retries with exponential backoff.
     journal_path:
         Completed-task journal (JSONL).  A re-invocation with the same
         journal skips every task already recorded, so a killed sweep
@@ -400,8 +420,7 @@ def run_experiment(pair: DatasetPair, detector: str = "etsb",
     return run_grid(
         {detector: config}, [pair], n_runs, base_seed, sampler,
         track_curves, n_workers=n_workers, max_retries=max_retries,
-        retry_backoff=retry_backoff, task_timeout=task_timeout,
-        journal_path=journal_path,
+        retry_backoff=retry_backoff, journal_path=journal_path,
         fail_fast=fail_fast)[detector, pair.name]
 
 
@@ -461,22 +480,18 @@ def _publish_experiment_telemetry(result: ExperimentResult) -> None:
 
 def _execute_tasks(tasks: list[Task], n_workers: int | None = None,
                    max_retries: int = 0, retry_backoff: float = 0.5,
-                   task_timeout: float | None = None,
                    journal: TaskJournal | None = None,
                    fail_fast: bool = True,
                    ) -> tuple[list[RunResult | None], list[TaskFailure]]:
     """Execute tasks durably, preserving order.
 
-    Per task: journal lookup (already-completed tasks are skipped and
-    their journalled results reused), then up to ``1 + max_retries``
-    attempts with exponential backoff (``retry_backoff * 2**(n-1)``
-    seconds before retry ``n``).  Only ``Exception`` failures are
-    retried -- a :class:`~repro.faults.WorkerKilled` (``BaseException``)
-    propagates like the SIGKILL it simulates, and the journal is what
-    makes the re-invocation cheap.  ``task_timeout`` bounds each pooled
-    attempt (the timed-out worker cannot be interrupted and keeps its
-    slot until it finishes; serial attempts cannot be timed out and the
-    limit is ignored).  A task exhausting its retries raises
+    Tasks already in the journal are skipped and their journalled
+    results reused.  The others run through
+    :func:`~repro.forkpool.fork_map` over ``n_workers`` forked workers
+    (inline for ``None`` or 1), each with its retries
+    (:func:`_attempt_task`), and are journalled one by one as their
+    results reach this process, in task order -- so a kill leaves every
+    task before it journalled.  A task that exhausted its retries raises
     (``fail_fast=True``) or is recorded as a :class:`TaskFailure` with a
     ``None`` result slot (``fail_fast=False``).
     """
@@ -486,10 +501,6 @@ def _execute_tasks(tasks: list[Task], n_workers: int | None = None,
         raise ExperimentError(f"max_retries must be >= 0, got {max_retries}")
     if retry_backoff < 0:
         raise ExperimentError(f"retry_backoff must be >= 0, got {retry_backoff}")
-    if task_timeout is not None and task_timeout <= 0:
-        raise ExperimentError(f"task_timeout must be positive, got {task_timeout}")
-    tele = telemetry.enabled()
-    registry = telemetry.get_registry() if tele else None
     results: list[RunResult | None] = [None] * len(tasks)
     failures: list[TaskFailure] = []
     completed = journal.load() if journal is not None else {}
@@ -497,81 +508,28 @@ def _execute_tasks(tasks: list[Task], n_workers: int | None = None,
     for i, task in enumerate(tasks):
         if task.key in completed:
             results[i] = completed[task.key]
-            if tele:
-                registry.counter("runner.tasks_skipped").inc()
+            _count("runner.tasks_skipped")
         else:
             pending.append(i)
-
-    def finish(index: int, result: RunResult) -> None:
-        results[index] = result
-        if journal is not None:
-            journal.record(tasks[index].key, result)
-        if tele:
-            registry.counter("runner.tasks_completed").inc()
-
-    def fail(index: int, attempts: int, error: Exception) -> None:
-        if tele:
-            registry.counter("retry.failures").inc()
-        task = tasks[index]
-        if fail_fast:
-            raise ExperimentError(
-                f"task {index} ({task.name}, {task.pair.name}, "
-                f"seed {task.seed}) failed after {attempts} "
-                f"attempt(s): {error}"
-            ) from error
-        failures.append(TaskFailure(
-            task_index=index, dataset=task.pair.name, seed=task.seed,
-            attempts=attempts, error_type=type(error).__name__,
-            error=str(error)))
-
-    def backoff(attempt: int) -> None:
-        if tele:
-            registry.counter("retry.attempts").inc()
-        if retry_backoff > 0:
-            time.sleep(retry_backoff * 2 ** (attempt - 1))
-
-    pool = None
-    if n_workers is not None and n_workers > 1 and len(pending) > 1:
-        pool = ProcessPoolExecutor(max_workers=min(n_workers, len(pending)))
-    with pool if pool is not None else nullcontext():
-        # Pooled: every first attempt is queued up front.  Serial: each
-        # attempt runs when its turn comes, so a kill leaves every task
-        # before it journalled.
-        submit = _run_now if pool is None else pool.submit
-        first = {} if pool is None else {
-            i: pool.submit(_execute_task, tasks[i], i, 0) for i in pending}
-        for i in pending:
-            for attempt in range(max_retries + 1):
-                if attempt:
-                    backoff(attempt)
-                future = first.pop(i, None) \
-                    or submit(_execute_task, tasks[i], i, attempt)
-                try:
-                    result = future.result(timeout=task_timeout)
-                except FutureTimeout:
-                    future.cancel()
-                    if attempt == max_retries:
-                        fail(i, attempt + 1, ExperimentError(
-                            f"attempt exceeded task_timeout={task_timeout}s"))
-                except Exception as error:  # kills (BaseException) propagate
-                    if attempt == max_retries:
-                        fail(i, attempt + 1, error)
-                else:
-                    if tele and attempt:
-                        registry.counter("retry.successes").inc()
-                    finish(i, result)
-                    break
+    attempt = partial(_attempt_task, tasks, max_retries=max_retries,
+                      retry_backoff=retry_backoff)
+    with closing(forkpool.fork_map(attempt, pending,
+                                   n_workers or 1)) as outcomes:
+        for i, outcome in zip(pending, outcomes):
+            if isinstance(outcome, TaskFailure):
+                if fail_fast:
+                    task = tasks[i]
+                    raise ExperimentError(
+                        f"task {i} ({task.name}, {task.pair.name}, "
+                        f"seed {task.seed}) failed after {outcome.attempts} "
+                        f"attempt(s): {outcome.error}")
+                failures.append(outcome)
+                continue
+            results[i] = outcome
+            if journal is not None:
+                journal.record(tasks[i].key, outcome)
+            _count("runner.tasks_completed")
     return results, failures
-
-
-def _run_now(fn, *args) -> Future:
-    """``fn(*args)`` as a completed future; ``BaseException`` propagates."""
-    future: Future = Future()
-    try:
-        future.set_result(fn(*args))
-    except Exception as error:
-        future.set_exception(error)
-    return future
 
 
 def _curve_callback(detector: ErrorDetector,

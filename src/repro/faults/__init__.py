@@ -19,9 +19,9 @@ Activation::
     with faults.use_plan(plan):
         ...  # the second task pickup fails once, retry recovers
 
-or, for process-pool workers and the CLI, ``REPRO_FAULTS=plan.json``
-in the environment.  With no plan installed every ``inject`` site costs
-one global load and one identity test.
+or ``REPRO_FAULTS=plan.json`` in the environment.  Forked workers
+inherit the installed plan.  With no plan installed every ``inject``
+site costs one global load and one identity test.
 """
 
 from repro.faults.plan import (

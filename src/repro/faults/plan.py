@@ -12,13 +12,14 @@ Faults come in three actions:
 * ``"kill"`` -- raise :class:`WorkerKilled` (a ``BaseException``): a
   simulated hard crash that no ``except Exception`` recovery path may
   swallow, exactly like a SIGKILL would end the process mid-step;
-* ``"delay"`` -- sleep ``delay_seconds`` and continue (exercises
-  timeouts and backoff without failing).
+* ``"delay"`` -- sleep ``delay_seconds`` and continue (exercises slow
+  steps without failing).
 
 Plans activate programmatically (:func:`install_plan` / :func:`use_plan`)
 or through the ``REPRO_FAULTS`` environment variable naming a JSON plan
-file -- the environment route is how process-pool workers, which never
-share the parent's interpreter state, pick the plan up.
+file, read at a process's first ``inject``.  Workers forked by
+:func:`repro.forkpool.fork_map` inherit whatever plan their parent has
+installed.
 
 Determinism: triggers depend only on the plan (its seed drives the
 probabilistic specs) and the per-process sequence of ``inject`` calls,

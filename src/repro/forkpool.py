@@ -1,23 +1,28 @@
 """Fan coarse, independent tasks out over forked worker processes.
 
-:func:`fork_map` returns ``fn(task)`` for every task, in task order,
-whether the tasks ran in forked workers or inline in the calling
-process.  Workers are forked, so they inherit ``fn`` and the tasks --
-and everything those reach, such as an ingested folder or a fitted
-model -- without pickling; only each task's index goes out and only its
-result comes back.  Forking copies the parent's memory, not its
-threads, so a process with other live threads runs its tasks inline
-(a lock held by another thread at the fork would stay locked in the
-child forever).
+:func:`fork_map` yields ``fn(task)`` for every task, in task order, like
+``map``, whether the tasks run in forked workers or inline in the
+calling process.  Workers are forked, so they inherit ``fn`` and the
+tasks -- and everything those reach, such as an ingested folder, a
+fitted model or an installed fault plan -- without pickling; only each
+task's index goes out and only its result comes back.  Forking copies
+the parent's memory, not its threads, so a process with other live
+threads runs its tasks inline (a lock held by another thread at the
+fork would stay locked in the child forever).
+
+Results reach the caller one at a time, as they arrive: workers run
+ahead, but an inline task starts only when the caller asks for its
+result.  A caller that records each result as it comes (the experiment
+runner's journal) has thus recorded every task before one that raises.
 
 The tasks run with numpy's bundled OpenBLAS set to one thread, in the
 workers (forked from the caller while it is set) and inline alike, and
-the caller's setting is restored afterwards: the pool already puts one
-worker on every CPU, BLAS threads on top of that only contend for the
-same CPUs, and a few matrix products round differently with more than
-one thread, so this keeps pooled and inline results byte-equal.  Where
-that library is not found, or another thread is alive (it could be
-calling BLAS), the setting is left alone.
+the caller's setting is restored when the iteration ends: the pool
+already puts one worker on every CPU, BLAS threads on top of that only
+contend for the same CPUs, and a few matrix products round differently
+with more than one thread, so this keeps pooled and inline results
+byte-equal.  Where that library is not found, or another thread is
+alive (it could be calling BLAS), the setting is left alone.
 
 Each task runs under :func:`repro.telemetry.run_captured`, in a worker
 or inline alike, and the parent publishes the captured records and
@@ -40,7 +45,7 @@ import threading
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from pathlib import Path
 from typing import Any
 
@@ -118,9 +123,9 @@ def _run_task(index: int) -> tuple[Any, dict | None]:
 
 
 def fork_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int,
-             order: Sequence[int] | None = None) -> list:
-    """``[fn(task) for task in tasks]``, over ``min(workers, len(tasks))``
-    forked workers (module docstring).
+             order: Sequence[int] | None = None) -> Iterator:
+    """``map(fn, tasks)`` over ``min(workers, len(tasks))`` forked
+    workers (module docstring).
 
     ``order`` is the order tasks are handed to workers (default: task
     order); put the longest first.  With one worker, or where no worker
@@ -128,17 +133,16 @@ def fork_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int,
     order.
     """
     workers = min(workers, len(tasks))
-    results = []
     with _one_blas_thread():
         if workers > 1 and _can_fork():
             captured = _forked(fn, tasks, workers, order)
         else:
             captured = (telemetry.run_captured(fn, task) for task in tasks)
-        for result, snapshot in captured:
-            if snapshot is not None:
-                telemetry.publish_captured(snapshot)
-            results.append(result)
-    return results
+        with closing(captured):
+            for result, snapshot in captured:
+                if snapshot is not None:
+                    telemetry.publish_captured(snapshot)
+                yield result
 
 
 def _forked(fn: Callable[[Any], Any], tasks: Sequence, workers: int,

@@ -208,8 +208,8 @@ def detect_path(path: str | Path, *, detector: ErrorDetector | None = None,
     chars = [sum(sum(map(len, filter(None, item.table.column(name).values)))
                  for name in item.table.column_names) for item in tables]
     costliest_first = sorted(range(len(tables)), key=lambda i: -chars[i])
-    cells = forkpool.fork_map(score, tables, forkpool.cpu_count(),
-                              order=costliest_first)
+    cells = list(forkpool.fork_map(score, tables, forkpool.cpu_count(),
+                                   order=costliest_first))
     return report, [DetectOutcome(item, report.profiles[item.name], *fields)
                     for item, fields in zip(tables, cells)]
 

@@ -147,9 +147,9 @@ def ingest_path(path: str | Path) -> IngestReport:
     readable = [entry for entry in discovered if entry.kind != "skipped"]
     sizes = [_file_size(entry.path) for entry in readable]
     largest_first = sorted(range(len(readable)), key=lambda i: -sizes[i])
-    results = iter(forkpool.fork_map(_read_profiled, readable,
-                                     forkpool.cpu_count(),
-                                     order=largest_first))
+    results = iter(list(forkpool.fork_map(_read_profiled, readable,
+                                          forkpool.cpu_count(),
+                                          order=largest_first)))
     tables: list[IngestedTable] = []
     profiles: dict[str, dict[str, ColumnProfile]] = {}
     skipped: list[tuple[Path, str]] = []

@@ -3,15 +3,23 @@
 The contract: parallel execution is a scheduling detail.  Every task
 seeds itself from its arguments (``base_seed + run_index``), so the
 aggregated :class:`ExperimentResult` is identical to the serial one in
-everything except wall-clock timings.
+everything except wall-clock timings -- also when a worker dies, and
+a worker's telemetry reaches the caller's sinks once.
 """
+
+import multiprocessing
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.datasets import load
 from repro.errors import ExperimentError
 from repro.experiments import run_experiment, run_experiment_matrix
+from repro.experiments import runner
+from repro.faults import FaultPlan, FaultSpec, use_plan
 from repro.models import ModelConfig
 
 TINY = ModelConfig(char_embed_dim=6, value_units=8, attr_embed_dim=3,
@@ -59,6 +67,45 @@ class TestParallelRunner:
     def test_seeds_follow_base_seed(self, pair):
         result = run_experiment(pair, **SETTINGS, base_seed=30, n_workers=2)
         assert [run.seed for run in result.runs] == [30, 31]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+class TestPooledWorkers:
+    @pytest.mark.chaos
+    def test_dead_worker_tasks_rerun_inline(self, pair):
+        serial = run_experiment(pair, **SETTINGS)
+        parent = os.getpid()
+        real = runner.run_task
+
+        def dying(name, config, pair, seed, *args):
+            if os.getpid() != parent and seed == 1:
+                os._exit(3)
+            return real(name, config, pair, seed, *args)
+
+        registry = telemetry.MetricsRegistry()
+        with mock.patch.object(runner, "run_task", dying), \
+                telemetry.use_telemetry(registry):
+            pooled = run_experiment(pair, **SETTINGS, n_workers=2,
+                                    max_retries=1, fail_fast=False)
+        assert pooled.failures == ()
+        assert_same_runs(serial.runs, pooled.runs)
+        assert registry.counter("pool.tasks_rerun").value >= 1
+
+    def test_worker_fault_record_reaches_the_sink_once(self, pair):
+        plan = FaultPlan([FaultSpec(point="runner.task_start",
+                                    action="delay", delay_seconds=0.0,
+                                    match={"task_index": 1})])
+        registry = telemetry.MetricsRegistry()
+        sink = telemetry.MemorySink()
+        registry.add_sink(sink)
+        with use_plan(plan), telemetry.use_telemetry(registry):
+            run_experiment(pair, **SETTINGS, n_workers=2)
+        faults = [record for record in sink.records
+                  if record["type"] == "fault"]
+        assert [(r["point"], r["action"]) for r in faults] == [
+            ("runner.task_start", "delay")]
+        assert registry.snapshot()["counters"]["faults.injected"] == 1
 
 
 class TestExperimentMatrix:

@@ -1,5 +1,5 @@
 """CLI surface of the fault harness: ``repro faults`` and the durable
-benchmark flags (``--resume``, ``--max-retries``, ``--task-timeout``)."""
+benchmark flags (``--resume``, ``--max-retries``)."""
 
 import pytest
 
@@ -14,16 +14,20 @@ class TestParser:
     def test_benchmark_durability_flags(self):
         args = build_parser().parse_args(
             ["benchmark", *BENCH, "--resume", "j.jsonl",
-             "--max-retries", "3", "--task-timeout", "10.5"])
+             "--max-retries", "3"])
         assert args.resume == "j.jsonl"
         assert args.max_retries == 3
-        assert args.task_timeout == 10.5
 
     def test_benchmark_durability_defaults(self):
         args = build_parser().parse_args(["benchmark", *BENCH])
         assert args.resume is None
         assert args.max_retries == 0
-        assert args.task_timeout is None
+
+    def test_task_timeout_flag_removed(self):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["benchmark", *BENCH,
+                                       "--task-timeout", "5"])
+        assert exited.value.code == 2
 
     def test_faults_run_requires_plan(self):
         with pytest.raises(SystemExit):

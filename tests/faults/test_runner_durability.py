@@ -86,8 +86,6 @@ class TestRetry:
             run_experiment(pair, **SETTINGS, max_retries=-1)
         with pytest.raises(ExperimentError, match="retry_backoff"):
             run_experiment(pair, **SETTINGS, retry_backoff=-0.5)
-        with pytest.raises(ExperimentError, match="task_timeout"):
-            run_experiment(pair, **SETTINGS, task_timeout=0.0)
 
     def test_retry_telemetry_counters(self, pair):
         plan = FaultPlan([FaultSpec(point="runner.task_start",
@@ -185,9 +183,13 @@ class TestJournal:
 class TestChaosSweep:
     """Kill at every task index; --resume must equal the clean run."""
 
-    @pytest.mark.parametrize("backend", ["fused", "graph"])
+    @pytest.mark.parametrize("backend, n_workers", [
+        pytest.param("fused", None, id="fused"),
+        pytest.param("graph", None, id="graph"),
+        pytest.param("fused", 2, id="fused-pooled"),
+        pytest.param("graph", 2, id="graph-pooled")])
     def test_kill_every_task_index_then_resume(self, tmp_path, backend,
-                                               pair):
+                                               n_workers, pair):
         from repro.nn import use_backend
 
         with use_backend(backend):
@@ -199,9 +201,10 @@ class TestChaosSweep:
                                             match={"task_index": kill_index})])
                 with use_plan(plan):
                     with pytest.raises(WorkerKilled):
-                        run_experiment(pair, **SETTINGS,
+                        run_experiment(pair, **SETTINGS, n_workers=n_workers,
                                        journal_path=journal_path)
                 resumed = run_experiment(pair, **SETTINGS,
+                                         n_workers=n_workers,
                                          journal_path=journal_path)
                 assert reports(resumed) == reports(reference)
                 assert resumed.failures == ()

@@ -1,5 +1,6 @@
 """The fork-pool helper: results in task order whatever the dispatch
-order, and no output duplicated by the forked workers."""
+order, each inline task run only when its result is asked for, and no
+output duplicated by the forked workers."""
 
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ pytestmark = pytest.mark.skipif(
 @pytest.mark.parametrize("order", [None, [3, 1, 0, 2]])
 def test_results_in_task_order(order):
     parent = os.getpid()
-    got = forkpool.fork_map(lambda task: (task * task, os.getpid()),
-                            [1, 2, 3, 4], 2, order=order)
+    got = list(forkpool.fork_map(lambda task: (task * task, os.getpid()),
+                                 [1, 2, 3, 4], 2, order=order))
     assert [square for square, _ in got] == [1, 4, 9, 16]
     assert parent not in {pid for _, pid in got}
 
@@ -34,9 +35,24 @@ def test_tasks_run_one_blas_thread(workers):
         pytest.skip("numpy's bundled OpenBLAS was not found")
     get_threads = forkpool.openblas_threads()[0]
     before = get_threads()
-    got = forkpool.fork_map(lambda _: get_threads(), [0, 1], workers)
+    got = list(forkpool.fork_map(lambda _: get_threads(), [0, 1], workers))
     assert got == [1, 1]
     assert get_threads() == before
+
+
+def test_one_worker_starts_each_task_after_the_last_result_is_consumed():
+    """The experiment runner journals each result before the next task
+    starts, so a killed sweep has journalled every task before it."""
+    events = []
+
+    def task(index):
+        events.append(("start", index))
+        return index
+
+    for result in forkpool.fork_map(task, [0, 1, 2], 1):
+        events.append(("consumed", result))
+    assert events == [("start", 0), ("consumed", 0), ("start", 1),
+                      ("consumed", 1), ("start", 2), ("consumed", 2)]
 
 
 def test_output_pending_before_the_fork_is_written_once():
@@ -46,7 +62,7 @@ def test_output_pending_before_the_fork_is_written_once():
               "from repro import forkpool\n"
               "sys.stdout.write('pending ')\n"
               "sys.stderr.write('pending ')\n"
-              "print(forkpool.fork_map(abs, [-1, -2, -3], 2))\n")
+              "print(list(forkpool.fork_map(abs, [-1, -2, -3], 2)))\n")
     env = {**os.environ,
            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env,
