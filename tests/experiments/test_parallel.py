@@ -17,8 +17,7 @@ import pytest
 from repro import telemetry
 from repro.datasets import load
 from repro.errors import ExperimentError
-from repro.experiments import run_experiment, run_experiment_matrix
-from repro.experiments import runner
+from repro.experiments import run_experiment, run_experiment_matrix, runner
 from repro.faults import FaultPlan, FaultSpec, use_plan
 from repro.models import ModelConfig
 
@@ -78,10 +77,10 @@ class TestPooledWorkers:
         parent = os.getpid()
         real = runner.run_task
 
-        def dying(name, config, pair, seed, *args):
+        def dying(name, config, dataset, seed, *args):
             if os.getpid() != parent and seed == 1:
                 os._exit(3)
-            return real(name, config, pair, seed, *args)
+            return real(name, config, dataset, seed, *args)
 
         registry = telemetry.MetricsRegistry()
         with mock.patch.object(runner, "run_task", dying), \
