@@ -13,7 +13,7 @@ Public API
     slicing, reductions and the activation functions used by the models.
 :mod:`~repro.autograd.ops`
     Functional forms (``tanh``, ``relu``, ``sigmoid``, ``softmax``,
-    ``log_softmax``, ``embedding_lookup``, ``concat``, ...).
+    ``embedding_lookup``, ``concat``, ...).
 :func:`~repro.autograd.gradcheck.check_gradients`
     Finite-difference validation of the analytic gradients.
 :class:`~repro.autograd.function.Function`
@@ -27,7 +27,6 @@ from repro.autograd.gradcheck import check_gradients
 from repro.autograd.ops import (
     concat,
     embedding_lookup,
-    log_softmax,
     relu,
     sigmoid,
     softmax,
@@ -46,7 +45,6 @@ __all__ = [
     "gradcheck_function",
     "concat",
     "embedding_lookup",
-    "log_softmax",
     "relu",
     "sigmoid",
     "softmax",

@@ -1,7 +1,7 @@
 """Functional autograd operations built on :class:`~repro.autograd.tensor.Tensor`.
 
 These cover every operation the paper's architectures need beyond basic
-arithmetic: activations, numerically stable (log-)softmax, embedding
+arithmetic: activations, numerically stable softmax, embedding
 lookup, concatenation and stacking.
 """
 
@@ -58,20 +58,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         if x.requires_grad:
             dot = (grad * data).sum(axis=axis, keepdims=True)
             x.accumulate_grad(data * (grad - dot))
-
-    return Tensor.from_op(data, (x,), backward)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable ``log(softmax(x))`` along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - log_norm
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            soft = np.exp(data)
-            x.accumulate_grad(grad - soft * grad.sum(axis=axis, keepdims=True))
 
     return Tensor.from_op(data, (x,), backward)
 

@@ -43,7 +43,7 @@ from repro.models.config import ModelConfig, training_config_from_dict
 from repro.models.detector import ErrorDetector, build_model
 from repro.nn.callbacks import Callback
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer
+from repro.nn.optim import RMSprop
 
 #: Detector archive version: 2 added the optimizer state, 3 the
 #: per-attribute longest values (v1 and v2 still load).
@@ -212,30 +212,23 @@ def load_detector(path: str | Path) -> ErrorDetector:
     return detector
 
 
-#: Optimizer classes a detector archive may reference.
-def _optimizer_class(name: str):
-    from repro.nn import SGD, Adam, RMSprop
-    classes = {"SGD": SGD, "RMSprop": RMSprop, "Adam": Adam}
-    if name not in classes:
-        raise DataError(
-            f"archive references unknown optimizer {name!r}; "
-            f"known: {sorted(classes)}"
-        )
-    return classes[name]
-
-
 def _rebuild_optimizer(model: Module, opt_meta: dict | None,
-                       opt_arrays: dict[str, np.ndarray]) -> Optimizer:
+                       opt_arrays: dict[str, np.ndarray]) -> RMSprop:
     """Reconstruct the archived optimizer (v2) or a fresh RMSprop (v1).
 
     Version-1 archives carry no optimizer section: the paper's default
     RMSprop starts with zeroed moving averages, exactly the old
-    behaviour, so old files keep loading unchanged.
+    behaviour, so old files keep loading unchanged.  RMSprop is the one
+    optimizer, so an archive naming another does not load.
     """
-    from repro.nn import RMSprop
+    optimizer = RMSprop(model.parameters())
     if opt_meta is None:
-        return RMSprop(model.parameters())
-    optimizer = _optimizer_class(opt_meta["type"])(model.parameters())
+        return optimizer
+    if opt_meta["type"] != "RMSprop":
+        raise DataError(
+            f"archive references unknown optimizer {opt_meta['type']!r}; "
+            f"known: ['RMSprop']"
+        )
     slots = {
         slot: [opt_arrays[f"opt:{slot}:{i:04d}"] for i in range(count)]
         for slot, count in opt_meta["slots"].items()
@@ -277,7 +270,7 @@ class TrainingCheckpoint:
     model_state:
         :meth:`~repro.nn.module.Module.state_dict` snapshot.
     optimizer_state:
-        :meth:`~repro.nn.optim.Optimizer.state_dict` snapshot.
+        :meth:`~repro.nn.optim.RMSprop.state_dict` snapshot.
     rng_state:
         The shuffling generator's ``bit_generator.state`` (``None`` when
         the trainer shuffles deterministically without an RNG).
@@ -339,7 +332,7 @@ def _unpack_callback_state(index: int, meta: dict,
 
 
 def save_training_checkpoint(path: str | Path, model: Module,
-                             optimizer: Optimizer, epoch: int,
+                             optimizer: RMSprop, epoch: int,
                              rng: np.random.Generator | None = None,
                              callbacks: tuple[Callback, ...] | list[Callback] = (),
                              ) -> None:

@@ -4,12 +4,10 @@ Built on :mod:`repro.autograd`, this subpackage provides everything the
 paper's two architectures (Figure 5) are made of:
 
 * layers: :class:`Embedding`, :class:`Dense`, :class:`RNNCell`,
-  :class:`StackedRNN`, :class:`BidirectionalRNN`, :class:`BatchNorm1d`,
-  :class:`Dropout`, :class:`Sequential`;
-* losses: binary / categorical cross-entropy (Section 5.2 uses binary
-  cross-entropy on a two-way softmax);
-* optimizers: :class:`SGD`, :class:`RMSprop` (the paper's choice),
-  :class:`Adam`;
+  :class:`StackedRNN`, :class:`BidirectionalRNN`, :class:`BatchNorm1d`;
+* the loss: categorical cross-entropy on a two-way softmax, which is
+  Section 5.2's binary cross-entropy;
+* the optimizer: :class:`RMSprop` (the paper's choice);
 * a :class:`Trainer` with Keras-style callbacks, including
   :class:`BestWeightsCheckpoint`, which restores the weights from the
   epoch with the lowest training loss exactly as Section 5.2 describes;
@@ -29,14 +27,11 @@ from repro.nn.backend import (
 from repro.nn.callbacks import (
     BestWeightsCheckpoint,
     Callback,
-    EarlyStopping,
     EpochEvaluator,
     History,
 )
 from repro.nn.init import glorot_uniform, orthogonal, uniform, zeros
-from repro.nn.layers.container import Sequential
 from repro.nn.layers.dense import Dense
-from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.embedding import Embedding
 from repro.nn.layers.normalization import BatchNorm1d
 from repro.nn.layers.gated import GRUCell, LSTMCell
@@ -47,13 +42,9 @@ from repro.nn.layers.rnn import (
     StackedRNN,
     make_cell,
 )
-from repro.nn.losses import (
-    binary_cross_entropy,
-    categorical_cross_entropy,
-    softmax_cross_entropy_with_logits,
-)
+from repro.nn.losses import categorical_cross_entropy
 from repro.nn.module import Module, Parameter
-from repro.nn.optim import SGD, Adam, Optimizer, RMSprop, clip_gradients
+from repro.nn.optim import RMSprop, clip_gradients
 from repro.nn.training import (
     Batch,
     Trainer,
@@ -79,20 +70,12 @@ __all__ = [
     "CELL_TYPES",
     "make_cell",
     "BatchNorm1d",
-    "Dropout",
-    "Sequential",
-    "binary_cross_entropy",
     "categorical_cross_entropy",
-    "softmax_cross_entropy_with_logits",
-    "Optimizer",
-    "SGD",
     "RMSprop",
-    "Adam",
     "clip_gradients",
     "Callback",
     "History",
     "BestWeightsCheckpoint",
-    "EarlyStopping",
     "EpochEvaluator",
     "Trainer",
     "Batch",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -28,10 +27,6 @@ class Callback:
 
     def on_train_end(self, model: Module) -> None:
         """Called once after the last epoch."""
-
-    def stop_requested(self) -> bool:
-        """Whether training should halt after the current epoch."""
-        return False
 
     def state_dict(self) -> dict:
         """Resumable snapshot of the callback's accumulated state.
@@ -157,55 +152,6 @@ class BestWeightsCheckpoint(Callback):
         """
         model.load_state_dict(self._best_state)
         model.mark_weights_updated()
-
-
-class EarlyStopping(Callback):
-    """Stop training when the monitored metric stops improving."""
-
-    def __init__(self, monitor: str = "loss", mode: str = "min",
-                 patience: int = 10, min_delta: float = 0.0):
-        if patience < 1:
-            raise ConfigurationError(f"patience must be >= 1, got {patience}")
-        if mode not in ("min", "max"):
-            raise ConfigurationError(f"mode must be 'min' or 'max', got {mode!r}")
-        self.monitor = monitor
-        self.mode = mode
-        self.patience = patience
-        self.min_delta = min_delta
-        self.best_value: float | None = None
-        self._stale_epochs = 0
-        self._stop = False
-
-    def on_epoch_end(self, model: Module, epoch: int, logs: dict[str, float]) -> None:
-        value = logs.get(self.monitor)
-        if value is None:
-            return
-        if self.best_value is None:
-            improved = True
-        elif self.mode == "min":
-            improved = value < self.best_value - self.min_delta
-        else:
-            improved = value > self.best_value + self.min_delta
-        if improved:
-            self.best_value = value
-            self._stale_epochs = 0
-        else:
-            self._stale_epochs += 1
-            if self._stale_epochs >= self.patience:
-                self._stop = True
-
-    def stop_requested(self) -> bool:
-        return self._stop
-
-    def state_dict(self) -> dict:
-        return {"best_value": self.best_value,
-                "stale_epochs": self._stale_epochs,
-                "stop": self._stop}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.best_value = state.get("best_value")
-        self._stale_epochs = int(state.get("stale_epochs", 0))
-        self._stop = bool(state.get("stop", False))
 
 
 class EpochEvaluator(Callback):

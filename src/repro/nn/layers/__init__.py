@@ -1,16 +1,12 @@
 """Layer implementations for :mod:`repro.nn`."""
 
-from repro.nn.layers.container import Sequential
 from repro.nn.layers.dense import Dense
-from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.embedding import Embedding
 from repro.nn.layers.normalization import BatchNorm1d
 from repro.nn.layers.rnn import BidirectionalRNN, RNNCell, StackedRNN
 
 __all__ = [
-    "Sequential",
     "Dense",
-    "Dropout",
     "Embedding",
     "BatchNorm1d",
     "BidirectionalRNN",

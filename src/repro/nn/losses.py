@@ -1,37 +1,16 @@
-"""Loss functions.
+"""The loss function.
 
 The paper (Section 5.2) trains with binary cross-entropy on a two-way
-softmax output.  We provide that exact combination plus the general
-categorical form and a fused logits variant for numerical stability.
+softmax output: the categorical cross-entropy of that softmax against
+one-hot labels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor, log_softmax
+from repro.autograd import Tensor
 from repro.errors import ShapeError
-
-
-def binary_cross_entropy(probabilities: Tensor, targets: np.ndarray,
-                         epsilon: float = 1e-12) -> Tensor:
-    """Mean binary cross-entropy of predicted error probabilities.
-
-    Parameters
-    ----------
-    probabilities:
-        Predicted probability of the positive class, shape ``(batch,)``
-        or ``(batch, 1)``.
-    targets:
-        Binary labels of matching shape (0 = correct cell, 1 = error).
-    epsilon:
-        Clamp to avoid ``log(0)``.
-    """
-    targets = np.asarray(targets, dtype=np.float64).reshape(probabilities.shape)
-    clipped = probabilities.clip(epsilon, 1.0 - epsilon)
-    losses = -(Tensor(targets) * clipped.log()
-               + Tensor(1.0 - targets) * (1.0 - clipped).log())
-    return losses.mean()
 
 
 def categorical_cross_entropy(probabilities: Tensor, targets_onehot: np.ndarray,
@@ -54,31 +33,6 @@ def categorical_cross_entropy(probabilities: Tensor, targets_onehot: np.ndarray,
     clipped = probabilities.clip(epsilon, 1.0)
     per_sample = -(Tensor(targets_onehot) * clipped.log()).sum(axis=-1)
     return per_sample.mean()
-
-
-def softmax_cross_entropy_with_logits(logits: Tensor,
-                                      targets: np.ndarray) -> Tensor:
-    """Fused, numerically stable softmax + cross-entropy.
-
-    Parameters
-    ----------
-    logits:
-        Pre-softmax scores, shape ``(batch, n_classes)``.
-    targets:
-        Integer class labels, shape ``(batch,)``.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.ndim != 1 or targets.shape[0] != logits.shape[0]:
-        raise ShapeError(
-            f"targets shape {targets.shape} incompatible with logits {logits.shape}"
-        )
-    n_classes = logits.shape[-1]
-    if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
-        raise ShapeError(f"target labels must lie in [0, {n_classes})")
-    log_probs = log_softmax(logits, axis=-1)
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(targets.shape[0]), targets] = 1.0
-    return -(log_probs * Tensor(onehot)).sum(axis=-1).mean()
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

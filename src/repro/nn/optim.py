@@ -1,7 +1,6 @@
-"""Gradient-descent optimizers.
+"""The optimizer and gradient clipping.
 
-The paper trains with RMSprop (Section 5.2); SGD-with-momentum and Adam
-are provided for the ablation benchmarks and general use.
+The paper trains with RMSprop (Section 5.2), the one update rule here.
 """
 
 from __future__ import annotations
@@ -36,21 +35,37 @@ def clip_gradients(parameters: Sequence[Parameter], max_norm: float) -> float:
     return norm
 
 
-class Optimizer:
-    """Base class: holds the parameter list and the update entry point."""
+class RMSprop:
+    """RMSprop (the paper's optimizer).
 
-    def __init__(self, parameters: Sequence[Parameter], learning_rate: float):
+    Keeps an exponential moving average of squared gradients and divides
+    the step by its root, with Keras-default hyperparameters.
+    """
+
+    def __init__(self, parameters: Sequence[Parameter], learning_rate: float = 0.001,
+                 rho: float = 0.9, epsilon: float = 1e-7):
         if learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be positive, got {learning_rate}")
         params = list(parameters)
         if not params:
             raise ConfigurationError("optimizer received no parameters")
+        if not 0.0 < rho < 1.0:
+            raise ConfigurationError(f"rho must be in (0, 1), got {rho}")
         self.parameters = params
         self.learning_rate = learning_rate
+        self.rho = rho
+        self.epsilon = epsilon
+        self._mean_square = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
         """Apply one update using the parameters' current gradients."""
-        raise NotImplementedError
+        for param, mean_square in zip(self.parameters, self._mean_square):
+            if param.grad is None:
+                continue
+            mean_square *= self.rho
+            mean_square += (1.0 - self.rho) * param.grad ** 2
+            param.data -= (self.learning_rate * param.grad
+                           / (np.sqrt(mean_square) + self.epsilon))
 
     def zero_grad(self) -> None:
         """Clear all parameter gradients."""
@@ -58,17 +73,6 @@ class Optimizer:
             param.zero_grad()
 
     # -- checkpointing --------------------------------------------------------
-
-    def _slot_arrays(self) -> dict[str, list[np.ndarray]]:
-        """Per-parameter state arrays, keyed by slot name (subclass hook)."""
-        return {}
-
-    def _extra_state(self) -> dict:
-        """Scalar state and hyperparameters (subclass hook)."""
-        return {}
-
-    def _load_extra(self, extra: dict) -> None:
-        """Restore :meth:`_extra_state` output (subclass hook)."""
 
     def state_dict(self) -> dict:
         """Snapshot of the optimizer's full update state.
@@ -78,11 +82,11 @@ class Optimizer:
         and continuing yields the identical weight trajectory.
         """
         return {
-            "type": type(self).__name__,
+            "type": "RMSprop",
             "learning_rate": float(self.learning_rate),
-            "slots": {name: [array.copy() for array in arrays]
-                      for name, arrays in self._slot_arrays().items()},
-            "extra": dict(self._extra_state()),
+            "slots": {"mean_square": [array.copy()
+                                      for array in self._mean_square]},
+            "extra": {"rho": self.rho, "epsilon": self.epsilon},
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -91,145 +95,34 @@ class Optimizer:
         Raises
         ------
         ConfigurationError
-            When the snapshot came from a different optimizer type or
-            its slot shapes do not match this optimizer's parameters.
+            When the snapshot came from another optimizer or its slot
+            shapes do not match this optimizer's parameters.
         """
-        if state.get("type") != type(self).__name__:
+        if state.get("type") != "RMSprop":
             raise ConfigurationError(
-                f"optimizer state is for {state.get('type')!r}, "
-                f"not {type(self).__name__!r}"
+                f"optimizer state is for {state.get('type')!r}, not 'RMSprop'"
             )
-        own = self._slot_arrays()
         slots = state.get("slots", {})
-        if set(slots) != set(own):
+        if set(slots) != {"mean_square"}:
             raise ConfigurationError(
                 f"optimizer slot mismatch: saved {sorted(slots)}, "
-                f"expected {sorted(own)}"
+                f"expected ['mean_square']"
             )
-        for name, arrays in own.items():
-            saved = slots[name]
-            if len(saved) != len(arrays):
+        saved = slots["mean_square"]
+        if len(saved) != len(self._mean_square):
+            raise ConfigurationError(
+                f"slot 'mean_square' has {len(saved)} saved arrays "
+                f"for {len(self._mean_square)} parameters"
+            )
+        for target, value in zip(self._mean_square, saved):
+            value = np.asarray(value)
+            if target.shape != value.shape:
                 raise ConfigurationError(
-                    f"slot {name!r} has {len(saved)} saved arrays "
-                    f"for {len(arrays)} parameters"
+                    f"slot 'mean_square' shape mismatch: "
+                    f"{value.shape} vs {target.shape}"
                 )
-            for target, value in zip(arrays, saved):
-                value = np.asarray(value)
-                if target.shape != value.shape:
-                    raise ConfigurationError(
-                        f"slot {name!r} shape mismatch: "
-                        f"{value.shape} vs {target.shape}"
-                    )
-                target[...] = value
+            target[...] = value
         self.learning_rate = float(state["learning_rate"])
-        self._load_extra(state.get("extra", {}))
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Sequence[Parameter], learning_rate: float = 0.01,
-                 momentum: float = 0.0):
-        super().__init__(parameters, learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def _slot_arrays(self) -> dict[str, list[np.ndarray]]:
-        return {"velocity": self._velocity}
-
-    def _extra_state(self) -> dict:
-        return {"momentum": self.momentum}
-
-    def _load_extra(self, extra: dict) -> None:
-        self.momentum = float(extra.get("momentum", self.momentum))
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            velocity *= self.momentum
-            velocity -= self.learning_rate * param.grad
-            param.data += velocity
-
-
-class RMSprop(Optimizer):
-    """RMSprop (the paper's optimizer).
-
-    Keeps an exponential moving average of squared gradients and divides
-    the step by its root, with Keras-default hyperparameters.
-    """
-
-    def __init__(self, parameters: Sequence[Parameter], learning_rate: float = 0.001,
-                 rho: float = 0.9, epsilon: float = 1e-7):
-        super().__init__(parameters, learning_rate)
-        if not 0.0 < rho < 1.0:
-            raise ConfigurationError(f"rho must be in (0, 1), got {rho}")
-        self.rho = rho
-        self.epsilon = epsilon
-        self._mean_square = [np.zeros_like(p.data) for p in self.parameters]
-
-    def _slot_arrays(self) -> dict[str, list[np.ndarray]]:
-        return {"mean_square": self._mean_square}
-
-    def _extra_state(self) -> dict:
-        return {"rho": self.rho, "epsilon": self.epsilon}
-
-    def _load_extra(self, extra: dict) -> None:
+        extra = state.get("extra", {})
         self.rho = float(extra.get("rho", self.rho))
         self.epsilon = float(extra.get("epsilon", self.epsilon))
-
-    def step(self) -> None:
-        for param, mean_square in zip(self.parameters, self._mean_square):
-            if param.grad is None:
-                continue
-            mean_square *= self.rho
-            mean_square += (1.0 - self.rho) * param.grad ** 2
-            param.data -= (self.learning_rate * param.grad
-                           / (np.sqrt(mean_square) + self.epsilon))
-
-
-class Adam(Optimizer):
-    """Adam with bias-corrected first and second moments."""
-
-    def __init__(self, parameters: Sequence[Parameter], learning_rate: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
-        super().__init__(parameters, learning_rate)
-        for name, beta in (("beta1", beta1), ("beta2", beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1), got {beta}")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self._step_count = 0
-        self._moment1 = [np.zeros_like(p.data) for p in self.parameters]
-        self._moment2 = [np.zeros_like(p.data) for p in self.parameters]
-
-    def _slot_arrays(self) -> dict[str, list[np.ndarray]]:
-        return {"moment1": self._moment1, "moment2": self._moment2}
-
-    def _extra_state(self) -> dict:
-        return {"beta1": self.beta1, "beta2": self.beta2,
-                "epsilon": self.epsilon, "step_count": self._step_count}
-
-    def _load_extra(self, extra: dict) -> None:
-        self.beta1 = float(extra.get("beta1", self.beta1))
-        self.beta2 = float(extra.get("beta2", self.beta2))
-        self.epsilon = float(extra.get("epsilon", self.epsilon))
-        self._step_count = int(extra.get("step_count", self._step_count))
-
-    def step(self) -> None:
-        self._step_count += 1
-        correction1 = 1.0 - self.beta1 ** self._step_count
-        correction2 = 1.0 - self.beta2 ** self._step_count
-        for param, m1, m2 in zip(self.parameters, self._moment1, self._moment2):
-            if param.grad is None:
-                continue
-            m1 *= self.beta1
-            m1 += (1.0 - self.beta1) * param.grad
-            m2 *= self.beta2
-            m2 += (1.0 - self.beta2) * param.grad ** 2
-            m1_hat = m1 / correction1
-            m2_hat = m2 / correction2
-            param.data -= self.learning_rate * m1_hat / (np.sqrt(m2_hat) + self.epsilon)

@@ -36,7 +36,7 @@ from repro.inference.engine import (
 from repro.inference.index import DedupIndex
 from repro.nn.callbacks import Callback, History
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer, clip_gradients
+from repro.nn.optim import RMSprop, clip_gradients
 
 Features = dict[str, np.ndarray]
 
@@ -123,7 +123,8 @@ class Trainer:
         A :class:`~repro.nn.module.Module` whose ``forward(features)``
         maps a feature dict to class probabilities ``(batch, n_classes)``.
     optimizer:
-        Update rule over ``model.parameters()``.
+        The :class:`~repro.nn.optim.RMSprop` update over
+        ``model.parameters()``.
     loss_fn:
         ``loss_fn(probabilities, labels) -> scalar Tensor``.  When the
         model defines a ``training_loss(features, labels)`` method (the
@@ -146,7 +147,7 @@ class Trainer:
     """
 
     model: Module
-    optimizer: Optimizer
+    optimizer: RMSprop
     loss_fn: Callable[[Tensor, np.ndarray], Tensor]
     max_grad_norm: float | None = 5.0
     rng: np.random.Generator | None = None
@@ -162,13 +163,12 @@ class Trainer:
     def fit(self, features: Features, labels: np.ndarray, epochs: int,
             batch_size: int,
             checkpoint_path: str | Path | None = None,
-            checkpoint_every: int = 1,
             resume_from: str | Path | None = None) -> History:
         """Train for ``epochs`` passes over the data; returns the history.
 
         Crash safety: with ``checkpoint_path``, the full training state
         (weights, optimizer slots, shuffling RNG, callback state, epoch
-        counter) is atomically written every ``checkpoint_every`` epochs.
+        counter) is atomically written after every epoch.
         With ``resume_from`` pointing at such a file, training continues
         after the checkpoint's epoch and the final weights are
         bit-identical to an uninterrupted run; a missing ``resume_from``
@@ -177,10 +177,6 @@ class Trainer:
         """
         if epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-        if checkpoint_every < 1:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
         labels = np.asarray(labels)
         _validate(features, labels)
         # Models may fuse forward and loss into one call (e.g. the fused
@@ -195,8 +191,6 @@ class Trainer:
         start_epoch = 0
         if resume_from is not None:
             start_epoch = self._restore_checkpoint(resume_from)
-        if any(cb.stop_requested() for cb in self._all_callbacks):
-            start_epoch = epochs  # resumed into an already-stopped run
         # Telemetry is a single cached boolean test per epoch when off; the
         # per-batch accounting below only runs when it is on.
         tele = telemetry.enabled()
@@ -273,14 +267,8 @@ class Trainer:
                 # whole epoch, the harshest recovery window the chaos
                 # tests exercise.
                 inject("trainer.epoch_end", epoch=epoch)
-                stop = any(cb.stop_requested()
-                           for cb in self._all_callbacks)
-                if checkpoint_path is not None and (
-                        (epoch + 1) % checkpoint_every == 0
-                        or epoch == epochs - 1 or stop):
+                if checkpoint_path is not None:
                     self._save_checkpoint(checkpoint_path, epoch)
-                if stop:
-                    break
         for callback in self._all_callbacks:
             callback.on_train_end(self.model)
         return self.history

@@ -8,7 +8,6 @@ from repro.autograd import (
     check_gradients,
     concat,
     embedding_lookup,
-    log_softmax,
     relu,
     sigmoid,
     softmax,
@@ -136,11 +135,6 @@ class TestActivationGradients:
         a = leaf(rng, 2, 5)
         weights = Tensor(rng.normal(size=(2, 5)))
         check_gradients(lambda: (softmax(a) * weights).sum(), [a])
-
-    def test_log_softmax(self, rng):
-        a = leaf(rng, 2, 5)
-        weights = Tensor(rng.normal(size=(2, 5)))
-        check_gradients(lambda: (log_softmax(a) * weights).sum(), [a])
 
 
 class TestStructuralGradients:

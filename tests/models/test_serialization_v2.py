@@ -154,3 +154,21 @@ class TestBackwardCompatV1:
                  meta=np.asarray(json.dumps(meta)), **arrays)
         with pytest.raises(DataError, match="Adagrad"):
             load_detector(path)
+
+    def test_sgd_archive_rejected(self, fitted, tmp_path):
+        """RMSprop is the one optimizer: an archive carrying SGD's state
+        (its ``velocity`` slots and ``momentum``) does not load."""
+        path = tmp_path / "model.npz"
+        save_detector(fitted, path)
+        meta = archive_meta(path)
+        optimizer = meta["optimizer"]
+        optimizer.update(type="SGD", extra={"momentum": 0.9},
+                         slots={"velocity": optimizer["slots"]["mean_square"]})
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name.replace("opt:mean_square:", "opt:velocity:"):
+                      archive[name]
+                      for name in archive.files if name != "meta"}
+        np.savez(path.with_suffix(""),
+                 meta=np.asarray(json.dumps(meta)), **arrays)
+        with pytest.raises(DataError, match="unknown optimizer 'SGD'"):
+            load_detector(path)

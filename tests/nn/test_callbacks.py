@@ -7,7 +7,6 @@ from repro.errors import ConfigurationError
 from repro.nn import (
     BestWeightsCheckpoint,
     Dense,
-    EarlyStopping,
     EpochEvaluator,
     History,
 )
@@ -81,39 +80,6 @@ class TestBestWeightsCheckpoint:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             BestWeightsCheckpoint(mode="median")
-
-
-class TestEarlyStopping:
-    def test_stops_after_patience(self, model):
-        cb = EarlyStopping(patience=2)
-        cb.on_epoch_end(model, 0, {"loss": 1.0})
-        cb.on_epoch_end(model, 1, {"loss": 1.0})
-        assert not cb.stop_requested()
-        cb.on_epoch_end(model, 2, {"loss": 1.0})
-        assert cb.stop_requested()
-
-    def test_improvement_resets_counter(self, model):
-        cb = EarlyStopping(patience=2)
-        cb.on_epoch_end(model, 0, {"loss": 1.0})
-        cb.on_epoch_end(model, 1, {"loss": 1.0})
-        cb.on_epoch_end(model, 2, {"loss": 0.5})
-        cb.on_epoch_end(model, 3, {"loss": 0.5})
-        assert not cb.stop_requested()
-
-    def test_min_delta(self, model):
-        cb = EarlyStopping(patience=1, min_delta=0.1)
-        cb.on_epoch_end(model, 0, {"loss": 1.0})
-        cb.on_epoch_end(model, 1, {"loss": 0.95})  # not enough improvement
-        assert cb.stop_requested()
-
-    def test_missing_metric_ignored(self, model):
-        cb = EarlyStopping(patience=1)
-        cb.on_epoch_end(model, 0, {"other": 1.0})
-        assert not cb.stop_requested()
-
-    def test_invalid_patience(self):
-        with pytest.raises(ConfigurationError):
-            EarlyStopping(patience=0)
 
 
 class TestEpochEvaluator:

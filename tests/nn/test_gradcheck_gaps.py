@@ -1,9 +1,8 @@
 """Gradient checks for paths the main suites leave uncovered.
 
-Two gaps: dropout (train-mode masks are stochastic, so no suite
-gradchecked them), and gated cells through a *nonzero* recurrent state
-(the cell suites start from ``initial_state``, where ``h_prev @ w_h`` is
-zero and ``w_h`` gets a vanishing-by-construction gradient).
+Gated cells through a *nonzero* recurrent state: the cell suites start
+from ``initial_state``, where ``h_prev @ w_h`` is zero and ``w_h`` gets
+a vanishing-by-construction gradient.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 from repro.autograd import Tensor, check_gradients
 from repro.nn import (
     BidirectionalRNN,
-    Dropout,
     GRUCell,
     LSTMCell,
     StackedRNN,
@@ -22,44 +20,6 @@ from repro.nn import (
 
 def leaf(rng, *shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
-
-
-class TestDropoutGradients:
-    def test_train_mode_gradcheck_with_fixed_mask(self, rng):
-        """Re-seeding inside ``fn`` pins the mask, making dropout
-        deterministic across the finite-difference evaluations."""
-        layer = Dropout(0.4, np.random.default_rng(7))
-        x = leaf(rng, 4, 3)
-
-        def fn():
-            layer._rng = np.random.default_rng(7)
-            return (layer(x) ** 2).sum()
-
-        check_gradients(fn, [x])
-
-    def test_eval_mode_gradient_is_identity(self, rng):
-        layer = Dropout(0.9, rng).eval()
-        x = leaf(rng, 3, 2)
-        layer(x).sum().backward()
-        np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
-
-    def test_train_mode_grad_zero_exactly_on_dropped(self, rng):
-        """The backward mask equals the forward mask: dropped activations
-        get exactly zero gradient, kept ones get the inverted scale."""
-        layer = Dropout(0.5, np.random.default_rng(3))
-        x = leaf(rng, 6, 5)
-        layer._rng = np.random.default_rng(3)
-        out = layer(x)
-        out.sum().backward()
-        dropped = out.data == 0.0
-        assert dropped.any() and not dropped.all()
-        assert (x.grad[dropped] == 0.0).all()
-        np.testing.assert_allclose(x.grad[~dropped], 2.0)
-
-    def test_zero_rate_gradcheck_without_reseeding(self, rng):
-        layer = Dropout(0.0, rng)
-        x = leaf(rng, 3, 3)
-        check_gradients(lambda: (layer(x) ** 2).sum(), [x])
 
 
 class TestGatedRecurrentStateGradients:

@@ -1,11 +1,11 @@
-"""Tests for Dense, Embedding, Dropout, Sequential and initializers."""
+"""Tests for Dense, Embedding and initializers."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
 from repro.errors import ConfigurationError
-from repro.nn import Dense, Dropout, Embedding, Sequential
+from repro.nn import Dense, Embedding
 from repro.nn.init import glorot_uniform, orthogonal, uniform, zeros
 
 
@@ -121,54 +121,3 @@ class TestEmbedding:
         layer(np.array([1, 2])).sum().backward()
         assert layer.weights.grad is not None
         assert (layer.weights.grad[0] == 0).all()  # index 0 unused
-
-
-class TestDropout:
-    def test_eval_is_identity(self, rng):
-        layer = Dropout(0.5, rng).eval()
-        x = Tensor(np.ones((4, 4)))
-        np.testing.assert_array_equal(layer(x).data, x.data)
-
-    def test_zero_rate_is_identity(self, rng):
-        layer = Dropout(0.0, rng)
-        x = Tensor(np.ones((4, 4)))
-        np.testing.assert_array_equal(layer(x).data, x.data)
-
-    def test_training_drops_and_scales(self, rng):
-        layer = Dropout(0.5, rng)
-        out = layer(Tensor(np.ones((100, 100)))).data
-        kept = out[out != 0]
-        assert kept.size < out.size  # something dropped
-        np.testing.assert_allclose(kept, 2.0)  # inverted scaling
-
-    def test_expected_value_preserved(self, rng):
-        layer = Dropout(0.3, rng)
-        out = layer(Tensor(np.ones((200, 200)))).data
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_invalid_rate_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            Dropout(1.0, rng)
-        with pytest.raises(ConfigurationError):
-            Dropout(-0.1, rng)
-
-
-class TestSequential:
-    def test_chains_layers(self, rng):
-        seq = Sequential(Dense(3, 5, rng, activation="relu"),
-                         Dense(5, 2, rng))
-        assert seq(Tensor(np.ones((4, 3)))).shape == (4, 2)
-
-    def test_len_and_getitem(self, rng):
-        seq = Sequential(Dense(2, 2, rng), Dense(2, 2, rng))
-        assert len(seq) == 2
-        assert isinstance(seq[0], Dense)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Sequential()
-
-    def test_eval_propagates_to_layers(self, rng):
-        seq = Sequential(Dropout(0.5, rng)).eval()
-        x = Tensor(np.ones((2, 2)))
-        np.testing.assert_array_equal(seq(x).data, x.data)

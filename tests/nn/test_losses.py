@@ -1,39 +1,12 @@
-"""Tests for the loss functions."""
+"""Tests for the loss function."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor, check_gradients, softmax
 from repro.errors import ShapeError
-from repro.nn import (
-    binary_cross_entropy,
-    categorical_cross_entropy,
-    softmax_cross_entropy_with_logits,
-)
+from repro.nn import categorical_cross_entropy
 from repro.nn.losses import one_hot
-
-
-class TestBinaryCrossEntropy:
-    def test_perfect_prediction_near_zero(self):
-        loss = binary_cross_entropy(Tensor([1.0, 0.0]), np.array([1, 0]))
-        assert loss.item() < 1e-10
-
-    def test_wrong_prediction_large(self):
-        loss = binary_cross_entropy(Tensor([0.0, 1.0]), np.array([1, 0]))
-        assert loss.item() > 10
-
-    def test_half_probability(self):
-        loss = binary_cross_entropy(Tensor([0.5]), np.array([1]))
-        assert loss.item() == pytest.approx(np.log(2))
-
-    def test_no_nan_at_extremes(self):
-        loss = binary_cross_entropy(Tensor([0.0, 1.0]), np.array([0, 1]))
-        assert np.isfinite(loss.item())
-
-    def test_gradcheck(self, rng):
-        p = Tensor(rng.uniform(0.2, 0.8, size=4), requires_grad=True)
-        y = np.array([1, 0, 1, 0])
-        check_gradients(lambda: binary_cross_entropy(p, y), [p])
 
 
 class TestCategoricalCrossEntropy:
@@ -41,8 +14,9 @@ class TestCategoricalCrossEntropy:
         probs = np.array([[0.7, 0.3], [0.2, 0.8]])
         labels = np.array([0, 1])
         cce = categorical_cross_entropy(Tensor(probs), one_hot(labels, 2))
-        bce = binary_cross_entropy(Tensor(probs[:, 1]), labels)
-        assert cce.item() == pytest.approx(bce.item())
+        p = probs[:, 1]
+        bce = -np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p))
+        assert cce.item() == pytest.approx(bce)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -54,38 +28,6 @@ class TestCategoricalCrossEntropy:
         targets = one_hot(np.array([0, 2, 3]), 4)
         check_gradients(
             lambda: categorical_cross_entropy(softmax(logits), targets),
-            [logits])
-
-
-class TestSoftmaxCrossEntropyWithLogits:
-    def test_agrees_with_two_step(self, rng):
-        logits_data = rng.normal(size=(4, 3))
-        labels = np.array([0, 1, 2, 1])
-        fused = softmax_cross_entropy_with_logits(Tensor(logits_data), labels)
-        two_step = categorical_cross_entropy(
-            softmax(Tensor(logits_data)), one_hot(labels, 3))
-        assert fused.item() == pytest.approx(two_step.item())
-
-    def test_stable_for_huge_logits(self):
-        logits = Tensor(np.array([[1e5, -1e5]]))
-        loss = softmax_cross_entropy_with_logits(logits, np.array([0]))
-        assert np.isfinite(loss.item())
-
-    def test_bad_targets_shape_rejected(self):
-        with pytest.raises(ShapeError):
-            softmax_cross_entropy_with_logits(Tensor(np.ones((2, 3))),
-                                              np.array([[0], [1]]))
-
-    def test_out_of_range_labels_rejected(self):
-        with pytest.raises(ShapeError):
-            softmax_cross_entropy_with_logits(Tensor(np.ones((2, 3))),
-                                              np.array([0, 3]))
-
-    def test_gradcheck(self, rng):
-        logits = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        labels = np.array([1, 0, 3])
-        check_gradients(
-            lambda: softmax_cross_entropy_with_logits(logits, labels),
             [logits])
 
 

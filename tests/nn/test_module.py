@@ -5,7 +5,7 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.errors import ConfigurationError
-from repro.nn import Dense, Sequential
+from repro.nn import Dense
 from repro.nn.module import Module, Parameter
 
 
@@ -15,6 +15,17 @@ class Toy(Module):
         self.w = Parameter(np.ones(3))
         self.child = Dense(2, 2, rng)
         self.register_buffer("stat", np.zeros(2))
+
+    def forward(self, x):
+        return x
+
+
+class LayerList(Module):
+    """Children held in a list attribute."""
+
+    def __init__(self, *layers):
+        super().__init__()
+        self.layers = list(layers)
 
     def forward(self, x):
         return x
@@ -34,8 +45,8 @@ class TestDiscovery:
         assert Toy(rng).n_parameters() == 3 + 4 + 2
 
     def test_children_in_lists_found(self, rng):
-        seq = Sequential(Dense(2, 2, rng), Dense(2, 2, rng))
-        assert len(seq.parameters()) == 4
+        layers = LayerList(Dense(2, 2, rng), Dense(2, 2, rng))
+        assert len(layers.parameters()) == 4
 
     def test_named_buffers_recurse(self, rng):
         toy = Toy(rng)

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.nn import (
-    Dense,
-    EarlyStopping,
-    RMSprop,
-    SGD,
-    Trainer,
-    softmax_cross_entropy_with_logits,
-)
+from repro.nn import Dense, RMSprop, Trainer, categorical_cross_entropy
+from repro.nn.losses import one_hot
 from repro.nn.module import Module
 from repro.nn.training import iterate_batches, predict_proba
 from repro.autograd import softmax
@@ -30,8 +24,7 @@ class DictDense(Module):
 
 
 def loss_fn(probs, labels):
-    eps = 1e-9
-    return softmax_cross_entropy_with_logits((probs + eps).log(), labels)
+    return categorical_cross_entropy(probs, one_hot(labels, 2))
 
 
 @pytest.fixture
@@ -79,7 +72,8 @@ class TestTrainer:
     def test_loss_decreases(self, rng, xor_like):
         features, labels = xor_like
         model = DictDense(rng)
-        trainer = Trainer(model=model, optimizer=SGD(model.parameters(), 0.5),
+        trainer = Trainer(model=model,
+                          optimizer=RMSprop(model.parameters(), 0.05),
                           loss_fn=loss_fn, rng=rng)
         history = trainer.fit(features, labels, epochs=30, batch_size=20)
         losses = history.series("loss")
@@ -88,19 +82,11 @@ class TestTrainer:
     def test_history_has_one_entry_per_epoch(self, rng, xor_like):
         features, labels = xor_like
         model = DictDense(rng)
-        trainer = Trainer(model=model, optimizer=SGD(model.parameters(), 0.1),
+        trainer = Trainer(model=model,
+                          optimizer=RMSprop(model.parameters(), 0.01),
                           loss_fn=loss_fn)
         history = trainer.fit(features, labels, epochs=5, batch_size=20)
         assert len(history.epochs) == 5
-
-    def test_early_stopping_halts(self, rng, xor_like):
-        features, labels = xor_like
-        model = DictDense(rng)
-        stopper = EarlyStopping(patience=1, min_delta=1e9)  # stop asap
-        trainer = Trainer(model=model, optimizer=SGD(model.parameters(), 0.1),
-                          loss_fn=loss_fn, callbacks=(stopper,))
-        history = trainer.fit(features, labels, epochs=50, batch_size=20)
-        assert len(history.epochs) <= 3
 
     def test_predict_proba_shape_and_distribution(self, rng, xor_like):
         features, labels = xor_like
@@ -116,7 +102,8 @@ class TestTrainer:
     def test_learns_separable_problem(self, rng, xor_like):
         features, labels = xor_like
         model = DictDense(rng)
-        trainer = Trainer(model=model, optimizer=SGD(model.parameters(), 0.5),
+        trainer = Trainer(model=model,
+                          optimizer=RMSprop(model.parameters(), 0.05),
                           loss_fn=loss_fn, rng=rng)
         trainer.fit(features, labels, epochs=60, batch_size=20)
         accuracy = (trainer.predict_proba(features).argmax(1) == labels).mean()
@@ -125,7 +112,8 @@ class TestTrainer:
     def test_invalid_epochs_rejected(self, rng, xor_like):
         features, labels = xor_like
         model = DictDense(rng)
-        trainer = Trainer(model=model, optimizer=SGD(model.parameters(), 0.1),
+        trainer = Trainer(model=model,
+                          optimizer=RMSprop(model.parameters(), 0.01),
                           loss_fn=loss_fn)
         with pytest.raises(ConfigurationError):
             trainer.fit(features, labels, epochs=0, batch_size=8)
@@ -133,7 +121,8 @@ class TestTrainer:
     def test_gradient_clipping_optional(self, rng, xor_like):
         features, labels = xor_like
         model = DictDense(rng)
-        trainer = Trainer(model=model, optimizer=SGD(model.parameters(), 0.1),
+        trainer = Trainer(model=model,
+                          optimizer=RMSprop(model.parameters(), 0.01),
                           loss_fn=loss_fn, max_grad_norm=None)
         trainer.fit(features, labels, epochs=2, batch_size=20)  # no crash
 
