@@ -19,7 +19,6 @@ from repro.baselines.logreg import LogisticRegression
 from repro.baselines.raha import RahaDetector
 from repro.baselines.strategies import (
     DetectionStrategy,
-    DomainDictionaryStrategy,
     FDViolationStrategy,
     LengthOutlierStrategy,
     MissingValueStrategy,
@@ -36,7 +35,6 @@ __all__ = [
     "ValueFrequencyStrategy",
     "LengthOutlierStrategy",
     "NumericOutlierStrategy",
-    "DomainDictionaryStrategy",
     "FDViolationStrategy",
     "default_strategies",
     "agglomerative_clusters",

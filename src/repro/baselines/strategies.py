@@ -288,51 +288,6 @@ class NumericOutlierStrategy(DetectionStrategy):
         return out
 
 
-class DomainDictionaryStrategy(DetectionStrategy):
-    """KATARA-style knowledge-base lookups: flag out-of-domain values.
-
-    Given per-column value domains (from a curated dictionary or an
-    external knowledge base), any non-empty cell outside its column's
-    domain is flagged.  Columns without a configured domain are skipped.
-
-    Parameters
-    ----------
-    domains:
-        Mapping from column name to the set of valid values.
-    case_sensitive:
-        Compare values case-sensitively (default: insensitive, matching
-        the benchmark data's mixed casing).
-    """
-
-    name = "domain_dictionary"
-
-    def __init__(self, domains: dict[str, Sequence[str]],
-                 case_sensitive: bool = False):
-        if not domains:
-            raise ConfigurationError("at least one column domain is required")
-        self.case_sensitive = case_sensitive
-        self._domains = {
-            column: frozenset(v if case_sensitive else v.lower()
-                              for v in values)
-            for column, values in domains.items()
-        }
-
-    def detect(self, dirty: Table) -> np.ndarray:
-        out = np.zeros(dirty.shape, dtype=bool)
-        for j, attr in enumerate(dirty.column_names):
-            domain = self._domains.get(attr)
-            if domain is None:
-                continue
-            for i, value in enumerate(dirty.column(attr).values):
-                text = _cell_text(value).strip()
-                if not text:
-                    continue
-                if not self.case_sensitive:
-                    text = text.lower()
-                out[i, j] = text not in domain
-        return out
-
-
 def default_strategies() -> list[DetectionStrategy]:
     """The strategy ensemble used by the Raha-style baseline."""
     return [

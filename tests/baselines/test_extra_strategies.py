@@ -1,9 +1,9 @@
-"""Tests for the numeric-outlier and domain-dictionary strategies."""
+"""Tests for the numeric-outlier strategy."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import DomainDictionaryStrategy, NumericOutlierStrategy
+from repro.baselines import NumericOutlierStrategy
 from repro.errors import ConfigurationError
 from repro.table import Table
 
@@ -45,57 +45,3 @@ class TestNumericOutlierStrategy:
             NumericOutlierStrategy(z_threshold=0)
         with pytest.raises(ConfigurationError):
             NumericOutlierStrategy(min_numeric_share=0.0)
-
-
-class TestDomainDictionaryStrategy:
-    def test_out_of_domain_flagged(self):
-        table = Table({"state": ["CA", "NY", "Cx"]})
-        strategy = DomainDictionaryStrategy({"state": ["CA", "NY", "TX"]})
-        verdicts = strategy.detect(table)
-        assert verdicts[:, 0].tolist() == [False, False, True]
-
-    def test_case_insensitive_by_default(self):
-        table = Table({"state": ["ca", "CA"]})
-        strategy = DomainDictionaryStrategy({"state": ["CA"]})
-        assert not strategy.detect(table).any()
-
-    def test_case_sensitive_mode(self):
-        table = Table({"state": ["ca", "CA"]})
-        strategy = DomainDictionaryStrategy({"state": ["CA"]},
-                                            case_sensitive=True)
-        assert strategy.detect(table)[:, 0].tolist() == [True, False]
-
-    def test_unconfigured_columns_skipped(self):
-        table = Table({"state": ["??"], "city": ["??"]})
-        strategy = DomainDictionaryStrategy({"state": ["CA"]})
-        verdicts = strategy.detect(table)
-        assert verdicts[0, 0]
-        assert not verdicts[0, 1]
-
-    def test_empty_cells_not_flagged(self):
-        table = Table({"state": ["", "CA"]})
-        strategy = DomainDictionaryStrategy({"state": ["CA"]})
-        assert not strategy.detect(table).any()
-
-    def test_empty_domains_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DomainDictionaryStrategy({})
-
-    def test_in_raha_ensemble(self):
-        """The strategy composes with the Raha detector end to end."""
-        from repro.baselines import RahaDetector, default_strategies
-        from repro.datasets import load
-
-        pair = load("hospital", n_rows=50, seed=4)
-        states = [s.lower() for s in
-                  {"ca", "or", "wa", "co", "il", "ma", "ny", "tx", "fl",
-                   "ga", "tn", "az", "al", "mo", "oh"}]
-        strategies = default_strategies() + [
-            DomainDictionaryStrategy({"state": states})]
-        detector = RahaDetector(strategies=strategies,
-                                rng=np.random.default_rng(0))
-        detector.analyze(pair.dirty, n_labels=5)
-        rows = detector.sample_tuples(5)
-        mask = np.array(pair.error_mask())
-        predictions = detector.fit_predict(rows, mask[rows].astype(np.int64))
-        assert predictions.shape == pair.dirty.shape
