@@ -209,6 +209,7 @@ class Task:
         return task_key(self.name, self.pair.name, self.seed)
 
 
+@forkpool.one_blas_thread()
 def run_task(name: str, config: dict, pair: DatasetPair, seed: int,
              sampler: Sampler | None = None,
              track_curves: bool = False) -> RunResult:
@@ -230,7 +231,9 @@ def run_task(name: str, config: dict, pair: DatasetPair, seed: int,
     values) call it clean.  ``train_seconds`` times ``fit`` alone: under
     ``sampler=None`` that includes the detector's own row choice, while
     a sampler's choice (the same rows for every detector of a
-    comparison) is made before the clock starts.
+    comparison) is made before the clock starts.  The task runs with one
+    OpenBLAS thread (:func:`~repro.forkpool.one_blas_thread`), called
+    directly or in the pool.
     """
     neural = _is_neural(name, track_curves)
     detector = build(name, **{**config, "seed": seed})

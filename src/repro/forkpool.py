@@ -23,6 +23,9 @@ contend for the same CPUs, and a few matrix products round differently
 with more than one thread, so this keeps pooled and inline results
 byte-equal.  Where that library is not found, or another thread is
 alive (it could be calling BLAS), the setting is left alone.
+:func:`one_blas_thread` applies the same setting to code that fits
+outside the pool (a direct ``run_task``, the CLI's labelled-pair
+commands), so every fit gives the same bits whatever the CPU count.
 
 Each task runs under :func:`repro.telemetry.run_captured`, in a worker
 or inline alike, and the parent publishes the captured records and
@@ -51,7 +54,7 @@ from typing import Any
 
 from repro import telemetry
 
-__all__ = ["cpu_count", "fork_map"]
+__all__ = ["cpu_count", "fork_map", "one_blas_thread"]
 
 #: ``(fn, tasks)`` of the pool a worker was forked for; set in workers only.
 _job: tuple[Callable[[Any], Any], Sequence] | None = None
@@ -93,8 +96,9 @@ def openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None
 
 
 @contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """OpenBLAS at one thread inside the block (module docstring)."""
+def one_blas_thread() -> Iterator[None]:
+    """OpenBLAS at one thread inside the block (module docstring); also
+    a decorator, for code that fits outside the pool."""
     threads = openblas_threads()
     if threads is None or threading.active_count() > 1:
         yield
@@ -133,7 +137,7 @@ def fork_map(fn: Callable[[Any], Any], tasks: Sequence, workers: int,
     order.
     """
     workers = min(workers, len(tasks))
-    with _one_blas_thread():
+    with one_blas_thread():
         if workers > 1 and _can_fork():
             captured = _forked(fn, tasks, workers, order)
         else:

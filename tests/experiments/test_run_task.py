@@ -292,3 +292,11 @@ class TestTaskIdentity:
                        sampler=SlowDiverSet())
         assert 0.0 < run.train_seconds <= \
             time.perf_counter() - started - 0.3
+
+
+def test_direct_call_fits_with_one_blas_thread(pair, fit_blas_threads):
+    """A direct call (how the golden cells run) fits as a pooled task
+    does, whatever the process's OpenBLAS setting."""
+    config = detector_config("etsb", 6, TrainingConfig(epochs=1), TINY)
+    run_task("etsb", config, pair, seed=0)
+    assert fit_blas_threads == [1]

@@ -67,6 +67,17 @@ class TestCommands:
         loaded = load_detector(model_path)
         assert loaded.architecture == "etsb"
 
+    @pytest.mark.parametrize("command", ["detect", "repair", "analyze"])
+    def test_labelled_pair_fits_with_one_blas_thread(
+            self, command, csv_pair, tmp_path, fit_blas_threads):
+        dirty, clean = csv_pair
+        argv = [command, "--dirty", str(dirty), "--clean", str(clean),
+                "--epochs", "1", "--tuples", "6"]
+        if command != "analyze":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 0
+        assert fit_blas_threads == [1]
+
     def test_repair_writes_table(self, csv_pair, tmp_path):
         dirty, clean = csv_pair
         out_path = tmp_path / "repaired.csv"
