@@ -29,6 +29,7 @@ never on wall clock or process ids, so a chaos run replays exactly.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -173,7 +174,11 @@ class FaultPlan:
     def reset(self) -> None:
         """Clear hit counters and re-seed (a fresh replay of the plan)."""
         self._hits: dict[str, int] = {}
+        # Per process: whether a spec fires never depends on another
+        # process.  ``_fired`` is shared memory, which forked workers
+        # count into as well.
         self._triggers: list[int] = [0] * len(self.specs)
+        self._fired = multiprocessing.Array("q", len(self.specs))
         self._rng = np.random.default_rng(self.seed)
 
     def hits(self, point: str) -> int:
@@ -181,8 +186,9 @@ class FaultPlan:
         return self._hits.get(point, 0)
 
     def triggers(self) -> tuple[int, ...]:
-        """Per-spec trigger counts."""
-        return tuple(self._triggers)
+        """Per-spec trigger counts, in this process and in every process
+        forked from it since the plan was made or :meth:`reset`."""
+        return tuple(self._fired[:])
 
     def fire(self, point: str, context: Mapping[str, Any]) -> None:
         """Account one hit of ``point`` and apply any triggered faults."""
@@ -202,6 +208,8 @@ class FaultPlan:
                     and self._rng.random() >= spec.probability):
                 continue
             self._triggers[index] += 1
+            with self._fired.get_lock():
+                self._fired[index] += 1
             _record_trigger(point, spec.action, hit)
             if spec.action == "delay":
                 time.sleep(spec.delay_seconds)

@@ -84,6 +84,23 @@ class TestFaultsRun:
         assert "fault triggered: runner.task_start [raise] x1" \
             in capsys.readouterr().err
 
+    def test_worker_triggers_printed_like_serial_ones(self, tmp_path,
+                                                      capsys):
+        """A fault that fires in a forked worker prints its trigger line
+        as it does when the task runs in this process."""
+        plan_path = tmp_path / "plan.json"
+        FaultPlan([FaultSpec(point="runner.task_start", action="delay",
+                             match={"task_index": 1})]).save(plan_path)
+        lines = {}
+        for workers in ("1", "2"):
+            assert main(["faults", "run", "--plan", str(plan_path),
+                         "--workers", workers, *BENCH]) == 0
+            lines[workers] = [
+                line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("fault triggered:")]
+        assert lines["1"] == ["fault triggered: runner.task_start [delay] x1"]
+        assert lines["2"] == lines["1"]
+
     def test_degraded_benchmark_reports_failures(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         FaultPlan([FaultSpec(point="runner.task_start", action="raise",

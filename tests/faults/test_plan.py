@@ -7,10 +7,11 @@ identically, and triggered faults are visible to telemetry.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
-from repro import telemetry
+from repro import forkpool, telemetry
 from repro.errors import ConfigurationError
 from repro.faults import (
     ACTIONS,
@@ -144,6 +145,23 @@ class TestPlanFiring:
         with use_plan(plan):
             inject("cache.lookup")  # must not raise
         assert plan.triggers() == (1,)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method")
+    def test_forked_workers_count_into_triggers(self):
+        """Four workers, more than the CPUs, fire at once: every trigger
+        reaches the plan's count, none lost to a concurrent update."""
+        plan = FaultPlan([FaultSpec(point="cache.lookup", action="delay")])
+
+        def fire(_):
+            for _ in range(500):
+                plan.fire("cache.lookup", {})
+
+        list(forkpool.fork_map(fire, range(8), 4))
+        assert plan.triggers() == (4000,)
+        plan.reset()
+        assert plan.triggers() == (0,)
 
     def test_inject_without_plan_is_noop(self):
         clear_plan()
