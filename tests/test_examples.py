@@ -1,8 +1,9 @@
-"""Smoke runs of the examples that drive experiments.
+"""Smoke runs of the examples.
 
-The examples call the experiment API directly, so an API change that
-breaks them shows up here rather than in a user's terminal.  Each runs
-as a script at a toy scale and must exit 0 and print its table.
+The examples call the library directly, so an API change that breaks
+them shows up here rather than in a user's terminal.  Each runs as a
+script at a toy scale and must exit 0 and print its table or report.
+(``clean_your_own_csv.py`` has no size flags and is not run.)
 """
 
 import os
@@ -43,3 +44,22 @@ def test_example_prints_its_table(script, args, header, rows):
     body = lines[lines.index(header) + 1:]
     for row in rows:
         assert any(line.startswith(row) for line in body), (row, body)
+
+
+@pytest.mark.parametrize("script, args, prefixes", [
+    ("quickstart.py",
+     ("--rows", "40", "--epochs", "1", "--tuples", "6"),
+     ("Held-out evaluation over", "  F1-score:", "Detected")),
+    ("error_analysis.py",
+     ("--rows", "40", "--epochs", "1"),
+     ("overall:", "Per-attribute breakdown:",
+      "Recall per injected error type:")),
+    ("detect_and_repair.py",
+     ("--rows", "40", "--epochs", "1"),
+     ("  model alone:", "  model + fusion:",
+      "  repair accuracy vs ground truth:")),
+])
+def test_example_prints_its_report(script, args, prefixes):
+    lines = _run_example(script, *args).splitlines()
+    for prefix in prefixes:
+        assert any(line.startswith(prefix) for line in lines), (prefix, lines)
