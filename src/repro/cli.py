@@ -478,6 +478,7 @@ def cmd_benchmark(args) -> int:
     durable = bool(args.resume or args.max_retries)
     durability = dict(n_workers=args.workers, max_retries=args.max_retries,
                       journal_path=args.resume, fail_fast=not durable)
+    model_config = ModelConfig(cell_type=args.cell)
     comparison = bool(getattr(args, "detectors", None))
     if comparison:
         names = tuple(n.strip() for n in args.detectors.split(",") if n.strip())
@@ -489,12 +490,12 @@ def cmd_benchmark(args) -> int:
         results = run_detector_comparison(
             pair, detectors=names, n_runs=args.runs,
             n_label_tuples=args.tuples, epochs=args.epochs,
-            base_seed=args.seed, **durability)
+            base_seed=args.seed, model_config=model_config, **durability)
     else:
         results = {args.arch: run_experiment(
             pair, detector=args.arch, n_runs=args.runs,
             n_label_tuples=args.tuples, epochs=args.epochs,
-            model_config=ModelConfig(cell_type=args.cell), **durability)}
+            model_config=model_config, **durability)}
     failures = [(name, failure) for name, result in results.items()
                 for failure in result.failures]
     for name, failure in failures:

@@ -25,12 +25,10 @@ from repro.detectors.base import (
     TRANSDUCTIVE,
 )
 from repro.detectors.calibration import (
-    CALIBRATION_METHODS,
     IdentityCalibrator,
     IsotonicCalibrator,
     PlattCalibrator,
     fit_calibrator,
-    restore_calibrator,
 )
 from repro.detectors.registry import build, get, list_detectors, register
 
@@ -44,7 +42,6 @@ from repro.detectors.ensemble import EnsembleDetector  # noqa: E402
 
 __all__ = [
     "CAPABILITIES",
-    "CALIBRATION_METHODS",
     "Detector",
     "POINTWISE",
     "TRANSDUCTIVE",
@@ -52,7 +49,6 @@ __all__ = [
     "IsotonicCalibrator",
     "PlattCalibrator",
     "fit_calibrator",
-    "restore_calibrator",
     "build",
     "get",
     "list_detectors",

@@ -11,9 +11,6 @@ neural families, which implement the protocol themselves
 from __future__ import annotations
 
 import hashlib
-import json
-
-from pathlib import Path
 
 import numpy as np
 
@@ -63,7 +60,6 @@ class RahaAdapter(Detector):
         self.seed = seed
         self._predictions: np.ndarray | None = None
         self._digest: str | None = None
-        self._columns: tuple[str, ...] | None = None
 
     def fit(self, pair: DatasetPair,
             labeled_rows: list[int] | None = None) -> "RahaAdapter":
@@ -80,7 +76,6 @@ class RahaAdapter(Detector):
             labeled_rows, mask[labeled_rows].astype(np.int64))
         self._predictions = predictions.astype(np.float64)
         self._digest = table_digest(pair.dirty)
-        self._columns = tuple(pair.dirty.column_names)
         self.labeled_rows = tuple(int(t) for t in labeled_rows)
         return self
 
@@ -104,25 +99,6 @@ class RahaAdapter(Detector):
         digest = hashlib.sha256(self._predictions.tobytes())
         digest.update((self._digest or "").encode())
         return digest.hexdigest()[:16]
-
-    def save(self, path: str | Path) -> None:
-        if self._predictions is None:
-            raise NotFittedError("raha: fit() has not been called")
-        meta = {"config": self.config(), "digest": self._digest,
-                "columns": list(self._columns or ())}
-        np.savez(path, meta=np.array(json.dumps(meta)),
-                 predictions=self._predictions)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RahaAdapter":
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            predictions = archive["predictions"]
-        adapter = cls(**meta["config"])
-        adapter._predictions = predictions
-        adapter._digest = meta["digest"]
-        adapter._columns = tuple(meta["columns"])
-        return adapter
 
     @classmethod
     def example(cls, seed: int = 0) -> "RahaAdapter":
@@ -210,52 +186,6 @@ class AugmentAdapter(Detector):
                 digest.update(classifier.coefficients.tobytes())
                 digest.update(np.float64(classifier.intercept).tobytes())
         return digest.hexdigest()[:16]
-
-    def save(self, path: str | Path) -> None:
-        if self._models is None:
-            raise NotFittedError("augment: fit() has not been called")
-        arrays: dict[str, np.ndarray] = {}
-        columns_meta = {}
-        for attribute, model in self._models.items():
-            classifier = model._classifier
-            if classifier is None:
-                columns_meta[attribute] = {
-                    "constant": int(getattr(model, "_constant", 0))}
-            else:
-                assert classifier.coefficients is not None
-                columns_meta[attribute] = {
-                    "intercept": classifier.intercept}
-                arrays[f"coef:{attribute}"] = classifier.coefficients
-        meta = {"config": self.config(),
-                "columns": list(self._columns or ()),
-                "models": columns_meta}
-        np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "AugmentAdapter":
-        from repro.baselines.logreg import LogisticRegression
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            coefs = {name[len("coef:"):]: archive[name]
-                     for name in archive.files if name.startswith("coef:")}
-        adapter = cls(**meta["config"])
-        models: dict[str, AugmentationDetector] = {}
-        for attribute, column_meta in meta["models"].items():
-            model = AugmentationDetector(
-                n_augments=meta["config"]["n_augments"],
-                n_buckets=meta["config"]["n_buckets"])
-            if "constant" in column_meta:
-                model._classifier = None
-                model._constant = int(column_meta["constant"])
-            else:
-                classifier = LogisticRegression()
-                classifier.coefficients = coefs[attribute]
-                classifier.intercept = float(column_meta["intercept"])
-                model._classifier = classifier
-            models[attribute] = model
-        adapter._models = models
-        adapter._columns = tuple(meta["columns"])
-        return adapter
 
     @classmethod
     def example(cls, seed: int = 0) -> "AugmentAdapter":

@@ -4,8 +4,8 @@ A :class:`Detector` is the composition unit of the registry
 (:mod:`repro.detectors.registry`): anything that can be fitted on a
 (dirty, clean) pair under the paper's labelled-tuples protocol and then
 score every cell of a table with an error probability.  The contract --
-shapes, probability range, determinism, invariances, archive round-trip
--- is enforced for every registered family by the conformance suite
+shapes, probability range, determinism, invariances -- is enforced for
+every registered family by the conformance suite
 (``tests/detectors/test_conformance.py``); a new family gets the checks
 by registering alone.
 """
@@ -15,8 +15,6 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
-
-from pathlib import Path
 
 import numpy as np
 
@@ -45,7 +43,7 @@ class Detector(abc.ABC):
     Construction from keyword arguments must equal construction from
     :meth:`config`, i.e. ``type(d)(**d.config())`` builds an equivalent
     unfitted detector -- that identity is what lets ensemble members be
-    rebuilt in worker processes and archives name their contents.
+    rebuilt in worker processes.
     """
 
     #: Registry key; set by subclasses.
@@ -59,7 +57,7 @@ class Detector(abc.ABC):
     n_label_tuples: int = 20
 
     #: The tuple ids the last ``fit`` labelled (pinned or self-sampled),
-    #: as ints; ``None`` until fitted.  Archives do not carry it.
+    #: as ints; ``None`` until fitted.
     labeled_rows: tuple[int, ...] | None = None
 
     # -- fitting ------------------------------------------------------------
@@ -103,24 +101,13 @@ class Detector(abc.ABC):
     def fingerprint(self) -> str:
         """Stable identity of family + configuration + fitted state.
 
-        Used to order ensemble members deterministically and to
-        segregate prediction-cache keys between detectors.
+        Orders ensemble members deterministically.  Prediction-cache
+        keys use :func:`repro.inference.model_fingerprint` instead.
         """
         payload = {"name": self.name, "config": self.config(),
                    "state": self._state_digest()}
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    # -- persistence --------------------------------------------------------
-
-    @abc.abstractmethod
-    def save(self, path: str | Path) -> None:
-        """Serialise the fitted detector to ``path`` (no pickle)."""
-
-    @classmethod
-    @abc.abstractmethod
-    def load(cls, path: str | Path) -> "Detector":
-        """Reconstruct a detector saved with :meth:`save`."""
 
     # -- conformance hook ---------------------------------------------------
 

@@ -26,8 +26,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-CALIBRATION_METHODS = ("auto", "isotonic", "platt", "identity")
-
 
 def _validate_pairs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
@@ -44,7 +42,7 @@ def _validate_pairs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class IdentityCalibrator:
-    """Clip-to-[0,1] passthrough (degenerate labels, or no calibration)."""
+    """Clip-to-[0,1] passthrough (degenerate labels)."""
 
     method = "identity"
 
@@ -163,38 +161,17 @@ class IsotonicCalibrator:
 Calibrator = IdentityCalibrator | PlattCalibrator | IsotonicCalibrator
 
 
-def fit_calibrator(scores: np.ndarray, labels: np.ndarray,
-                   method: str = "auto") -> Calibrator:
-    """Fit the requested calibrator on held-out (score, label) pairs.
+def fit_calibrator(scores: np.ndarray, labels: np.ndarray) -> Calibrator:
+    """Fit a calibrator on held-out (score, label) pairs.
 
-    ``"auto"`` picks isotonic when the scores carry enough resolution
-    (>= 4 distinct values), Platt otherwise (e.g. Raha's binary
-    verdicts, where isotonic would reduce to two unsmoothed plateaus).
-    Degenerate single-class labels always fall back to the identity.
+    Single-class labels give the identity.  Otherwise isotonic when the
+    scores carry enough resolution (>= 4 distinct values), Platt when
+    they do not (e.g. Raha's binary verdicts, where isotonic would
+    reduce to two unsmoothed plateaus).
     """
-    if method not in CALIBRATION_METHODS:
-        raise ConfigurationError(
-            f"method must be one of {CALIBRATION_METHODS}, got {method!r}")
-    if method == "identity":
-        return IdentityCalibrator()
     scores, labels = _validate_pairs(scores, labels)
     if labels.min() == labels.max():
         return IdentityCalibrator()
-    if method == "platt":
-        return PlattCalibrator.fit(scores, labels)
-    if method == "isotonic" or np.unique(scores).size >= 4:
+    if np.unique(scores).size >= 4:
         return IsotonicCalibrator.fit(scores, labels)
     return PlattCalibrator.fit(scores, labels)
-
-
-def restore_calibrator(state: dict) -> Calibrator:
-    """Rebuild a calibrator from its :meth:`state` dict (archive loads)."""
-    method = state.get("method")
-    if method == "identity":
-        return IdentityCalibrator()
-    if method == "platt":
-        return PlattCalibrator(a=float(state["a"]), b=float(state["b"]))
-    if method == "isotonic":
-        return IsotonicCalibrator(thresholds=tuple(state["thresholds"]),
-                                  values=tuple(state["values"]))
-    raise ConfigurationError(f"unknown calibrator state {state!r}")

@@ -19,9 +19,8 @@ the fused scores are bitwise invariant to the order members were listed.
 
 from __future__ import annotations
 
+import hashlib
 import json
-
-from pathlib import Path
 
 import numpy as np
 
@@ -29,23 +28,14 @@ from repro import forkpool
 from repro.dataprep import prepare
 from repro.datasets.base import DatasetPair
 from repro.detectors.base import POINTWISE, TRANSDUCTIVE, Detector
-from repro.detectors.calibration import (
-    CALIBRATION_METHODS,
-    IdentityCalibrator,
-    fit_calibrator,
-    restore_calibrator,
-)
+from repro.detectors.calibration import IdentityCalibrator, fit_calibrator
 from repro.detectors.registry import build, get, register
-from repro.errors import ConfigurationError, DataError, NotFittedError
+from repro.errors import ConfigurationError, NotFittedError
 from repro.metrics import ClassificationReport
 from repro.sampling import DiverSet
 from repro.table import Table
 
 MemberSpec = tuple[str, dict]
-
-#: Retired config keys that loading ignores (``n_workers`` sized the
-#: cross-fit pool, which now has one worker per CPU).
-RETIRED_ENSEMBLE_KEYS = ("n_workers",)
 
 
 def _normalise_specs(members) -> tuple[MemberSpec, ...]:
@@ -88,8 +78,6 @@ class EnsembleDetector(Detector):
     ----------
     members:
         Member specs: registry names, or ``(name, config_dict)`` pairs.
-    calibration:
-        One of :data:`~repro.detectors.calibration.CALIBRATION_METHODS`.
     n_label_tuples:
         Labelled budget when ``fit`` picks its own rows (DiverSet).
     seed:
@@ -103,14 +91,9 @@ class EnsembleDetector(Detector):
     name = "ensemble"
     capabilities = frozenset({POINTWISE})
 
-    def __init__(self, members=("etsb", "raha"), calibration: str = "auto",
-                 n_label_tuples: int = 20, seed: int = 0):
-        if calibration not in CALIBRATION_METHODS:
-            raise ConfigurationError(
-                f"calibration must be one of {CALIBRATION_METHODS}, "
-                f"got {calibration!r}")
+    def __init__(self, members=("etsb", "raha"), n_label_tuples: int = 20,
+                 seed: int = 0):
         self._specs = _normalise_specs(members)
-        self.calibration = calibration
         self.n_label_tuples = n_label_tuples
         self.seed = seed
         self.capabilities = frozenset(
@@ -177,8 +160,7 @@ class EnsembleDetector(Detector):
                                   fit_b[folds[0]].reshape(-1)])
             oof_scores.append(oof)
 
-        self._calibrators = [fit_calibrator(s, oof_labels, self.calibration)
-                             for s in oof_scores]
+        self._calibrators = [fit_calibrator(s, oof_labels) for s in oof_scores]
         calibrated = [c.transform(s)
                       for c, s in zip(self._calibrators, oof_scores)]
         fused = sum(calibrated) / len(calibrated)
@@ -235,7 +217,6 @@ class EnsembleDetector(Detector):
     def config(self) -> dict:
         return {
             "members": [[name, dict(config)] for name, config in self._specs],
-            "calibration": self.calibration,
             "n_label_tuples": self.n_label_tuples,
             "seed": self.seed,
         }
@@ -248,47 +229,8 @@ class EnsembleDetector(Detector):
             "members": [m.fingerprint() for m in self._members],
             "calibrators": [c.state() for c in self._calibrators],
         }
-        import hashlib
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-    # -- persistence --------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        if self._members is None or self._mode is None:
-            raise NotFittedError("ensemble: fit() has not been called")
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
-        for i, member in enumerate(self._members):
-            member.save(path / f"member_{i}.npz")
-        meta = {
-            "config": self.config(),
-            "mode": list(self._mode),
-            "order": list(self._order),
-            "calibrators": [c.state() for c in self._calibrators],
-        }
-        (path / "ensemble.json").write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "EnsembleDetector":
-        path = Path(path)
-        meta_path = path / "ensemble.json"
-        if not meta_path.exists():
-            raise DataError(f"{path}: not an ensemble archive")
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        settings = {key: value for key, value in meta["config"].items()
-                    if key not in RETIRED_ENSEMBLE_KEYS}
-        ensemble = cls(**{**settings, "members": [
-            tuple(m) for m in settings["members"]]})
-        ensemble._members = [get(name).load(path / f"member_{i}.npz")
-                             for i, (name, _) in enumerate(ensemble._specs)]
-        ensemble._calibrators = [restore_calibrator(s)
-                                 for s in meta["calibrators"]]
-        ensemble._mode = tuple(meta["mode"])
-        ensemble._order = [int(i) for i in meta["order"]]
-        return ensemble
 
     @classmethod
     def example(cls, seed: int = 0) -> "EnsembleDetector":

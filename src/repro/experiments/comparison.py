@@ -19,6 +19,7 @@ from repro.experiments.runner import (
     detector_config,
     run_grid,
 )
+from repro.models import ModelConfig
 from repro.sampling import DiverSet
 
 
@@ -28,6 +29,7 @@ def run_detector_comparison(pair: DatasetPair,
                             n_runs: int = 3, n_label_tuples: int = 20,
                             epochs: int | None = None,
                             base_seed: int = 0,
+                            model_config: ModelConfig | None = None,
                             **durability) -> dict[str, ExperimentResult]:
     """Run every named detector over shared labelled rows, per seed.
 
@@ -40,13 +42,17 @@ def run_detector_comparison(pair: DatasetPair,
         members); ``None`` keeps their default.
     base_seed:
         Run ``i`` uses seed ``base_seed + i`` for sampling and fitting.
+    model_config:
+        The neural detectors' architecture settings, like ``epochs``;
+        ``None`` keeps their default.
     durability:
         :func:`~repro.experiments.runner.run_experiment`'s knobs
         (``n_workers``, ``max_retries``, ``journal_path``, ...); one
         journal holds the whole comparison.
     """
     training = None if epochs is None else {"epochs": epochs}
-    specs = {name: detector_config(name, n_label_tuples, training)
+    specs = {name: detector_config(name, n_label_tuples, training,
+                                   model_config)
              for name in detectors}
     results = run_grid(specs, [pair], n_runs, base_seed, DiverSet(),
                        **durability)

@@ -2,12 +2,12 @@
 
 A :class:`TaskJournal` is an append-only JSONL file: one header line
 carrying a fingerprint of the experiment configuration, then one line
-per completed task holding its key and full :class:`RunResult`.  A
-re-invoked matrix (``--resume``) opens the same journal, verifies the
-fingerprint, and skips every task already recorded -- so a sweep killed
-at task *k* re-runs only tasks ``k..n``, and the aggregated
-:class:`~repro.experiments.runner.ExperimentResult` equals the
-failure-free run's.
+per completed task holding its key and :class:`RunResult`, less its
+telemetry snapshot.  A re-invoked matrix (``--resume``) opens the same
+journal, verifies the fingerprint, and skips every task already
+recorded -- so a sweep killed at task *k* re-runs only tasks ``k..n``,
+and the aggregated :class:`~repro.experiments.runner.ExperimentResult`
+equals the failure-free run's.
 
 Appends are flushed and fsynced per line: a crash mid-append loses at
 most the line being written, and the loader ignores a torn trailing
@@ -39,28 +39,26 @@ def task_key(detector: str, dataset: str, seed: int) -> str:
 def run_result_to_json(result: "RunResult") -> dict:
     """A JSON-able dict that :func:`run_result_from_json` inverts.
 
-    The telemetry snapshot is kept only when it serialises cleanly; a
-    journal must never fail an experiment over a diagnostics payload.
+    The telemetry snapshot is left out: it belongs to the process that
+    ran the task, so a resumed run must not publish it again.
     """
     from dataclasses import asdict
 
     payload = asdict(result)
+    del payload["telemetry"]
     payload["train_accuracy_curve"] = list(result.train_accuracy_curve)
     payload["test_accuracy_curve"] = list(result.test_accuracy_curve)
-    if payload.get("telemetry") is not None:
-        try:
-            json.dumps(payload["telemetry"])
-        except (TypeError, ValueError):
-            payload["telemetry"] = None
     return payload
 
 
 def run_result_from_json(payload: dict) -> "RunResult":
-    """Rebuild a :class:`RunResult` journalled by :func:`run_result_to_json`."""
+    """Rebuild a :class:`RunResult` journalled by :func:`run_result_to_json`;
+    a telemetry snapshot in an older journal's entry is ignored."""
     from repro.experiments.runner import RunResult
     from repro.metrics import ClassificationReport
 
     data = dict(payload)
+    data.pop("telemetry", None)
     data["report"] = ClassificationReport(**data["report"])
     data["train_accuracy_curve"] = tuple(data.get("train_accuracy_curve", ()))
     data["test_accuracy_curve"] = tuple(data.get("test_accuracy_curve", ()))

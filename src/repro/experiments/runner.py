@@ -104,7 +104,7 @@ class RunResult:
     :meth:`repro.telemetry.MetricsRegistry.snapshot` format) when
     telemetry was enabled during execution, else ``None``.  The snapshot
     pickles cleanly, so worker-process runs carry their metrics back to
-    the parent for merging.
+    the parent for merging; the task journal does not keep it.
     """
 
     seed: int

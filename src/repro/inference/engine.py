@@ -184,22 +184,16 @@ class InferenceEngine:
         applies).
     batch_size:
         Representative chunk size for the network forward.
-    fingerprint:
-        Identity prefixed to every cache key (default: derived from the
-        model's class and parameter topology via
-        :func:`model_fingerprint`).  Pass an explicit value to segregate
-        entries further, e.g. per ensemble member configuration.
+
+    Every cache key starts with :func:`model_fingerprint` of the model.
     """
 
     def __init__(self, model, cache: PredictionCache | None = None,
-                 batch_size: int = 256,
-                 fingerprint: str | None = None):
+                 batch_size: int = 256):
         self.model = model
         self.cache = cache
         self.batch_size = batch_size
-        self.fingerprint = (fingerprint if fingerprint is not None
-                            else model_fingerprint(model))
-        self._key_tag = self.fingerprint.encode() + b"|"
+        self._key_tag = model_fingerprint(model).encode() + b"|"
         self.last_stats = InferenceStats()
         self.total_stats = InferenceStats()
         self._gather_buffers: dict[str, np.ndarray] = {}

@@ -427,23 +427,6 @@ class ErrorDetector(Detector):
             digest.update(np.ascontiguousarray(state[key]).tobytes())
         return digest.hexdigest()[:16]
 
-    def save(self, path: str | Path) -> None:
-        """:func:`~repro.models.serialization.save_detector`."""
-        from repro.models.serialization import save_detector
-        save_detector(self, path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ErrorDetector":
-        """:func:`~repro.models.serialization.load_detector`; a family
-        class accepts only archives of its own architecture."""
-        from repro.models.serialization import load_detector
-        detector = load_detector(path)
-        if not isinstance(detector, cls):
-            raise DataError(
-                f"{path}: archive holds a {detector.architecture!r} model, "
-                f"not {cls.architecture!r}")
-        return detector
-
     @classmethod
     def example(cls, seed: int = 0) -> "ErrorDetector":
         return cls(n_label_tuples=6, model_config=dict(_EXAMPLE_MODEL),

@@ -5,7 +5,7 @@ weights: prediction needs the character and attribute dictionaries and
 the padded sequence length from data preparation.  ``save_detector``
 packs all of it into a single ``.npz`` archive (weights as arrays,
 metadata as a JSON payload); ``load_detector`` reconstructs a detector
-that predicts identically; ``ErrorDetector.save``/``load`` are these two.
+that predicts identically.  They are the one detector archive format.
 Version 2 added the optimizer's update state, making a restored detector
 truly resumable; version 3 each attribute's longest training value, the
 denominator of ``length_norm``.  Older archives load with a fresh

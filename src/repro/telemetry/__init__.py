@@ -7,8 +7,8 @@ The subsystem has three parts:
   (:mod:`repro.telemetry.registry`);
 * nestable :func:`span` tracing contexts recording wall/CPU time and
   parent links (:mod:`repro.telemetry.spans`);
-* pluggable sinks receiving structured records -- JSON-lines file,
-  in-memory (tests), stderr summary (:mod:`repro.telemetry.sinks`) --
+* pluggable sinks receiving structured records -- a JSON-lines file,
+  or a list in memory for tests (:mod:`repro.telemetry.sinks`) --
   plus an offline summarizer for the JSON-lines format
   (:mod:`repro.telemetry.summarize`).
 
@@ -49,12 +49,7 @@ from repro.telemetry.registry import (
     use_registry,
     use_telemetry,
 )
-from repro.telemetry.sinks import (
-    JsonlSink,
-    MemorySink,
-    Sink,
-    StderrSummarySink,
-)
+from repro.telemetry.sinks import JsonlSink, MemorySink, Sink
 from repro.telemetry.spans import Span, current_span, span, spanned
 from repro.telemetry.summarize import (
     percentile_from_buckets,
@@ -86,7 +81,6 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "Sink",
-    "StderrSummarySink",
     "Span",
     "current_span",
     "span",

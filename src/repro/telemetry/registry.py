@@ -241,11 +241,6 @@ class MetricsRegistry:
         """Attach a sink; it receives every subsequently emitted record."""
         self._sinks.append(sink)
 
-    def remove_sink(self, sink) -> None:
-        """Detach a previously attached sink (no-op if absent)."""
-        if sink in self._sinks:
-            self._sinks.remove(sink)
-
     @property
     def sinks(self) -> tuple:
         """The currently attached sinks."""

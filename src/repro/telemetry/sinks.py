@@ -1,7 +1,7 @@
 """Record sinks: where emitted telemetry records go.
 
 A sink receives flat dict records from
-:meth:`~repro.telemetry.registry.MetricsRegistry.emit`.  Three
+:meth:`~repro.telemetry.registry.MetricsRegistry.emit`.  Two
 implementations cover the subsystem's uses:
 
 :class:`JsonlSink`
@@ -9,14 +9,11 @@ implementations cover the subsystem's uses:
     file format consumed by ``repro telemetry summarize``.
 :class:`MemorySink`
     Keeps records in a list; the test suite's sink.
-:class:`StderrSummarySink`
-    Accumulates and prints a compact per-type summary on ``close()``.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -84,31 +81,3 @@ class JsonlSink(Sink):
         if self._file is not None:
             self._file.close()
             self._file = None
-
-
-class StderrSummarySink(Sink):
-    """Counts records per type and prints one summary line each on close."""
-
-    def __init__(self, stream=None):
-        self._stream = stream
-        self.type_counts: dict[str, int] = {}
-        self.wall_by_span: dict[str, float] = {}
-
-    def emit(self, record: Mapping) -> None:
-        record_type = str(record.get("type", "unknown"))
-        self.type_counts[record_type] = self.type_counts.get(record_type, 0) + 1
-        if record_type == "span":
-            name = str(record.get("name", "?"))
-            self.wall_by_span[name] = (self.wall_by_span.get(name, 0.0)
-                                       + float(record.get("wall_s", 0.0)))
-
-    def close(self) -> None:
-        stream = self._stream if self._stream is not None else sys.stderr
-        total = sum(self.type_counts.values())
-        print(f"telemetry: {total} records", file=stream)
-        for record_type in sorted(self.type_counts):
-            print(f"  {record_type:<12} {self.type_counts[record_type]}",
-                  file=stream)
-        for name in sorted(self.wall_by_span):
-            print(f"  span {name:<20} {self.wall_by_span[name]:.3f}s",
-                  file=stream)

@@ -2,13 +2,16 @@
 
 Hypothesis drives the calibrators directly -- every fitted map must be
 monotone non-decreasing, land in [0, 1] and fit deterministically, for
-any (scores, labels) sample.  The ensemble-level contracts ride on one
+any (scores, labels) sample, and ``fit_calibrator`` falls back to the
+identity on single-class labels.  The ensemble-level contracts ride on one
 tiny real dataset: a single-member ensemble is byte-identical to the
 bare member, and fusion is bitwise invariant to the order members were
 listed.
 """
 
 from __future__ import annotations
+
+import json
 
 from unittest import mock
 
@@ -23,15 +26,25 @@ from repro.datasets import load
 from repro.detectors import (
     EnsembleDetector,
     IdentityCalibrator,
+    IsotonicCalibrator,
+    PlattCalibrator,
     build,
     fit_calibrator,
     get,
-    restore_calibrator,
 )
 from repro.detectors import ensemble as ensemble_module
 from repro.experiments.runner import detector_config
 
 SEED = 0
+
+#: Each calibrator's fit: ``auto`` is the ensemble's one rule, the
+#: others fit one map whatever the sample.
+FITTERS = {
+    "auto": fit_calibrator,
+    "isotonic": IsotonicCalibrator.fit,
+    "platt": PlattCalibrator.fit,
+    "identity": lambda scores, labels: IdentityCalibrator(),
+}
 
 
 def calibration_samples():
@@ -44,40 +57,38 @@ def calibration_samples():
                      min_size=n, max_size=n)))
 
 
-@pytest.mark.parametrize("method", ["auto", "isotonic", "platt", "identity"])
 class TestCalibratorProperties:
+    @pytest.mark.parametrize("method", list(FITTERS))
     @settings(max_examples=60, deadline=None)
     @given(sample=calibration_samples())
     def test_monotone_and_bounded(self, method, sample):
         scores, labels = np.array(sample[0]), np.array(sample[1])
-        calibrator = fit_calibrator(scores, labels, method=method)
+        calibrator = FITTERS[method](scores, labels)
         grid = np.linspace(-0.5, 1.5, 101)  # beyond the fitted range too
         out = calibrator.transform(grid)
         assert np.all(np.diff(out) >= 0.0), "calibration must be monotone"
         assert float(out.min()) >= 0.0 and float(out.max()) <= 1.0
 
+    @pytest.mark.parametrize("method", list(FITTERS))
     @settings(max_examples=30, deadline=None)
     @given(sample=calibration_samples())
     def test_deterministic_and_state_round_trips(self, method, sample):
+        """Two fits agree, and the state the ensemble's fingerprint
+        hashes survives JSON exactly."""
         scores, labels = np.array(sample[0]), np.array(sample[1])
-        first = fit_calibrator(scores, labels, method=method)
-        second = fit_calibrator(scores, labels, method=method)
+        first = FITTERS[method](scores, labels)
+        second = FITTERS[method](scores, labels)
         grid = np.linspace(0.0, 1.0, 33)
         np.testing.assert_array_equal(first.transform(grid),
                                       second.transform(grid))
-        restored = restore_calibrator(first.state())
-        np.testing.assert_array_equal(first.transform(grid),
-                                      restored.transform(grid))
+        assert json.loads(json.dumps(first.state())) == second.state()
 
     @settings(max_examples=30, deadline=None)
-    @given(sample=calibration_samples())
-    def test_degenerate_labels_fall_back_to_identity(self, method, sample):
+    @given(sample=calibration_samples(), label=st.integers(0, 1))
+    def test_degenerate_labels_fall_back_to_identity(self, sample, label):
         scores = np.array(sample[0])
-        labels = np.zeros(scores.size, dtype=np.int64)
-        if method == "identity":
-            pytest.skip("identity is already the fallback")
-        calibrator = fit_calibrator(scores, labels, method=method)
-        assert isinstance(calibrator, IdentityCalibrator)
+        labels = np.full(scores.size, label, dtype=np.int64)
+        assert isinstance(fit_calibrator(scores, labels), IdentityCalibrator)
 
 
 class TestEnsembleFusionContracts:
@@ -156,8 +167,7 @@ class TestEnsembleFusionContracts:
 
 class TestMemberSeeds:
     """The ensemble's seed reaches every member it builds -- the fold
-    fits, the final members and a loaded archive's -- unless a member's
-    spec sets its own."""
+    fits and the final members -- unless a member's spec sets its own."""
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -181,17 +191,13 @@ class TestMemberSeeds:
                 pair, labeled_rows=[0, 4, 9, 13, 18, 22])
         return ensemble, built
 
-    def test_members_fit_with_the_ensembles_seed(self, pair, tmp_path):
+    def test_members_fit_with_the_ensembles_seed(self, pair):
         config = {**detector_config("ensemble", 6, {"epochs": 1}),
                   "seed": 1}
         ensemble, built = self.fitted_seeds(pair, **config)
         # Two fold fits and one final fit per member.
         assert sorted(built) == [("etsb", 1)] * 3 + [("raha", 1)] * 3
         assert [member.seed for member in ensemble._members] == [1, 1]
-        ensemble.save(tmp_path / "ensemble")
-        loaded = EnsembleDetector.load(tmp_path / "ensemble")
-        assert [member.seed for member in loaded._members] == [1, 1]
-        assert loaded.fingerprint() == ensemble.fingerprint()
 
     def test_a_members_own_seed_wins(self, pair):
         _, built = self.fitted_seeds(

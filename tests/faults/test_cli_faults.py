@@ -126,3 +126,34 @@ class TestFaultsRun:
         assert "(etsb," not in captured.err
         assert "ETSB-RNN" in captured.out  # the completed detector's row
         assert "Raha" not in captured.out
+
+
+class TestResume:
+    def test_resumed_run_writes_no_journalled_telemetry(self, tmp_path,
+                                                        capsys):
+        """A run whose every task comes from the journal trains nothing
+        and writes no training records; the snapshot counts the skipped
+        tasks, and the aggregate is the first run's."""
+        import json
+
+        journal = tmp_path / "j.jsonl"
+        records, scores = {}, {}
+        for name in ("first", "resumed"):
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["benchmark", *BENCH, "--resume", str(journal),
+                         "--telemetry-out", str(out)]) == 0
+            records[name] = [json.loads(line)
+                             for line in out.read_text().splitlines()]
+            scores[name] = [line for line in
+                            capsys.readouterr().out.splitlines()
+                            if not line.startswith("train time")]
+
+        def count(name, kind):
+            return sum(record["type"] == kind for record in records[name])
+
+        assert count("first", "epoch") == 4 and count("first", "span") > 0
+        assert count("resumed", "epoch") == count("resumed", "span") == 0
+        counters = records["resumed"][-1]["metrics"]["counters"]
+        assert counters["runner.tasks_skipped"] == 2
+        assert "train.epochs" not in counters
+        assert scores["resumed"] == scores["first"]

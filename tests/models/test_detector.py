@@ -77,14 +77,6 @@ class TestFit:
         with pytest.raises(ConfigurationError):
             get("tsb")(architecture="etsb")
 
-    def test_family_load_rejects_another_architecture(self, fitted, tmp_path):
-        from repro.detectors import get
-        from repro.errors import DataError
-        fitted.save(tmp_path / "etsb.npz")
-        assert type(ErrorDetector.load(tmp_path / "etsb.npz")) is get("etsb")
-        with pytest.raises(DataError):
-            get("tsb").load(tmp_path / "etsb.npz")
-
 
 class TestEvaluate:
     def test_report_fields(self, fitted):

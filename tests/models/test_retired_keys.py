@@ -2,11 +2,11 @@
 
 Archives written while ``TrainingConfig`` had ``bucket_batches``,
 ``n_length_buckets`` and ``bucket_edges`` store them in the archive's
-``training_config``; ensemble archives written while ``EnsembleDetector`` took ``n_workers``
-store it in ``ensemble.json``'s config.  They must keep loading through
-every entry point and score exactly like the same model saved without
-them.  The retired archive is produced by writing the keys into a
-freshly saved archive's metadata.
+``training_config``.  They must keep loading through every entry point
+and score exactly like the same model saved without them.  The retired
+archive is produced by writing the keys into a freshly saved archive's
+metadata.  The ensemble, which has no archive, rejects its retired
+constructor keys.
 """
 
 import json
@@ -18,7 +18,11 @@ from repro.cli import main
 from repro.datasets import load
 from repro.models import ETSBDetector, TrainingConfig
 from repro.models.config import RETIRED_TRAINING_KEYS, training_config_from_dict
-from repro.models.serialization import encode_values_for, load_detector
+from repro.models.serialization import (
+    encode_values_for,
+    load_detector,
+    save_detector,
+)
 from repro.table import write_csv
 
 TINY = {"char_embed_dim": 6, "value_units": 5, "num_layers": 1,
@@ -42,7 +46,7 @@ def archives(pair, tmp_path_factory):
     detector = ETSBDetector(n_label_tuples=6, model_config=TINY,
                             training_config={"epochs": 2}, seed=1).fit(pair)
     current = root / "current.npz"
-    detector.save(current)
+    save_detector(detector, current)
     with np.load(current, allow_pickle=False) as archive:
         arrays = {name: archive[name] for name in archive.files}
     meta = json.loads(str(arrays["meta"]))
@@ -86,64 +90,26 @@ def test_cli_predict_output_is_byte_identical(pair, archives, tmp_path):
 
 
 def test_registry_adapter_load_scores_byte_identically(pair, archives):
+    """Both load as the registry's ``etsb`` family, with one config and
+    byte-equal ``score_cells``."""
     current, retired = archives
-    old, new = ETSBDetector.load(retired), ETSBDetector.load(current)
+    old, new = load_detector(retired), load_detector(current)
+    assert type(old) is type(new) is ETSBDetector
     assert old.config() == new.config()
     assert (old.score_cells(pair.dirty).tobytes()
             == new.score_cells(pair.dirty).tobytes())
 
 
-# -- the ensemble's retired cross-fit pool size -----------------------------
+# -- the ensemble's retired constructor keys --------------------------------
 
 
-@pytest.fixture(scope="module")
-def ensemble_archives(pair, tmp_path_factory):
-    """(ensemble as saved today, same archive whose config carries the
-    retired ``n_workers``)."""
+def test_ensemble_constructor_rejects_n_workers_and_unknown_keys():
+    """``n_workers`` sized the cross-fit pool, which now has one worker
+    per CPU; ``calibration`` chose a calibrator, which one rule now
+    picks."""
     from repro.detectors import EnsembleDetector
 
-    root = tmp_path_factory.mktemp("ensemble")
-    ensemble = EnsembleDetector.example(seed=1).fit(pair)
-    current = root / "current"
-    ensemble.save(current)
-    retired = root / "retired"
-    ensemble.save(retired)
-    meta_path = retired / "ensemble.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    assert "n_workers" not in meta["config"]
-    meta["config"]["n_workers"] = 2
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
-    return current, retired
-
-
-def test_ensemble_archive_with_n_workers_loads_and_scores_identically(
-        pair, ensemble_archives):
-    from repro.detectors import EnsembleDetector
-    from repro.detectors.ensemble import RETIRED_ENSEMBLE_KEYS
-
-    assert RETIRED_ENSEMBLE_KEYS == ("n_workers",)
-    current, retired = ensemble_archives
-    old, new = EnsembleDetector.load(retired), EnsembleDetector.load(current)
-    assert "n_workers" not in old.config()
-    assert old.config() == new.config()
-    assert old.fingerprint() == new.fingerprint()
-    assert (old.score_cells(pair.dirty).tobytes()
-            == new.score_cells(pair.dirty).tobytes())
-
-
-def test_ensemble_constructor_rejects_n_workers_and_unknown_keys(
-        ensemble_archives, tmp_path):
-    import shutil
-
-    from repro.detectors import EnsembleDetector
-
-    with pytest.raises(TypeError):
-        EnsembleDetector(n_workers=2)
-    current = tmp_path / "copy"
-    shutil.copytree(ensemble_archives[0], current)
-    meta_path = current / "ensemble.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    meta["config"]["no_such_field"] = 1
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
-    with pytest.raises(TypeError):
-        EnsembleDetector.load(current)
+    for retired in ({"n_workers": 2}, {"calibration": "platt"},
+                    {"no_such_field": 1}):
+        with pytest.raises(TypeError):
+            EnsembleDetector(**retired)

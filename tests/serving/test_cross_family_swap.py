@@ -126,8 +126,3 @@ class TestSharedCacheFingerprintSegregation:
         attn_probs = second.predict_proba(features, lengths=lengths)
         np.testing.assert_array_equal(attn_probs, reference)
         assert not np.array_equal(attn_probs, etsb_probs)
-
-    def test_explicit_fingerprint_overrides_the_derived_one(self, prepared):
-        etsb = build_detector(prepared, architecture="etsb", seed=0)
-        engine = InferenceEngine(etsb.model, fingerprint="member-a")
-        assert engine.fingerprint == "member-a"

@@ -1,6 +1,5 @@
 """Tests for the record sinks and the JSON-lines summarizer."""
 
-import io
 import json
 
 import numpy as np
@@ -11,7 +10,6 @@ from repro.telemetry import (
     JsonlSink,
     MemorySink,
     MetricsRegistry,
-    StderrSummarySink,
     read_records,
     render_summary,
     summarize_jsonl,
@@ -80,20 +78,6 @@ class TestJsonlSink:
         registry.emit({"type": "custom", "k": 1})
         sink.close()
         assert read_records(path) == [{"type": "custom", "k": 1}]
-
-
-class TestStderrSummarySink:
-    def test_counts_types_and_span_wall(self):
-        stream = io.StringIO()
-        sink = StderrSummarySink(stream=stream)
-        sink.emit({"type": "epoch"})
-        sink.emit({"type": "span", "name": "fit", "wall_s": 0.5})
-        sink.emit({"type": "span", "name": "fit", "wall_s": 0.25})
-        sink.close()
-        text = stream.getvalue()
-        assert "3 records" in text
-        assert "epoch" in text and "span" in text
-        assert "fit" in text and "0.750s" in text
 
 
 class TestSummarize:
