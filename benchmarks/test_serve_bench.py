@@ -6,8 +6,8 @@ never-seen value, so nothing is served from the dedup index or the
 prediction cache).  Three gates:
 
 * **Micro-batching**: coalesced throughput must be >= 3x the
-  per-request baseline (``coalesce=False``, same daemon, same load) --
-  the whole point of the request batcher.
+  per-request baseline (``max_batch_rows=1``, same daemon, same load)
+  -- the whole point of the request batcher.
 * **Incremental re-scoring**: after ``load_table``, a one-cell
   ``update`` must re-run the network on < 5% of the table's feature
   rows, asserted against the engine's ``inference.rows`` telemetry
@@ -140,8 +140,9 @@ def _run_load(daemon, attribute):
     }
 
 
-def _fresh_daemon(prepared, coalesce):
-    return ServingDaemon(detector=_detector(prepared), coalesce=coalesce,
+def _fresh_daemon(prepared, max_batch_rows=256):
+    return ServingDaemon(detector=_detector(prepared),
+                         max_batch_rows=max_batch_rows,
                          batch_delay_ms=BATCH_DELAY_MS)
 
 
@@ -169,8 +170,9 @@ def test_serve_bench_gates(tmp_path):
     rounds = []
     for _ in range(ROUNDS):
         arms = {}
-        for name, coalesce in (("per_request", False), ("microbatch", True)):
-            daemon = _fresh_daemon(prepared, coalesce)
+        for name, max_batch_rows in (("per_request", 1),
+                                     ("microbatch", 256)):
+            daemon = _fresh_daemon(prepared, max_batch_rows)
             daemon.batcher.start()
             try:
                 arms[name] = _run_load(daemon, attribute)
@@ -178,7 +180,7 @@ def test_serve_bench_gates(tmp_path):
                     daemon.batcher.stats.mean_batch_items, 2)
                 # Every value was distinct: the arm really measured
                 # network forwards, not cache hits.
-                cache = daemon.registry.get("default").cache.stats()
+                cache = daemon.model.cache.stats()
                 assert cache["hits"] == 0, cache
             finally:
                 daemon.close()
@@ -205,7 +207,7 @@ def test_serve_bench_gates(tmp_path):
                for _ in range(TABLE_ROWS)]
         for name in prepared.attributes
     })
-    daemon = _fresh_daemon(prepared, coalesce=True)
+    daemon = _fresh_daemon(prepared)
     daemon.batcher.start()
     metrics = telemetry.MetricsRegistry()
     try:

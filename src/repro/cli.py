@@ -20,7 +20,7 @@ cross-call cache with ``--cache-size``) and encode cells as training
 did; ``serve`` keeps the prediction cache warm across input files and,
 with ``--daemon``, becomes a long-lived socket server that micro-batches
 concurrent score requests, re-scores only edited cells, and hot-swaps
-models per tenant (see :mod:`repro.serving`).
+its model (see :mod:`repro.serving`).
 
 Every workload subcommand accepts ``--telemetry-out out.jsonl``, which
 enables the instrumentation layer for the duration of the command and
@@ -333,8 +333,8 @@ def cmd_predict(args) -> int:
 def cmd_serve_daemon(args) -> int:
     """Long-lived scoring daemon (``repro serve --daemon``).
 
-    Binds a local TCP socket and serves JSON-lines score / update /
-    feedback / swap_model requests until a client sends ``shutdown`` (or
+    Binds a local TCP socket and serves JSON-lines score / load_table /
+    update / swap_model requests until a client sends ``shutdown`` (or
     the process receives SIGINT).  Concurrent requests are coalesced
     into micro-batched forwards; see :mod:`repro.serving`.
     """

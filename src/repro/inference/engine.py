@@ -50,7 +50,7 @@ def model_fingerprint(model) -> str:
     Hashes the class name plus every parameter's dotted path and shape.
     Two registered families (or two differently-sized instances of one
     family) can therefore never serve each other's cache entries, even
-    when they share a tenant cache and happen to agree on
+    when they share a cache across a model swap and happen to agree on
     ``weights_version``.  Weight *values* are deliberately excluded --
     within one topology, ``weights_version`` (via
     :meth:`~repro.inference.cache.PredictionCache.sync_version`) already
@@ -288,8 +288,8 @@ class InferenceEngine:
         if self.cache is not None:
             self.cache.sync_version(getattr(self.model, "weights_version", 0))
             # Keys carry the engine's model fingerprint, so two detector
-            # families sharing a tenant cache can never collide on the
-            # same feature bytes.
+            # families sharing one cache can never collide on the same
+            # feature bytes.
             keys = [self._key_tag + key
                     for key in _row_key_bytes(features, reps)]
             misses = []

@@ -2,15 +2,15 @@
 
 The batch library scores tables one shot at a time; this package turns
 it into a *service*.  :class:`ServingDaemon` listens on a local TCP
-socket for JSON-lines requests (score / update / feedback / swap /
+socket for JSON-lines requests (score / load_table / update / swap /
 stats), coalesces concurrent score requests into one micro-batched
 :class:`~repro.inference.InferenceEngine` forward via
 :class:`MicroBatcher`, serves repeated cells from the warm
 :class:`~repro.inference.PredictionCache`, re-scores *only* the feature
 rows an edit touches (:class:`TableSession` incremental re-scoring),
-and hot-swaps per-tenant models through :class:`ModelRegistry` with
-zero downtime.  Admission control is a bounded queue: past it, requests
-are shed with a 429-style rejection instead of queueing unboundedly.
+and hot-swaps its one model (:class:`ServedModel`) with zero downtime.
+Admission control is a bounded queue: past it, requests are shed with a
+429-style rejection instead of queueing unboundedly.
 
 Quick start::
 
@@ -24,24 +24,23 @@ Quick start::
     daemon.shutdown()
 
 Everything is stdlib + numpy; the daemon is threaded (socketserver
-front, one batcher thread per process) and all scoring for a tenant is
-serialised on the batcher thread, which is what makes hot swaps safe:
-a model publish can never interleave with a half-executed micro-batch.
+front, one batcher thread per process) and all scoring is serialised
+on the batcher thread, which is what makes hot swaps safe: a model swap
+can never interleave with a half-executed micro-batch.
 """
 
 from repro.serving.batcher import BatcherStats, MicroBatcher, Overloaded
 from repro.serving.client import ServingClient
 from repro.serving.daemon import ServingDaemon
-from repro.serving.registry import ModelRegistry, TenantModel
+from repro.serving.model import ServedModel
 from repro.serving.session import TableSession
 
 __all__ = [
     "BatcherStats",
     "MicroBatcher",
-    "ModelRegistry",
     "Overloaded",
+    "ServedModel",
     "ServingClient",
     "ServingDaemon",
     "TableSession",
-    "TenantModel",
 ]

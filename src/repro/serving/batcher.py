@@ -7,9 +7,9 @@ concurrent one-cell requests as eight forwards wastes almost all of the
 hardware.  :class:`MicroBatcher` fixes that: request threads
 :meth:`~MicroBatcher.submit` their encoded feature rows and block on a
 future; a single batcher thread drains the queue, concatenates
-same-tenant requests into one feature batch (bounded by
-``max_batch_rows`` and a ``max_delay_s`` deadline from the oldest
-request's arrival), runs **one**
+requests into one feature batch (bounded by ``max_batch_rows`` and a
+``max_delay_s`` deadline from the oldest request's arrival), runs
+**one**
 :meth:`~repro.inference.InferenceEngine.predict_proba`, and scatters
 the probability slices back to the waiting futures.
 
@@ -19,11 +19,10 @@ composition (the row-block padding invariant; see
 value-preserving: a row's probabilities are byte-identical whether it
 was scored alone or packed with 255 strangers.
 
-All scoring for a tenant funnels through the one batcher thread, under
-the tenant's swap lock -- that serialisation is what makes the
-registry's hot swap safe (a publish can never interleave with a
-half-executed micro-batch) and keeps the engine's reusable scratch
-buffers single-threaded.
+All scoring funnels through the one batcher thread, under the served
+model's swap lock -- that serialisation is what makes the hot swap safe
+(a swap can never interleave with a half-executed micro-batch) and
+keeps the engine's reusable scratch buffers single-threaded.
 
 Admission control is a bounded queue: once ``max_queue_rows`` rows are
 waiting, :meth:`~MicroBatcher.submit` raises :class:`Overloaded`
@@ -104,7 +103,6 @@ class BatcherStats:
 
 @dataclass
 class _Item:
-    tenant: str
     features: dict[str, np.ndarray]
     lengths: np.ndarray | None
     n_rows: int
@@ -117,13 +115,15 @@ class MicroBatcher:
 
     Parameters
     ----------
-    registry:
-        The :class:`~repro.serving.registry.ModelRegistry` providing the
-        per-tenant engine (and the swap lock held during execution).
+    model:
+        The :class:`~repro.serving.model.ServedModel` providing the
+        engine (and the swap lock held during execution).
     max_batch_rows:
         Size bound: a batch closes as soon as this many rows are
         waiting.  A single oversized request (e.g. an initial full-table
-        scoring) still executes as its own atomic batch.
+        scoring) still executes as its own atomic batch, so ``1``
+        executes every request as its own batch without waiting (the
+        per-request baseline arm of ``BENCH_serve.json``).
     max_delay_s:
         Deadline bound: a batch closes at latest this long after its
         oldest request arrived.  The batcher also closes early when the
@@ -132,15 +132,11 @@ class MicroBatcher:
     max_queue_rows:
         Admission bound: beyond this many queued rows,
         :meth:`submit` raises :class:`Overloaded`.
-    coalesce:
-        ``False`` executes every request as its own batch (the
-        per-request baseline arm of ``BENCH_serve.json``).
     """
 
-    def __init__(self, registry, max_batch_rows: int = 256,
+    def __init__(self, model, max_batch_rows: int = 256,
                  max_delay_s: float = 0.004,
-                 max_queue_rows: int = 4096,
-                 coalesce: bool = True):
+                 max_queue_rows: int = 4096):
         if max_batch_rows < 1:
             raise ConfigurationError(
                 f"max_batch_rows must be >= 1, got {max_batch_rows}")
@@ -150,11 +146,10 @@ class MicroBatcher:
         if max_queue_rows < 1:
             raise ConfigurationError(
                 f"max_queue_rows must be >= 1, got {max_queue_rows}")
-        self._registry = registry
+        self._model = model
         self.max_batch_rows = max_batch_rows
         self.max_delay_s = max_delay_s
         self.max_queue_rows = max_queue_rows
-        self.coalesce = coalesce
         self.stats = BatcherStats()
         self._queue: deque[_Item] = deque()
         self._queued_rows = 0
@@ -184,7 +179,7 @@ class MicroBatcher:
 
     # -- submission ---------------------------------------------------------
 
-    def submit(self, tenant: str, features: Mapping[str, np.ndarray],
+    def submit(self, features: Mapping[str, np.ndarray],
                lengths: np.ndarray | None = None) -> Future:
         """Enqueue one request; returns a future of :class:`BatchResult`.
 
@@ -199,7 +194,7 @@ class MicroBatcher:
         n_rows = int(next(iter(features.values())).shape[0])
         if n_rows == 0:
             raise ConfigurationError("cannot submit an empty request")
-        item = _Item(tenant=tenant, features=dict(features),
+        item = _Item(features=dict(features),
                      lengths=None if lengths is None
                      else np.asarray(lengths).reshape(-1),
                      n_rows=n_rows)
@@ -219,16 +214,12 @@ class MicroBatcher:
             self._cond.notify_all()
         return item.future
 
-    def predict(self, tenant: str, features: Mapping[str, np.ndarray],
+    def predict(self, features: Mapping[str, np.ndarray],
                 lengths: np.ndarray | None = None) -> BatchResult:
         """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(tenant, features, lengths).result()
+        return self.submit(features, lengths).result()
 
     # -- the batcher thread -------------------------------------------------
-
-    def _tenant_rows_queued(self, tenant: str) -> int:
-        return sum(item.n_rows for item in self._queue
-                   if item.tenant == tenant)
 
     def _collect(self) -> list[_Item]:
         """Block until a batch is due, then drain and return it.
@@ -241,44 +232,29 @@ class MicroBatcher:
                 if self._stop:
                     return []
                 self._cond.wait()
-            first = self._queue[0]
-            if self.coalesce:
-                deadline = first.enqueued_at + self.max_delay_s
-                # Close early once the queue stops growing: a burst of
-                # closed-loop clients arrives within a fraction of the
-                # deadline, and holding their batch open any longer
-                # buys nothing but latency.
-                quiet_slice = self.max_delay_s / 4 or 0.0005
-                while not self._stop:
-                    rows = self._tenant_rows_queued(first.tenant)
-                    if rows >= self.max_batch_rows:
-                        break
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    before = len(self._queue)
-                    self._cond.wait(timeout=min(quiet_slice, remaining))
-                    if len(self._queue) == before:
-                        break
-            # Drain same-tenant requests FIFO up to the size bound (the
-            # first request always ships, even when oversized).
-            batch: list[_Item] = []
-            rows = 0
-            kept: deque[_Item] = deque()
-            while self._queue:
+            deadline = self._queue[0].enqueued_at + self.max_delay_s
+            # Close early once the queue stops growing: a burst of
+            # closed-loop clients arrives within a fraction of the
+            # deadline, and holding their batch open any longer buys
+            # nothing but latency.
+            quiet_slice = self.max_delay_s / 4 or 0.0005
+            while not self._stop and self._queued_rows < self.max_batch_rows:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                before = len(self._queue)
+                self._cond.wait(timeout=min(quiet_slice, remaining))
+                if len(self._queue) == before:
+                    break
+            # Drain FIFO up to the size bound (the first request always
+            # ships, even when oversized).
+            batch = [self._queue.popleft()]
+            rows = batch[0].n_rows
+            while (self._queue and rows + self._queue[0].n_rows
+                   <= self.max_batch_rows):
                 item = self._queue.popleft()
-                if item.tenant != first.tenant:
-                    kept.append(item)
-                    continue
-                if batch and rows + item.n_rows > self.max_batch_rows:
-                    kept.append(item)
-                    continue
                 batch.append(item)
                 rows += item.n_rows
-                if not self.coalesce:
-                    break
-            kept.extend(self._queue)
-            self._queue = kept
             self._queued_rows -= rows
             if self._queue:
                 self._cond.notify_all()
@@ -292,13 +268,7 @@ class MicroBatcher:
             self._execute(batch)
 
     def _execute(self, batch: list[_Item]) -> None:
-        tenant = batch[0].tenant
-        try:
-            entry = self._registry.get(tenant)
-        except KeyError as exc:
-            for item in batch:
-                item.future.set_exception(exc)
-            return
+        model = self._model
         try:
             if len(batch) == 1:
                 features = batch[0].features
@@ -313,13 +283,12 @@ class MicroBatcher:
                 lengths = (None if any(p is None for p in parts)
                            else np.concatenate(parts))
             total_rows = sum(item.n_rows for item in batch)
-            # The tenant's swap lock pins one weights version for the
-            # whole batch: a concurrent publish blocks until the batch
-            # completes, so a micro-batch can never mix old and new
-            # weights.
-            with entry.lock:
-                version = entry.version
-                probabilities = entry.engine.predict_proba(features,
+            # The swap lock pins one weights version for the whole
+            # batch: a concurrent swap blocks until the batch completes,
+            # so a micro-batch can never mix old and new weights.
+            with model.lock:
+                version = model.version
+                probabilities = model.engine.predict_proba(features,
                                                            lengths=lengths)
             self._batch_id += 1
             self.stats.n_batches += 1

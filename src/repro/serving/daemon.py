@@ -8,8 +8,8 @@ validate and encode, then block on the
 concurrent request into deadline-bounded micro-batches on one scoring
 thread.  Table state lives in named :class:`~repro.serving.session.TableSession`
 objects so a later ``update`` re-scores only the edited cell's feature
-rows; models live in the :class:`~repro.serving.registry.ModelRegistry`
-and hot-swap with zero downtime on ``swap_model``.
+rows; the one model lives in a :class:`~repro.serving.model.ServedModel`
+and hot-swaps with zero downtime on ``swap_model``.
 
 Backpressure: the batcher's queue is bounded, and a request arriving
 past the bound is rejected immediately with a 429-style reply
@@ -31,10 +31,10 @@ import time
 from pathlib import Path
 
 from repro import telemetry
-from repro.errors import ConfigurationError, DataError
+from repro.errors import ConfigurationError, DataError, TableError
 from repro.serving import protocol
 from repro.serving.batcher import MicroBatcher, Overloaded
-from repro.serving.registry import DEFAULT_TENANT, ModelRegistry
+from repro.serving.model import ServedModel
 from repro.serving.session import TableSession
 from repro.table import Table, read_csv
 
@@ -69,39 +69,35 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class ServingDaemon:
-    """Serve score / update / feedback requests over a local socket.
+    """Serve score / load_table / update / swap_model requests over a
+    local socket.
 
     Parameters
     ----------
     model_path, detector:
-        The ``default`` tenant's model (archive path or in-memory
-        detector); omit both to start empty and ``swap_model`` tenants
-        in later.
+        The served model: exactly one of an archive path or a fitted
+        detector.
     host, port:
         Bind address (``port=0`` picks a free port; read it back from
         :attr:`port`).
-    max_batch_rows, batch_delay_ms, max_queue_rows, coalesce:
+    max_batch_rows, batch_delay_ms, max_queue_rows:
         Micro-batcher bounds (see
         :class:`~repro.serving.batcher.MicroBatcher`).
     cache_size:
-        Per-tenant prediction-cache capacity (see
-        :class:`~repro.serving.registry.ModelRegistry`).
+        Prediction-cache capacity (see
+        :class:`~repro.serving.model.ServedModel`).
     """
 
     def __init__(self, model_path: "str | Path | None" = None,
                  detector=None, host: str = "127.0.0.1", port: int = 0,
                  max_batch_rows: int = 256, batch_delay_ms: float = 4.0,
-                 max_queue_rows: int = 4096, coalesce: bool = True,
-                 cache_size: int = 65536):
-        self.registry = ModelRegistry(cache_size=cache_size)
-        if model_path is not None or detector is not None:
-            self.registry.add(DEFAULT_TENANT, detector=detector,
-                              path=model_path)
-        self.batcher = MicroBatcher(self.registry,
+                 max_queue_rows: int = 4096, cache_size: int = 65536):
+        self.model = ServedModel(detector=detector, path=model_path,
+                                 cache_size=cache_size)
+        self.batcher = MicroBatcher(self.model,
                                     max_batch_rows=max_batch_rows,
                                     max_delay_s=batch_delay_ms / 1000.0,
-                                    max_queue_rows=max_queue_rows,
-                                    coalesce=coalesce)
+                                    max_queue_rows=max_queue_rows)
         self.sessions: dict[str, TableSession] = {}
         self._sessions_lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -117,7 +113,6 @@ class ServingDaemon:
             "score": self._op_score,
             "load_table": self._op_load_table,
             "update": self._op_update,
-            "feedback": self._op_feedback,
             "swap_model": self._op_swap_model,
             "stats": self._op_stats,
             "shutdown": self._op_shutdown,
@@ -181,7 +176,7 @@ class ServingDaemon:
             return self._count_error(
                 protocol.error(protocol.BAD_REQUEST, f"bad request: {exc}"))
         op = request.get("op")
-        handler = self._ops.get(op)
+        handler = self._ops.get(op) if isinstance(op, str) else None
         if handler is None:
             return self._count_error(protocol.error(
                 protocol.BAD_REQUEST,
@@ -189,6 +184,12 @@ class ServingDaemon:
         with self._stats_lock:
             self.n_requests += 1
         try:
+            tenant = request.get("tenant", "default")
+            if tenant != "default":
+                # A request may name the one model's tenant, "default";
+                # any other tenant is a model this daemon does not serve.
+                raise KeyError(f"unknown tenant {tenant!r}; this daemon "
+                               "serves one model, 'default'")
             reply = handler(request)
         except Overloaded as exc:
             with self._stats_lock:
@@ -201,7 +202,8 @@ class ServingDaemon:
             message = exc.args[0] if exc.args else repr(exc)
             return self._count_error(
                 protocol.error(protocol.NOT_FOUND, str(message)))
-        except (ConfigurationError, DataError, FileNotFoundError) as exc:
+        except (ConfigurationError, DataError, TableError,
+                FileNotFoundError) as exc:
             return self._count_error(
                 protocol.error(protocol.BAD_REQUEST, str(exc)))
         except Exception as exc:  # noqa: BLE001 -- a request must not kill the daemon
@@ -226,32 +228,22 @@ class ServingDaemon:
 
     def _op_ping(self, request: dict) -> dict:
         return protocol.ok(uptime_s=round(time.monotonic() - self._started_at,
-                                          3),
-                           tenants=list(self.registry.tenants()))
-
-    def _entry(self, request: dict):
-        tenant = request.get("tenant", DEFAULT_TENANT)
-        try:
-            return self.registry.get(tenant)
-        except KeyError:
-            # KeyError -> protocol.NOT_FOUND (the documented 404).
-            raise KeyError(
-                f"unknown tenant {tenant!r}; registered: "
-                f"{list(self.registry.tenants())}") from None
+                                          3))
 
     def _op_score(self, request: dict) -> dict:
         """Score ad-hoc cells: ``{"op": "score", "cells": [{"attribute",
         "value"}, ...]}`` -- the micro-batched hot path."""
-        entry = self._entry(request)
+        detector = self.model.detector
         cells = request.get("cells")
         if not isinstance(cells, list) or not cells:
             raise ConfigurationError(
                 "score needs a non-empty 'cells' list of "
                 "{attribute, value} objects")
-        known = set(entry.detector.prepared.attributes)
+        known = set(detector.prepared.attributes)
         attributes, values = [], []
         for i, cell in enumerate(cells):
-            if not isinstance(cell, dict) or "attribute" not in cell:
+            if not (isinstance(cell, dict)
+                    and isinstance(cell.get("attribute"), str)):
                 raise ConfigurationError(
                     f"cells[{i}] must be an object with 'attribute' "
                     "and 'value'")
@@ -263,8 +255,8 @@ class ServingDaemon:
             value = cell.get("value")
             values.append("" if value is None else str(value))
         from repro.serving.session import _encode
-        features, lengths = _encode(entry.detector, values, attributes)
-        result = self.batcher.predict(entry.tenant, features, lengths)
+        features, lengths = _encode(detector, values, attributes)
+        result = self.batcher.predict(features, lengths)
         predictions = result.probabilities.argmax(axis=1)
         if telemetry.enabled():
             telemetry.get_registry().counter("serve.scored_cells").inc(
@@ -280,7 +272,12 @@ class ServingDaemon:
         )
 
     def _table_from_request(self, request: dict) -> Table:
-        if "path" in request:
+        for key in ("path", "table", "csv"):
+            if request.get(key) is not None \
+                    and not isinstance(request[key], str):
+                raise ConfigurationError(
+                    f"load_table's {key!r} must be a string")
+        if request.get("path") is not None:
             # Real-file route: encoding/dialect sniffing, ragged-row
             # recovery and SQLite extraction (repro.io).  One file only;
             # multi-table SQLite databases need an explicit "table".
@@ -294,10 +291,11 @@ class ServingDaemon:
                     f"{request['path']} holds {len(ingested)} tables "
                     f"({[t.name for t in ingested]}); pick one with 'table'")
             return ingested[0].table
-        if "csv" in request:
+        if request.get("csv") is not None:
             return read_csv(request["csv"])
         columns = request.get("columns")
-        if not isinstance(columns, dict) or not columns:
+        if not (isinstance(columns, dict) and columns
+                and all(isinstance(vals, list) for vals in columns.values())):
             raise ConfigurationError(
                 "load_table needs 'path' (a real file: sniffed CSV/TSV or "
                 "SQLite), 'csv' (a UTF-8 CSV path) or 'columns' "
@@ -310,8 +308,8 @@ class ServingDaemon:
         name = request.get("session")
         if not name or not isinstance(name, str):
             raise ConfigurationError("load_table needs a 'session' name")
-        entry = self._entry(request)
-        session = TableSession(name, entry, self._table_from_request(request),
+        session = TableSession(name, self.model,
+                               self._table_from_request(request),
                                self.batcher)
         with self._sessions_lock:
             self.sessions[name] = session
@@ -329,6 +327,8 @@ class ServingDaemon:
 
     def _session(self, request: dict) -> TableSession:
         name = request.get("session")
+        if not isinstance(name, str):
+            raise ConfigurationError("update needs a 'session' name")
         with self._sessions_lock:
             session = self.sessions.get(name)
         if session is None:
@@ -344,29 +344,23 @@ class ServingDaemon:
         for key in ("row", "column"):
             if key not in request:
                 raise ConfigurationError(f"update needs {key!r}")
-        record = session.update(int(request["row"]), str(request["column"]),
+        try:
+            row = int(request["row"])
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(
+                f"update's 'row' must be an integer, got "
+                f"{request['row']!r}") from None
+        record = session.update(row, str(request["column"]),
                                 request.get("value"))
         return protocol.ok(**record)
 
-    def _op_feedback(self, request: dict) -> dict:
-        session = self._session(request)
-        for key in ("row", "column", "label"):
-            if key not in request:
-                raise ConfigurationError(f"feedback needs {key!r}")
-        count = session.add_feedback(int(request["row"]),
-                                     str(request["column"]),
-                                     int(request["label"]))
-        return protocol.ok(n_feedback=count)
-
     def _op_swap_model(self, request: dict) -> dict:
-        """Hot-swap (or register) a tenant's model from an archive path."""
+        """Hot-swap the served model from an archive path."""
         path = request.get("model")
-        if not path:
+        if not path or not isinstance(path, str):
             raise ConfigurationError(
                 "swap_model needs 'model' (a detector archive path)")
-        outcome = self.registry.publish(request.get("tenant", DEFAULT_TENANT),
-                                        path=path)
-        return protocol.ok(**outcome)
+        return protocol.ok(**self.model.swap(path=path))
 
     def _op_stats(self, request: dict) -> dict:
         with self._sessions_lock:
@@ -380,7 +374,7 @@ class ServingDaemon:
             uptime_s=round(time.monotonic() - self._started_at, 3),
             requests=totals,
             batcher=self.batcher.stats.as_dict(),
-            tenants=self.registry.stats(),
+            model=self.model.stats(),
             sessions=sessions,
         )
 

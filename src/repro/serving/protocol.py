@@ -20,10 +20,6 @@ NOT_FOUND = 404
 OVERLOADED = 429
 INTERNAL = 500
 
-#: Operations the daemon understands.
-OPS = ("ping", "score", "load_table", "update", "feedback",
-       "swap_model", "stats", "shutdown")
-
 
 def encode(message: dict) -> bytes:
     """One message as a newline-terminated JSON line."""

@@ -21,7 +21,7 @@ a future context-window encoder cannot silently break the contract.
 Correctness: unchanged rows' inputs and the weights are unchanged, so
 their held scores are byte-identical to what a full re-score would
 produce, and the engine's batch-composition independence makes the
-re-scored rows byte-identical too.  If the tenant's model was hot-
+re-scored rows byte-identical too.  If the served model was hot-
 swapped since the last scoring pass the held scores are stale as a
 whole; :meth:`update` detects the version change and transparently
 falls back to a full re-score, keeping the "session scores == one-shot
@@ -52,9 +52,8 @@ class TableSession:
     ----------
     name:
         Session key (daemon-level namespace).
-    entry:
-        The owning tenant's
-        :class:`~repro.serving.registry.TenantModel`.
+    model:
+        The daemon's :class:`~repro.serving.model.ServedModel`.
     table:
         The dirty table to score.
     batcher:
@@ -62,11 +61,11 @@ class TableSession:
         scoring (initial and incremental) funnels through it.
     """
 
-    def __init__(self, name: str, entry, table: Table, batcher):
+    def __init__(self, name: str, model, table: Table, batcher):
         self.name = name
-        self.entry = entry
+        self.model = model
         self.batcher = batcher
-        known = entry.detector.prepared.attributes
+        known = model.detector.prepared.attributes
         self.columns, self.values, self._attrs = table_cells(table, known)
         self.skipped = [c for c in table.column_names if c not in self.columns]
         if not self.columns:
@@ -75,7 +74,6 @@ class TableSession:
                 f"model knows {sorted(known)}")
         self.n_table_rows = table.n_rows
         self._col_pos = {c: j for j, c in enumerate(self.columns)}
-        self.feedback: list[dict] = []
         self._lock = threading.RLock()
         self._full_rescore()
 
@@ -125,22 +123,20 @@ class TableSession:
         """Re-encode and re-score the whole table (lock held).
 
         Rebuilds the feature arrays wholesale from the current detector
-        rather than writing into the held ones: a replace swap may have
+        rather than writing into the held ones: a swap may have
         changed the encoder's ``max_length`` or attribute set, so the
         old arrays' shapes mean nothing under the new encoding.
         """
-        detector = self.entry.detector
+        detector = self.model.detector
         known = set(detector.prepared.attributes)
         missing = [c for c in self.columns if c not in known]
         if missing:
             raise ConfigurationError(
-                f"the model now serving tenant {self.entry.tenant!r} does "
-                f"not know column(s) {missing} held by session "
-                f"{self.name!r}; reload the session")
+                f"the model now served does not know column(s) {missing} "
+                f"held by session {self.name!r}; reload the session")
         self.features, self.lengths = _encode(detector, self.values,
                                               self._attrs)
-        result = self.batcher.predict(self.entry.tenant, self.features,
-                                      self.lengths)
+        result = self.batcher.predict(self.features, self.lengths)
         self.probabilities = np.array(result.probabilities, copy=True)
         self.scored_version = result.weights_version
 
@@ -148,11 +144,11 @@ class TableSession:
         """Re-encode and re-score ``rows`` in place (lock held).
 
         Returns ``False`` without touching any state when the current
-        detector's encoding no longer matches the held arrays (a
-        replace swap changed the row width under us); the caller must
-        fall back to :meth:`_full_rescore`.
+        detector's encoding no longer matches the held arrays (a swap
+        changed the row width under us); the caller must fall back to
+        :meth:`_full_rescore`.
         """
-        detector = self.entry.detector
+        detector = self.model.detector
         features, lengths = _encode(detector,
                                     [self.values[i] for i in rows],
                                     [self._attrs[i] for i in rows])
@@ -164,7 +160,7 @@ class TableSession:
         for name, part in features.items():
             self.features[name][rows] = part
         self.lengths[rows] = lengths
-        result = self.batcher.predict(self.entry.tenant, features, lengths)
+        result = self.batcher.predict(features, lengths)
         self.probabilities[rows] = result.probabilities
         self.scored_version = result.weights_version
         return True
@@ -183,7 +179,7 @@ class TableSession:
             was_flagged = bool(self.probabilities[index].argmax() == 1)
             self.values[index] = value
             expected = self.scored_version
-            full = self.entry.version != expected
+            full = self.model.version != expected
             n_rescored = 0
             if not full:
                 rows = self.affected_feature_rows(row, column)
@@ -196,8 +192,8 @@ class TableSession:
                         # full pass after all.
                         full = True
                 else:
-                    # A replace swap changed the encoding width between
-                    # the version check and the re-encode.
+                    # A swap changed the encoding width between the
+                    # version check and the re-encode.
                     full = True
             if full:
                 self._full_rescore()
@@ -222,22 +218,6 @@ class TableSession:
                 registry.counter("serve.full_rescores").inc()
         return record
 
-    def add_feedback(self, row: int, column: str, label: int) -> int:
-        """Record one user label for later retraining; returns the count."""
-        if label not in (0, 1):
-            raise ConfigurationError(f"label must be 0 or 1, got {label!r}")
-        index = self.feature_row(row, column)
-        with self._lock:
-            self.feedback.append({
-                "row": int(row), "column": column, "label": int(label),
-                "value": self.values[index],
-                "predicted": int(self.probabilities[index].argmax()),
-            })
-            count = len(self.feedback)
-        if telemetry.enabled():
-            telemetry.get_registry().counter("serve.feedback").inc()
-        return count
-
     def stats(self) -> dict:
         with self._lock:
             return {
@@ -245,6 +225,5 @@ class TableSession:
                 "columns": list(self.columns),
                 "n_feature_rows": self.n_feature_rows,
                 "n_flagged": int((self.probabilities.argmax(axis=1) == 1).sum()),
-                "n_feedback": len(self.feedback),
                 "weights_version": self.scored_version,
             }

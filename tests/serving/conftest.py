@@ -3,8 +3,8 @@
 The serving stack never trains: every fixture builds a tiny *untrained*
 detector (randomly initialised weights around the paper-example
 dictionaries), which exercises the full scoring path in milliseconds.
-Detectors are function-scoped because in-place hot swaps mutate the
-registered model's weights.
+Detectors are function-scoped because a hot swap moves the incoming
+model's weights version.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from repro.dataprep import prepare
 from repro.models import ErrorDetector, ModelConfig
 from repro.models.detector import build_model
-from repro.serving import MicroBatcher, ModelRegistry
+from repro.serving import MicroBatcher, ServedModel
 from repro.serving.session import _encode
 from repro.table import Table
 
@@ -68,15 +68,13 @@ def dirty_table() -> Table:
 
 
 @pytest.fixture
-def registry(detector) -> ModelRegistry:
-    registry = ModelRegistry(cache_size=4096)
-    registry.add(detector=detector)
-    return registry
+def served(detector) -> ServedModel:
+    return ServedModel(detector=detector, cache_size=4096)
 
 
 @pytest.fixture
-def batcher(registry) -> MicroBatcher:
-    batcher = MicroBatcher(registry, max_delay_s=0.002)
+def batcher(served) -> MicroBatcher:
+    batcher = MicroBatcher(served, max_delay_s=0.002)
     yield batcher
     batcher.close()
 

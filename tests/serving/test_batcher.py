@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.inference import InferenceEngine
 from repro.models import ModelConfig
-from repro.serving import MicroBatcher, ModelRegistry, Overloaded
+from repro.serving import MicroBatcher, Overloaded, ServedModel
 from repro.serving.session import _encode
 
 from tests.serving.conftest import encode_cells
@@ -27,8 +27,7 @@ def queue_then_start(batcher, requests):
 class TestCoalescing:
     def test_concurrent_requests_share_one_batch(self, detector, batcher):
         features, lengths = encode_cells(detector, ["abc", "xy", "1", "qq"])
-        requests = [("default",
-                     {k: v[i:i + 1] for k, v in features.items()},
+        requests = [({k: v[i:i + 1] for k, v in features.items()},
                      lengths[i:i + 1])
                     for i in range(4)]
         results = queue_then_start(batcher, requests)
@@ -46,8 +45,6 @@ class TestCoalescing:
         from tests.serving.conftest import build_detector, paper_tables
 
         detector = build_detector(prepared, config=ModelConfig())
-        registry = ModelRegistry()
-        registry.add(detector=detector)
         rng = np.random.default_rng(11)
         pool = sorted({value for table in paper_tables()
                        for name in table.column_names
@@ -57,8 +54,9 @@ class TestCoalescing:
             values = [pool[i] for i in rng.integers(0, len(pool), size=size)]
             attributes = [prepared.attributes[i] for i in
                           rng.integers(0, len(prepared.attributes), size=size)]
-            requests.append(("default", *_encode(detector, values, attributes)))
-        batcher = MicroBatcher(registry, max_delay_s=0.002)
+            requests.append(_encode(detector, values, attributes))
+        batcher = MicroBatcher(ServedModel(detector=detector),
+                               max_delay_s=0.002)
         try:
             results = queue_then_start(batcher, requests)
         finally:
@@ -67,17 +65,16 @@ class TestCoalescing:
 
         # Reference: each request alone through a fresh engine.
         engine = InferenceEngine(detector.model)
-        for (_, features, lengths), result in zip(requests, results):
+        for (features, lengths), result in zip(requests, results):
             solo = engine.predict_proba(features, lengths=lengths)
             assert result.probabilities.tobytes() == solo.tobytes()
 
     def test_coalesce_off_means_one_request_per_batch(self, detector,
-                                                      registry):
-        batcher = MicroBatcher(registry, coalesce=False)
+                                                      served):
+        batcher = MicroBatcher(served, max_batch_rows=1)
         try:
             features, lengths = encode_cells(detector, ["a", "b"])
-            requests = [("default",
-                         {k: v[i:i + 1] for k, v in features.items()},
+            requests = [({k: v[i:i + 1] for k, v in features.items()},
                          lengths[i:i + 1])
                         for i in range(2)]
             results = queue_then_start(batcher, requests)
@@ -87,12 +84,11 @@ class TestCoalescing:
         finally:
             batcher.close()
 
-    def test_size_bound_splits_batches(self, detector, registry):
-        batcher = MicroBatcher(registry, max_batch_rows=3, max_delay_s=0.002)
+    def test_size_bound_splits_batches(self, detector, served):
+        batcher = MicroBatcher(served, max_batch_rows=3, max_delay_s=0.002)
         try:
             features, lengths = encode_cells(detector, list("abcde"))
-            requests = [("default",
-                         {k: v[i:i + 1] for k, v in features.items()},
+            requests = [({k: v[i:i + 1] for k, v in features.items()},
                          lengths[i:i + 1])
                         for i in range(5)]
             results = queue_then_start(batcher, requests)
@@ -101,47 +97,25 @@ class TestCoalescing:
         finally:
             batcher.close()
 
-    def test_batches_never_mix_tenants(self, prepared, detector, registry):
-        from tests.serving.conftest import build_detector
-
-        registry.add("other", detector=build_detector(prepared, seed=1))
-        batcher = MicroBatcher(registry, max_delay_s=0.002)
-        try:
-            features, lengths = encode_cells(detector, ["a", "b", "c"])
-            one_row = [({k: v[i:i + 1] for k, v in features.items()},
-                        lengths[i:i + 1]) for i in range(3)]
-            results = queue_then_start(batcher, [
-                ("default", *one_row[0]),
-                ("other", *one_row[1]),
-                ("default", *one_row[2]),
-            ])
-            assert results[0].batch_id == results[2].batch_id
-            assert results[0].batch_items == 2
-            assert results[1].batch_items == 1
-            assert results[1].batch_id != results[0].batch_id
-        finally:
-            batcher.close()
-
 
 class TestAdmissionControl:
-    def test_full_queue_sheds_load(self, detector, registry):
-        batcher = MicroBatcher(registry, max_queue_rows=2)
+    def test_full_queue_sheds_load(self, detector, served):
+        batcher = MicroBatcher(served, max_queue_rows=2)
         features, lengths = encode_cells(detector, ["a", "b"])
-        batcher.submit("default", features, lengths)  # fills the bound
+        batcher.submit(features, lengths)  # fills the bound
         with pytest.raises(Overloaded):
-            batcher.submit("default", features, lengths)
+            batcher.submit(features, lengths)
         assert batcher.stats.n_rejected == 1
         # The queued request still completes once the thread runs.
         batcher.start()
         batcher.close()
 
     def test_single_oversized_request_is_admitted_when_idle(self, detector,
-                                                            registry):
-        batcher = MicroBatcher(registry, max_queue_rows=2)
+                                                            served):
+        batcher = MicroBatcher(served, max_queue_rows=2)
         try:
             features, lengths = encode_cells(detector, list("abcdef"))
-            result = queue_then_start(
-                batcher, [("default", features, lengths)])[0]
+            result = queue_then_start(batcher, [(features, lengths)])[0]
             assert result.batch_rows == 6
         finally:
             batcher.close()
@@ -151,28 +125,35 @@ class TestAdmissionControl:
         batcher.start()
         batcher.close()
         with pytest.raises(Overloaded):
-            batcher.submit("default", features, lengths)
+            batcher.submit(features, lengths)
 
 
 class TestValidation:
-    def test_unknown_tenant_fails_the_future(self, detector, batcher):
-        features, lengths = encode_cells(detector, ["a"])
-        future = batcher.submit("ghost", features, lengths)
+    def test_failed_forward_fails_every_future(self, detector, served,
+                                               batcher, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr(served.engine, "predict_proba", broken)
+        features, lengths = encode_cells(detector, ["a", "b"])
+        futures = [batcher.submit({k: v[i:i + 1] for k, v in features.items()},
+                                  lengths[i:i + 1])
+                   for i in range(2)]
         batcher.start()
-        with pytest.raises(KeyError):
-            future.result(timeout=10)
+        for future in futures:
+            with pytest.raises(RuntimeError, match="forward failed"):
+                future.result(timeout=10)
 
     def test_empty_request_rejected(self, batcher):
         with pytest.raises(ConfigurationError):
-            batcher.submit("default", {})
+            batcher.submit({})
         with pytest.raises(ConfigurationError):
-            batcher.submit("default",
-                           {"values": np.zeros((0, 4), dtype=np.int64)})
+            batcher.submit({"values": np.zeros((0, 4), dtype=np.int64)})
 
-    def test_bounds_validated(self, registry):
+    def test_bounds_validated(self, served):
         with pytest.raises(ConfigurationError):
-            MicroBatcher(registry, max_batch_rows=0)
+            MicroBatcher(served, max_batch_rows=0)
         with pytest.raises(ConfigurationError):
-            MicroBatcher(registry, max_delay_s=-1.0)
+            MicroBatcher(served, max_delay_s=-1.0)
         with pytest.raises(ConfigurationError):
-            MicroBatcher(registry, max_queue_rows=0)
+            MicroBatcher(served, max_queue_rows=0)

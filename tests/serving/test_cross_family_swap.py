@@ -1,9 +1,9 @@
 """Hot-swapping across detector families (ETSB -> attention).
 
-The registry's replace path is family-agnostic: publishing an
-architecturally different archive must rebuild the engine, bump the
-served version strictly, flush the shared prediction cache exactly once,
-and never let a micro-batch mix weight versions.  The engine-level
+The swap is family-agnostic: swapping in an architecturally different
+model must rebuild the engine, bump the served version strictly, flush
+the shared prediction cache exactly once, and never let a micro-batch
+mix weight versions.  The engine-level
 fingerprint keying is what makes the *shared* cache safe: two families
 scoring identical feature rows under the same weights version must never
 read each other's probabilities.
@@ -14,8 +14,7 @@ import threading
 import numpy as np
 
 from repro.inference import InferenceEngine, PredictionCache, model_fingerprint
-from repro.serving import MicroBatcher, ModelRegistry
-from repro.serving.registry import DEFAULT_TENANT
+from repro.serving import MicroBatcher, ServedModel
 
 from tests.serving.conftest import build_detector, encode_cells
 
@@ -31,28 +30,27 @@ class TestCrossFamilySwap:
         reference = reference_engine.predict_proba(features,
                                                    lengths=lengths)
 
-        registry = ModelRegistry()
-        entry = registry.add(detector=etsb)
-        before = entry.engine.predict_proba(features, lengths=lengths)
-        assert len(entry.cache) > 0
-        flushes_before = entry.cache.stats()["invalidations"]
-        old_version = entry.version
+        served = ServedModel(detector=etsb)
+        engine_before = served.engine
+        before = served.engine.predict_proba(features, lengths=lengths)
+        assert len(served.cache) > 0
+        flushes_before = served.cache.stats()["invalidations"]
+        old_version = served.version
 
-        outcome = registry.publish(DEFAULT_TENANT, detector=attn)
-        assert outcome["mode"] == "replace"
+        outcome = served.swap(detector=attn)
         assert outcome["version"] > old_version
+        assert served.engine is not engine_before
 
-        entry = registry.get(DEFAULT_TENANT)
-        after = entry.engine.predict_proba(features, lengths=lengths)
+        after = served.engine.predict_proba(features, lengths=lengths)
         np.testing.assert_array_equal(after, reference)
         assert not np.array_equal(after, before)
-        assert (entry.cache.stats()["invalidations"]
+        assert (served.cache.stats()["invalidations"]
                 == flushes_before + 1)
 
         # A second scoring pass reuses the flushed cache: no
         # further invalidations, warm hits instead.
-        entry.engine.predict_proba(features, lengths=lengths)
-        assert (entry.cache.stats()["invalidations"]
+        served.engine.predict_proba(features, lengths=lengths)
+        assert (served.cache.stats()["invalidations"]
                 == flushes_before + 1)
 
     def test_no_batch_mixes_versions_across_families(self, prepared):
@@ -67,8 +65,9 @@ class TestCrossFamilySwap:
             references[name] = engine.predict_proba(features,
                                                     lengths=lengths)
 
-        registry = ModelRegistry()
-        batcher = MicroBatcher(registry, max_delay_s=0.002).start()
+        served = ServedModel(detector=etsb)
+        version_of = {served.version: "etsb"}
+        batcher = MicroBatcher(served, max_delay_s=0.002).start()
         results = []
         results_lock = threading.Lock()
         errors = []
@@ -76,20 +75,17 @@ class TestCrossFamilySwap:
         def worker():
             try:
                 for _ in range(20):
-                    result = batcher.predict(DEFAULT_TENANT, features,
-                                             lengths)
+                    result = batcher.predict(features, lengths)
                     with results_lock:
                         results.append(result)
             except Exception as exc:  # noqa: BLE001 -- surfaced below
                 errors.append(exc)
 
         try:
-            entry = registry.add(detector=etsb)
-            version_of = {entry.version: "etsb"}
             threads = [threading.Thread(target=worker) for _ in range(4)]
             for thread in threads:
                 thread.start()
-            outcome = registry.publish(DEFAULT_TENANT, detector=attn)
+            outcome = served.swap(detector=attn)
             version_of[outcome["version"]] = "attn"
             for thread in threads:
                 thread.join()

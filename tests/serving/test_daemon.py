@@ -39,8 +39,8 @@ def load_paper_table(client, session="t"):
 class TestRequestReply:
     def test_ping(self, client):
         reply = client.request({"op": "ping"})
+        assert set(reply) == {"ok", "uptime_s"}
         assert reply["ok"] is True
-        assert reply["tenants"] == ["default"]
 
     def test_score_matches_direct_engine(self, prepared, client):
         values = ["80,000", "abc", "8000"]
@@ -66,19 +66,54 @@ class TestRequestReply:
             assert reply["code"] == protocol.BAD_REQUEST
 
     def test_unknown_op_and_bad_json(self, daemon, client):
-        reply = client.request({"op": "warp"})
-        assert reply["code"] == protocol.BAD_REQUEST
-        assert "unknown op" in reply["error"]
+        for op in ("warp", "feedback", ["score"], {"op": "score"}):
+            errors = daemon.n_errors
+            reply = client.request({"op": op, "session": "t", "row": 0,
+                                    "column": "A", "label": 1})
+            assert reply["code"] == protocol.BAD_REQUEST
+            assert "unknown op" in reply["error"]
+            assert daemon.n_errors == errors + 1
         reply = daemon.handle_line(b"{not json\n")
         assert reply["code"] == protocol.BAD_REQUEST
 
-    def test_unknown_tenant_is_not_found(self, client):
-        reply = client.request({"op": "ping"})  # daemon up
-        reply = client.request({"op": "score", "tenant": "ghost",
-                                "cells": [{"attribute": "A", "value": "1"}]})
-        assert reply["ok"] is False
-        assert reply["code"] == protocol.NOT_FOUND
-        assert "ghost" in reply["error"]
+    def test_unhashable_op_keeps_the_connection(self, daemon):
+        with socket.create_connection((daemon.host, daemon.port),
+                                      timeout=10) as sock, \
+                sock.makefile("rb") as replies:
+            sock.sendall(b'{"op": ["score"]}\n{"op": "ping"}\n')
+            first = protocol.decode(replies.readline())
+            second = protocol.decode(replies.readline())
+        assert first["code"] == protocol.BAD_REQUEST
+        assert second["ok"] is True
+        assert daemon.n_errors == 1
+
+    def test_unknown_tenant_is_not_found(self, daemon, client, prepared,
+                                         tmp_path):
+        path = tmp_path / "v2.npz"
+        save_detector(build_detector(prepared, seed=7), path)
+        assert load_paper_table(client)["ok"] is True
+        requests = [
+            {"op": "ping"},
+            {"op": "score", "cells": [{"attribute": "A", "value": "1"}]},
+            {"op": "load_table", "session": "u",
+             "columns": {"A": ["1", "2"]}},
+            {"op": "update", "session": "t", "row": 0, "column": "A",
+             "value": "x"},
+            {"op": "swap_model", "model": str(path)},
+            {"op": "stats"},
+            {"op": "shutdown"},
+        ]
+        for request in requests:
+            reply = client.request({**request, "tenant": "b"})
+            assert reply["ok"] is False, request
+            assert reply["code"] == protocol.NOT_FOUND
+            assert "'b'" in reply["error"]
+        # Nothing was touched: no swap, no session, no edit, no shutdown.
+        assert daemon.model.swaps == 0
+        assert set(daemon.sessions) == {"t"}
+        assert daemon.sessions["t"].values[0] == "21"
+        # The one model still answers to its own name.
+        assert client.request({"op": "ping", "tenant": "default"})["ok"]
 
     def test_error_counters(self, daemon, client):
         client.request({"op": "nope"})
@@ -139,16 +174,31 @@ class TestSessions:
         assert reply["code"] == protocol.NOT_FOUND
         assert "ghost" in reply["error"]
 
-    def test_feedback_roundtrip(self, client):
-        reply = load_paper_table(client)
-        column = reply["columns"][0]
-        reply = client.request({"op": "feedback", "session": "t",
-                                "row": 1, "column": column, "label": 1})
-        assert reply["ok"] is True
-        assert reply["n_feedback"] == 1
-        reply = client.request({"op": "feedback", "session": "t",
-                                "row": 1, "column": column, "label": 5})
-        assert reply["code"] == protocol.BAD_REQUEST
+    @pytest.mark.parametrize("request_", [
+        {"op": "update", "session": "t", "row": "x", "column": "A"},
+        {"op": "update", "session": "t", "row": None, "column": "A"},
+        {"op": "update", "session": "t", "row": float("inf"), "column": "A"},
+        {"op": "update", "session": ["t"], "row": 0, "column": "A"},
+        {"op": "load_table", "session": "u", "columns": {"A": 5}},
+        {"op": "load_table", "session": "u", "columns": {"A": "abc"}},
+        {"op": "load_table", "session": "u",
+         "columns": {"A": ["1"], "Sal": ["1", "2"]}},
+        {"op": "load_table", "session": "u", "csv": 5},
+        {"op": "load_table", "session": "u", "path": ["a.csv"]},
+        {"op": "score", "cells": [{"attribute": ["A"], "value": "1"}]},
+        {"op": "swap_model", "model": 5},
+    ], ids=["row-text", "row-null", "row-inf", "session-list",
+            "columns-int", "columns-text", "columns-ragged", "csv-int",
+            "path-list", "attribute-list", "model-int"])
+    def test_malformed_fields_are_bad_requests(self, daemon, client,
+                                               request_):
+        assert load_paper_table(client)["ok"] is True
+        errors = daemon.n_errors
+        reply = client.request(request_)
+        assert reply["ok"] is False
+        assert reply["code"] == protocol.BAD_REQUEST, reply
+        assert daemon.n_errors == errors + 1
+        assert set(daemon.sessions) == {"t"}
 
 
 class TestSwapAndStats:
@@ -156,9 +206,7 @@ class TestSwapAndStats:
         path = tmp_path / "v2.npz"
         save_detector(build_detector(prepared, seed=7), path)
         reply = client.request({"op": "swap_model", "model": str(path)})
-        assert reply["ok"] is True
-        assert reply["mode"] == "in-place"
-        assert reply["version"] == 1
+        assert reply == {"ok": True, "version": 1, "swaps": 1}
         reply = client.request({"op": "swap_model"})
         assert reply["code"] == protocol.BAD_REQUEST
 
@@ -168,7 +216,10 @@ class TestSwapAndStats:
         assert reply["ok"] is True
         assert reply["requests"]["n_requests"] >= 2
         assert reply["batcher"]["n_batches"] >= 1
-        assert "default" in reply["tenants"]
+        assert "tenants" not in reply
+        assert reply["model"]["version"] == 0
+        assert reply["model"]["swaps"] == 0
+        assert reply["model"]["cache"]["size"] > 0
         assert reply["sessions"]["t"]["n_feature_rows"] > 0
 
 
@@ -179,7 +230,7 @@ class TestBackpressure:
             # The batcher thread is not running, so a queued row stays
             # queued: the next request must be shed at the door.
             features, lengths = encode_cells(detector, ["x"])
-            daemon.batcher.submit("default", features, lengths)
+            daemon.batcher.submit(features, lengths)
             reply = daemon.handle_line(json.dumps(
                 {"op": "score",
                  "cells": [{"attribute": detector.prepared.attributes[0],

@@ -1,8 +1,8 @@
 """Hot swap under concurrent scoring traffic.
 
-The batcher executes each micro-batch under the tenant's swap lock, so
-a publish can never interleave with a half-executed batch: every row of
-a batch is scored under exactly one ``weights_version``.  These tests
+The batcher executes each micro-batch under the served model's swap
+lock, so a swap can never interleave with a half-executed batch: every
+row of a batch is scored under exactly one ``weights_version``.  These tests
 hammer that invariant -- worker threads score continuously while the
 main thread hot-swaps back and forth between two known weight sets, and
 every returned slice must be byte-identical to the single-version
@@ -14,8 +14,7 @@ import threading
 import numpy as np
 
 from repro.inference import InferenceEngine
-from repro.serving import MicroBatcher, ModelRegistry
-from repro.serving.registry import DEFAULT_TENANT
+from repro.serving import MicroBatcher, ServedModel
 
 from tests.serving.conftest import build_detector, encode_cells
 
@@ -31,8 +30,9 @@ class TestConcurrentHotSwap:
         features, lengths = encode_cells(detector, values)
 
         # Single-version references: version parity identifies the
-        # weight set (publish i swaps in seed 1 when i is odd, seed 0
-        # when even; the registered model starts at version 0 = seed 0).
+        # weight set (swap i serves version i with seed 1 when i is odd,
+        # seed 0 when even; the served model starts at version 0 =
+        # seed 0).
         references = {}
         for parity, seed in ((0, 0), (1, 1)):
             engine = InferenceEngine(build_detector(prepared,
@@ -40,9 +40,8 @@ class TestConcurrentHotSwap:
             references[parity] = engine.predict_proba(features,
                                                       lengths=lengths)
 
-        registry = ModelRegistry()
-        registry.add(detector=detector)
-        batcher = MicroBatcher(registry, max_delay_s=0.002).start()
+        served = ServedModel(detector=detector)
+        batcher = MicroBatcher(served, max_delay_s=0.002).start()
         results = []
         results_lock = threading.Lock()
         errors = []
@@ -50,8 +49,7 @@ class TestConcurrentHotSwap:
         def worker():
             try:
                 for _ in range(N_REQUESTS):
-                    result = batcher.predict(DEFAULT_TENANT, features,
-                                             lengths)
+                    result = batcher.predict(features, lengths)
                     with results_lock:
                         results.append(result)
             except Exception as exc:  # noqa: BLE001 -- surfaced below
@@ -63,9 +61,9 @@ class TestConcurrentHotSwap:
             for thread in threads:
                 thread.start()
             for i in range(1, N_SWAPS + 1):
-                registry.publish(DEFAULT_TENANT,
-                                 detector=build_detector(prepared,
-                                                         seed=i % 2))
+                outcome = served.swap(detector=build_detector(prepared,
+                                                              seed=i % 2))
+                assert outcome["version"] == i
             for thread in threads:
                 thread.join()
         finally:
@@ -92,18 +90,15 @@ class TestConcurrentHotSwap:
     def test_cache_invalidations_bounded_by_swaps(self, prepared):
         detector = build_detector(prepared, seed=0)
         features, lengths = encode_cells(detector, ["abc", "xyz"])
-        registry = ModelRegistry()
-        entry = registry.add(detector=detector)
-        batcher = MicroBatcher(registry, max_delay_s=0.001).start()
+        served = ServedModel(detector=detector)
+        batcher = MicroBatcher(served, max_delay_s=0.001).start()
         try:
             for i in range(1, N_SWAPS + 1):
-                batcher.predict(DEFAULT_TENANT, features, lengths)
-                registry.publish(DEFAULT_TENANT,
-                                 detector=build_detector(prepared,
-                                                         seed=i % 2))
-            batcher.predict(DEFAULT_TENANT, features, lengths)
+                batcher.predict(features, lengths)
+                served.swap(detector=build_detector(prepared, seed=i % 2))
+            batcher.predict(features, lengths)
         finally:
             batcher.close()
-        # One flush per version bump, never more (the atomic
-        # check-and-clear in PredictionCache.sync_version).
-        assert entry.cache.stats()["invalidations"] == N_SWAPS
+        # One flush per swap, never more (the atomic check-and-clear in
+        # PredictionCache.sync_version).
+        assert served.cache.stats()["invalidations"] == N_SWAPS

@@ -1,120 +1,96 @@
-"""Model registry: registration, in-place vs replace hot swap."""
+"""The served model: loading and hot swap."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.models import ErrorDetector
 from repro.models.serialization import save_detector
-from repro.serving import ModelRegistry
-from repro.serving.registry import DEFAULT_TENANT
+from repro.serving import ServedModel
 
 from tests.serving.conftest import build_detector, encode_cells
 
 
 class TestRegistration:
     def test_add_and_get(self, detector):
-        registry = ModelRegistry()
-        entry = registry.add(detector=detector)
-        assert registry.get(DEFAULT_TENANT) is entry
-        assert DEFAULT_TENANT in registry
-        assert registry.tenants() == (DEFAULT_TENANT,)
-        assert entry.version == 0
-        assert entry.swaps == 0
-
-    def test_duplicate_tenant_rejected(self, detector):
-        registry = ModelRegistry()
-        registry.add(detector=detector)
-        with pytest.raises(ConfigurationError):
-            registry.add(detector=detector)
-
-    def test_unknown_tenant_raises_key_error(self):
-        with pytest.raises(KeyError):
-            ModelRegistry().get("ghost")
+        served = ServedModel(detector=detector)
+        assert served.detector is detector
+        assert served.engine.model is detector.model
+        assert served.engine.cache is served.cache
+        assert served.version == 0
+        assert served.swaps == 0
+        assert served.source is None
 
     def test_exactly_one_source_required(self, detector):
-        registry = ModelRegistry()
         with pytest.raises(ConfigurationError):
-            registry.add()
+            ServedModel()
         with pytest.raises(ConfigurationError):
-            registry.add(detector=detector, path="m.npz")
+            ServedModel(detector=detector, path="m.npz")
+        with pytest.raises(ConfigurationError):
+            ServedModel(detector=detector).swap()
 
-    def test_unfitted_detector_rejected(self):
-        from repro.models import ErrorDetector
-
+    def test_unfitted_detector_rejected(self, detector):
         with pytest.raises(ConfigurationError):
-            ModelRegistry().add(detector=ErrorDetector())
+            ServedModel(detector=ErrorDetector())
+        served = ServedModel(detector=detector)
+        with pytest.raises(ConfigurationError):
+            served.swap(detector=ErrorDetector())
+        assert served.detector is detector
+        assert served.swaps == 0
 
     def test_add_from_archive(self, detector, tmp_path):
         path = tmp_path / "m.npz"
         save_detector(detector, path)
-        registry = ModelRegistry()
-        entry = registry.add(path=path)
-        assert entry.source == str(path)
+        served = ServedModel(path=path)
+        assert served.source == str(path)
         # load_detector restores via load_state_dict, which bumps
         # the fresh model's version 0 -> 1.
-        assert entry.version == 1
+        assert served.version == 1
 
 
 class TestHotSwap:
-    def test_in_place_swap_bumps_version_and_keeps_engine(self, prepared,
-                                                          detector):
-        registry = ModelRegistry()
-        entry = registry.add(detector=detector)
-        engine_before = entry.engine
-        outcome = registry.publish(
-            DEFAULT_TENANT, detector=build_detector(prepared, seed=1))
-        assert outcome["mode"] == "in-place"
-        assert outcome["version"] == 1
-        assert outcome["swaps"] == 1
-        assert entry.engine is engine_before
-        assert entry.version == 1
-
-    def test_in_place_swap_changes_scores(self, prepared, detector):
-        registry = ModelRegistry()
-        entry = registry.add(detector=detector)
+    def test_swap_changes_scores(self, prepared, detector):
+        served = ServedModel(detector=detector)
         features, lengths = encode_cells(detector, ["80,000", "98000"])
-        before = entry.engine.predict_proba(features, lengths=lengths)
-        registry.publish(DEFAULT_TENANT,
-                         detector=build_detector(prepared, seed=1))
-        after = entry.engine.predict_proba(features, lengths=lengths)
+        before = served.engine.predict_proba(features, lengths=lengths)
+        outcome = served.swap(detector=build_detector(prepared, seed=1))
+        assert outcome == {"version": 1, "swaps": 1}
+        after = served.engine.predict_proba(features, lengths=lengths)
         assert not np.array_equal(before, after)
         # Swapping the original weights back restores them exactly.
-        registry.publish(DEFAULT_TENANT,
-                         detector=build_detector(prepared, seed=0))
-        restored = entry.engine.predict_proba(features, lengths=lengths)
+        served.swap(detector=build_detector(prepared, seed=0))
+        restored = served.engine.predict_proba(features, lengths=lengths)
         np.testing.assert_array_equal(before, restored)
 
     def test_replace_swap_on_architecture_change(self, prepared, detector):
-        registry = ModelRegistry()
-        entry = registry.add(detector=detector)
-        engine_before = entry.engine
-        cache_before = entry.cache
-        outcome = registry.publish(
-            DEFAULT_TENANT,
-            detector=build_detector(prepared, architecture="tsb"))
-        assert outcome["mode"] == "replace"
-        assert entry.engine is not engine_before
-        # The tenant's prediction cache survives the replacement.
-        assert entry.cache is cache_before
-        assert entry.engine.cache is cache_before
+        served = ServedModel(detector=detector)
+        engine_before = served.engine
+        cache_before = served.cache
+        incoming = build_detector(prepared, architecture="tsb")
+        outcome = served.swap(detector=incoming)
+        assert outcome == {"version": 1, "swaps": 1}
+        assert served.detector is incoming
+        assert served.engine is not engine_before
+        assert served.engine.model is incoming.model
+        # The prediction cache survives the replacement.
+        assert served.cache is cache_before
+        assert served.engine.cache is cache_before
 
     def test_replace_swap_version_strictly_increases(self, prepared, detector,
                                                      tmp_path):
         # Every archive-loaded model sits at weights_version 1, so
-        # swapping architecturally different archives back and forth
-        # must still move the served version forward each time.
+        # swapping archives back and forth must still move the served
+        # version forward each time.
         path_a = tmp_path / "a.npz"
         path_b = tmp_path / "b.npz"
         save_detector(detector, path_a)
         save_detector(build_detector(prepared, architecture="tsb"), path_b)
-        registry = ModelRegistry()
-        entry = registry.add(path=path_a)
-        seen = [entry.version]
-        for path in (path_b, path_a, path_b):
-            outcome = registry.publish(DEFAULT_TENANT, path=path)
-            assert outcome["mode"] == "replace"
-            assert entry.version > seen[-1]
-            seen.append(entry.version)
+        served = ServedModel(path=path_a)
+        seen = [served.version]
+        for path in (path_b, path_a, path_a, path_b):
+            outcome = served.swap(path=path)
+            assert outcome["version"] == served.version > seen[-1]
+            seen.append(served.version)
 
     def test_replace_swap_never_serves_stale_cache(self, prepared, detector,
                                                    tmp_path):
@@ -123,50 +99,48 @@ class TestHotSwap:
         # computed under A must not be returned as B's output.
         path_b = tmp_path / "b.npz"
         save_detector(build_detector(prepared, architecture="tsb"), path_b)
-        registry = ModelRegistry()
-        entry = registry.add(detector=detector)
+        served = ServedModel(detector=detector)
         features, lengths = encode_cells(detector, ["80,000", "abc"])
-        before = entry.engine.predict_proba(features, lengths=lengths)
-        assert entry.cache.stats()["size"] > 0
-        outcome = registry.publish(DEFAULT_TENANT, path=path_b)
-        assert outcome["mode"] == "replace"
-        after = entry.engine.predict_proba(features, lengths=lengths)
+        before = served.engine.predict_proba(features, lengths=lengths)
+        assert served.cache.stats()["size"] > 0
+        served.swap(path=path_b)
+        after = served.engine.predict_proba(features, lengths=lengths)
         assert not np.array_equal(before, after)
 
     def test_concurrent_publishes_never_corrupt(self, prepared, detector):
-        # Two publishers race in-place and replace swaps on one tenant;
-        # the in-place decision is taken under the swap lock, so no
-        # publish may fail or leave a half-overwritten model: the final
-        # weights must match one candidate exactly.
+        # Two threads race swaps of two architectures; no swap may fail,
+        # be lost or leave a half-swapped model: the served engine must
+        # score exactly like one candidate, and every swap counts.
         import threading
 
         from repro.inference import InferenceEngine
 
         candidates = [(arch, seed) for arch in ("etsb", "tsb")
                       for seed in (1, 2, 3)]
-        registry = ModelRegistry()
-        entry = registry.add(detector=detector)
+        served = ServedModel(detector=detector)
         errors = []
 
-        def publisher(arch):
+        def swapper(arch):
             try:
                 for seed in (1, 2, 3):
-                    registry.publish(DEFAULT_TENANT,
-                                     detector=build_detector(
-                                         prepared, architecture=arch,
-                                         seed=seed))
+                    served.swap(detector=build_detector(
+                        prepared, architecture=arch, seed=seed))
             except Exception as exc:  # noqa: BLE001 -- surfaced below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=publisher, args=(arch,))
+        threads = [threading.Thread(target=swapper, args=(arch,))
                    for arch in ("etsb", "tsb")]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         assert not errors
+        assert served.swaps == len(candidates)
+        assert served.version == len(candidates)
+        assert served.engine.model is served.detector.model
         features, lengths = encode_cells(detector, ["80,000", "abc"])
-        served = entry.engine.predict_proba(features, lengths=lengths)
+        served_scores = served.engine.predict_proba(features, lengths=lengths)
         references = []
         for arch, seed in candidates:
             engine = InferenceEngine(
@@ -174,51 +148,37 @@ class TestHotSwap:
                                seed=seed).model)
             references.append(engine.predict_proba(features,
                                                    lengths=lengths))
-        assert any(np.array_equal(served, reference)
+        assert any(np.array_equal(served_scores, reference)
                    for reference in references)
-
-    def test_publish_to_create(self, detector):
-        registry = ModelRegistry()
-        outcome = registry.publish("fresh", detector=detector)
-        assert outcome["mode"] == "created"
-        assert "fresh" in registry
 
     def test_publish_from_archive_updates_source(self, prepared, detector,
                                                  tmp_path):
         path = tmp_path / "v2.npz"
         save_detector(build_detector(prepared, seed=2), path)
-        registry = ModelRegistry()
-        entry = registry.add(detector=detector)
-        outcome = registry.publish(DEFAULT_TENANT, path=path)
-        assert outcome["mode"] == "in-place"
-        assert entry.source == str(path)
+        served = ServedModel(detector=detector)
+        outcome = served.swap(path=path)
+        assert outcome == {"version": 1, "swaps": 1}
+        assert served.source == str(path)
 
     def test_swap_flushes_cache_exactly_once(self, prepared, detector):
-        registry = ModelRegistry()
-        entry = registry.add(detector=detector)
+        served = ServedModel(detector=detector)
         features, lengths = encode_cells(detector, ["abc", "xyz"])
         for n_swaps in range(1, 4):
-            entry.engine.predict_proba(features, lengths=lengths)
-            entry.engine.predict_proba(features, lengths=lengths)
-            before = entry.cache.stats()
+            served.engine.predict_proba(features, lengths=lengths)
+            served.engine.predict_proba(features, lengths=lengths)
+            before = served.cache.stats()
             assert before["size"] > 0
-            registry.publish(DEFAULT_TENANT,
-                             detector=build_detector(prepared,
-                                                     seed=n_swaps))
+            served.swap(detector=build_detector(prepared, seed=n_swaps))
             # The flush lands on the next lookup (sync_version) --
-            # exactly one invalidation per version bump, however
-            # many predictions follow.
-            entry.engine.predict_proba(features, lengths=lengths)
-            entry.engine.predict_proba(features, lengths=lengths)
-            after = entry.cache.stats()
+            # exactly one invalidation per swap, however many
+            # predictions follow.
+            served.engine.predict_proba(features, lengths=lengths)
+            served.engine.predict_proba(features, lengths=lengths)
+            after = served.cache.stats()
             assert (after["invalidations"]
                     == before["invalidations"] + 1)
 
     def test_stats_shape(self, detector):
-        registry = ModelRegistry()
-        registry.add(detector=detector)
-        stats = registry.stats()
-        assert set(stats) == {DEFAULT_TENANT}
-        entry = stats[DEFAULT_TENANT]
-        assert {"version", "swaps", "source", "cache",
-                "inference"} <= set(entry)
+        stats = ServedModel(detector=detector).stats()
+        assert set(stats) == {"version", "swaps", "source", "cache",
+                              "inference"}

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serving.registry import DEFAULT_TENANT
 from repro.serving.session import TableSession
 from repro.table import Table
 
@@ -24,10 +23,9 @@ def _wider_prepared():
 
 
 @pytest.fixture
-def session(registry, batcher, dirty_table):
+def session(served, batcher, dirty_table):
     batcher.start()
-    return TableSession("t", registry.get(DEFAULT_TENANT), dirty_table,
-                        batcher)
+    return TableSession("t", served, dirty_table, batcher)
 
 
 class TestGeometry:
@@ -51,11 +49,11 @@ class TestGeometry:
         np.testing.assert_array_equal(
             affected, [session.feature_row(2, session.columns[1])])
 
-    def test_no_matching_columns_rejected(self, registry, batcher):
+    def test_no_matching_columns_rejected(self, served, batcher):
         batcher.start()
         with pytest.raises(ConfigurationError):
-            TableSession("t", registry.get(DEFAULT_TENANT),
-                         Table({"unrelated": ["a", "b"]}), batcher)
+            TableSession("t", served, Table({"unrelated": ["a", "b"]}),
+                         batcher)
 
 
 class TestIncrementalUpdate:
@@ -67,7 +65,7 @@ class TestIncrementalUpdate:
         assert session.values[session.feature_row(1, session.columns[0])] \
             == "999"
 
-    def test_updated_scores_match_fresh_full_pass(self, registry, batcher,
+    def test_updated_scores_match_fresh_full_pass(self, served, batcher,
                                                   session, dirty_table):
         column = session.columns[1]
         session.update(3, column, "different")
@@ -77,8 +75,7 @@ class TestIncrementalUpdate:
         edited = {name: list(dirty_table.column(name).values)
                   for name in dirty_table.column_names}
         edited[column][3] = "different"
-        fresh = TableSession("fresh", registry.get(DEFAULT_TENANT),
-                             Table(edited), batcher)
+        fresh = TableSession("fresh", served, Table(edited), batcher)
         np.testing.assert_array_equal(session.probabilities,
                                       fresh.probabilities)
 
@@ -87,15 +84,15 @@ class TestIncrementalUpdate:
         assert session.values[session.feature_row(0, session.columns[0])] == ""
         assert record["n_rescored"] == 1
 
-    def test_replace_swap_with_wider_encoder_recovers(self, registry,
+    def test_replace_swap_with_wider_encoder_recovers(self, served,
                                                       session):
-        # A replace swap that changes the encoder's max_length must
+        # A swap that changes the encoder's max_length must
         # rebuild the session's feature arrays wholesale; writing into
         # the old-width arrays would raise and wedge the session.
         wide = _wider_prepared()
         old_width = session.features["values"].shape[1]
         assert wide.max_length > old_width
-        registry.publish(DEFAULT_TENANT, detector=build_detector(wide))
+        served.swap(detector=build_detector(wide))
         record = session.update(0, session.columns[0], "x")
         assert record["full_rescore"] is True
         assert session.features["values"].shape[1] == wide.max_length
@@ -104,19 +101,19 @@ class TestIncrementalUpdate:
         assert record["full_rescore"] is False
         assert record["n_rescored"] == 1
 
-    def test_mid_update_width_change_falls_back_to_full(self, registry,
+    def test_mid_update_width_change_falls_back_to_full(self, served,
                                                         session):
         wide = _wider_prepared()
-        registry.publish(DEFAULT_TENANT, detector=build_detector(wide))
+        served.swap(detector=build_detector(wide))
         # Simulate the swap landing after update()'s version check: the
         # incremental re-encode then produces rows of the new width,
         # which must trigger the full-rescore fallback, not a crash.
-        session.scored_version = registry.get(DEFAULT_TENANT).version
+        session.scored_version = served.version
         record = session.update(0, session.columns[0], "x")
         assert record["full_rescore"] is True
         assert session.features["values"].shape[1] == wide.max_length
 
-    def test_swap_dropping_a_served_column_is_rejected(self, registry,
+    def test_swap_dropping_a_served_column_is_rejected(self, served,
                                                        session):
         from repro.dataprep import prepare
 
@@ -127,13 +124,12 @@ class TestIncrementalUpdate:
                    for c in dirty.column_names if c != dropped}),
             Table({c: list(clean.column(c).values)
                    for c in clean.column_names if c != dropped}))
-        registry.publish(DEFAULT_TENANT, detector=build_detector(narrow))
+        served.swap(detector=build_detector(narrow))
         with pytest.raises(ConfigurationError, match="reload the session"):
             session.update(0, session.columns[1], "x")
 
-    def test_swap_forces_full_rescore(self, prepared, registry, session):
-        registry.publish(DEFAULT_TENANT,
-                         detector=build_detector(prepared, seed=1))
+    def test_swap_forces_full_rescore(self, prepared, served, session):
+        served.swap(detector=build_detector(prepared, seed=1))
         record = session.update(0, session.columns[0], "x")
         assert record["full_rescore"] is True
         assert record["n_rescored"] == session.n_feature_rows
@@ -145,18 +141,6 @@ class TestIncrementalUpdate:
 
 
 class TestFeedbackAndStats:
-    def test_feedback_recorded(self, session):
-        assert session.add_feedback(0, session.columns[0], 1) == 1
-        assert session.add_feedback(1, session.columns[0], 0) == 2
-        entry = session.feedback[0]
-        assert entry["row"] == 0
-        assert entry["label"] == 1
-        assert "predicted" in entry and "value" in entry
-
-    def test_feedback_label_validated(self, session):
-        with pytest.raises(ConfigurationError):
-            session.add_feedback(0, session.columns[0], 2)
-
     def test_flagged_matches_predictions(self, session):
         predictions = session.predictions()
         flagged = session.flagged()
@@ -170,5 +154,6 @@ class TestFeedbackAndStats:
         stats = session.stats()
         assert stats["n_table_rows"] == dirty_table.n_rows
         assert stats["n_feature_rows"] == session.n_feature_rows
-        assert stats["n_feedback"] == 0
         assert stats["weights_version"] == 0
+        # Sessions hold no user labels: feedback left the protocol.
+        assert "n_feedback" not in stats
