@@ -639,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--daemon", action="store_true",
                          help="run the long-lived JSON-lines socket daemon "
                               "(micro-batching, incremental re-scoring, "
-                              "hot-swap model registry)")
+                              "one hot-swappable model)")
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="daemon bind host (default: 127.0.0.1)")
     p_serve.add_argument("--port", type=int, default=0,

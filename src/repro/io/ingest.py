@@ -107,9 +107,13 @@ def read_file(path: str | Path,
     Raises
     ------
     IngestError
-        When the file is skipped by classification or fails to parse.
+        When ``path`` is missing or not a regular file (a directory, for
+        one), or the file is skipped by classification or fails to
+        parse.
     """
     path = Path(path)
+    if path.exists() and not path.is_file():
+        raise IngestError(f"{path}: not a file")
     entry = discover(path)[0]
     if entry.kind == "skipped":
         raise IngestError(f"{path}: {entry.reason}")

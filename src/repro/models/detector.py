@@ -271,6 +271,10 @@ class ErrorDetector(Detector):
                rng: np.random.Generator,
                checkpoint_path: str | Path | None = None,
                resume_from: str | Path | None = None) -> "ErrorDetector":
+        # The cache keys entries by weights version, and a refit of the
+        # same topology for as many steps ends at the version the
+        # previous model ended at.
+        self.prediction_cache.invalidate()
         model = build_model(self.architecture, prepared, self.model_config, rng)
         optimizer = RMSprop(model.parameters(),
                             learning_rate=self.training_config.learning_rate)

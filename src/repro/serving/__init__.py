@@ -3,12 +3,13 @@
 The batch library scores tables one shot at a time; this package turns
 it into a *service*.  :class:`ServingDaemon` listens on a local TCP
 socket for JSON-lines requests (score / load_table / update / swap /
-stats), coalesces concurrent score requests into one micro-batched
-:class:`~repro.inference.InferenceEngine` forward via
-:class:`MicroBatcher`, serves repeated cells from the warm
-:class:`~repro.inference.PredictionCache`, re-scores *only* the feature
-rows an edit touches (:class:`TableSession` incremental re-scoring),
-and hot-swaps its one model (:class:`ServedModel`) with zero downtime.
+stats), coalesces concurrent requests' cells into one micro-batch that
+:class:`MicroBatcher` encodes and scores in one
+:class:`~repro.inference.InferenceEngine` forward, serves repeated
+cells from the warm :class:`~repro.inference.PredictionCache`,
+re-scores *only* the cell an edit touches (:class:`TableSession`
+incremental re-scoring), and hot-swaps its one model
+(:class:`ServedModel`) with zero downtime.
 Admission control is a bounded queue: past it, requests are shed with a
 429-style rejection instead of queueing unboundedly.
 
@@ -24,9 +25,11 @@ Quick start::
     daemon.shutdown()
 
 Everything is stdlib + numpy; the daemon is threaded (socketserver
-front, one batcher thread per process) and all scoring is serialised
-on the batcher thread, which is what makes hot swaps safe: a model swap
-can never interleave with a half-executed micro-batch.
+front, one batcher thread per process) and all encoding and scoring is
+serialised on the batcher thread under the swap lock, which is what
+makes hot swaps safe: a model swap can never interleave with a
+half-executed micro-batch, and one model's dictionaries, network and
+version answer each request.
 """
 
 from repro.serving.batcher import BatcherStats, MicroBatcher, Overloaded

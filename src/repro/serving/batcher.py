@@ -5,24 +5,27 @@ Each forward pass through the network has a fixed per-call overhead
 that dwarfs the marginal cost of an extra row, so scoring eight
 concurrent one-cell requests as eight forwards wastes almost all of the
 hardware.  :class:`MicroBatcher` fixes that: request threads
-:meth:`~MicroBatcher.submit` their encoded feature rows and block on a
-future; a single batcher thread drains the queue, concatenates
-requests into one feature batch (bounded by ``max_batch_rows`` and a
-``max_delay_s`` deadline from the oldest request's arrival), runs
+:meth:`~MicroBatcher.submit` raw cells (values and their attributes)
+and block on a future; a single batcher thread drains the queue
+(bounded by ``max_batch_rows`` and a ``max_delay_s`` deadline from the
+oldest request's arrival), encodes the batch's cells in one call, runs
 **one**
 :meth:`~repro.inference.InferenceEngine.predict_proba`, and scatters
 the probability slices back to the waiting futures.
+
+The batch runs under the served model's swap lock, taken once: the
+served detector's dictionaries encode the cells, its engine scores
+them and its version stamps every reply, so a reply never mixes two
+models.  A request naming an attribute the served detector lacks fails
+alone; the rest of its batch is scored.  The lock also makes the hot
+swap safe (a swap waits for the in-flight batch) and keeps the engine's
+reusable scratch buffers single-threaded.
 
 Because the engine's per-row outputs are independent of batch
 composition (the row-block padding invariant; see
 :func:`repro.inference.engine.row_block_index`), coalescing is
 value-preserving: a row's probabilities are byte-identical whether it
 was scored alone or packed with 255 strangers.
-
-All scoring funnels through the one batcher thread, under the served
-model's swap lock -- that serialisation is what makes the hot swap safe
-(a swap can never interleave with a half-executed micro-batch) and
-keeps the engine's reusable scratch buffers single-threaded.
 
 Admission control is a bounded queue: once ``max_queue_rows`` rows are
 waiting, :meth:`~MicroBatcher.submit` raises :class:`Overloaded`
@@ -36,7 +39,7 @@ import threading
 import time
 
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Sequence
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
@@ -44,6 +47,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ConfigurationError
+from repro.serving import session
 
 
 class Overloaded(RuntimeError):
@@ -59,13 +63,13 @@ class BatchResult:
     probabilities:
         ``(n_request_rows, n_classes)`` float64 probabilities.
     weights_version:
-        The model version every row of the batch was scored under
-        (constant across a batch by construction).
+        The served model's version (its swap count) that encoded and
+        scored every row of the batch.
     batch_id:
         Monotonic id of the executed batch; requests coalesced together
         share it.
     batch_items, batch_rows:
-        How many requests / feature rows the executed batch carried.
+        How many requests / cells the executed batch scored.
     """
 
     probabilities: np.ndarray
@@ -103,11 +107,14 @@ class BatcherStats:
 
 @dataclass
 class _Item:
-    features: dict[str, np.ndarray]
-    lengths: np.ndarray | None
-    n_rows: int
+    values: list[str]
+    attributes: list[str]
     future: Future = field(default_factory=Future)
     enqueued_at: float = field(default_factory=time.monotonic)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.values)
 
 
 class MicroBatcher:
@@ -117,9 +124,10 @@ class MicroBatcher:
     ----------
     model:
         The :class:`~repro.serving.model.ServedModel` providing the
-        engine (and the swap lock held during execution).
+        dictionaries, the engine and the swap lock held during
+        execution.
     max_batch_rows:
-        Size bound: a batch closes as soon as this many rows are
+        Size bound: a batch closes as soon as this many cells are
         waiting.  A single oversized request (e.g. an initial full-table
         scoring) still executes as its own atomic batch, so ``1``
         executes every request as its own batch without waiting (the
@@ -179,9 +187,15 @@ class MicroBatcher:
 
     # -- submission ---------------------------------------------------------
 
-    def submit(self, features: Mapping[str, np.ndarray],
-               lengths: np.ndarray | None = None) -> Future:
-        """Enqueue one request; returns a future of :class:`BatchResult`.
+    def submit(self, values: Sequence[str],
+               attributes: Sequence[str]) -> Future:
+        """Enqueue the cells ``(values[i], attributes[i])``; returns a
+        future of :class:`BatchResult`, whose probabilities are in cell
+        order.
+
+        The future fails with :class:`~repro.errors.ConfigurationError`
+        when a cell names an attribute the model serving its batch
+        lacks.
 
         Raises
         ------
@@ -189,15 +203,13 @@ class MicroBatcher:
             When ``max_queue_rows`` rows are already waiting (the
             admission-control bound) or the batcher is shut down.
         """
-        if not features:
-            raise ConfigurationError("at least one feature array is required")
-        n_rows = int(next(iter(features.values())).shape[0])
-        if n_rows == 0:
+        if len(values) != len(attributes):
+            raise ConfigurationError(
+                f"{len(values)} values but {len(attributes)} attributes")
+        if not values:
             raise ConfigurationError("cannot submit an empty request")
-        item = _Item(features=dict(features),
-                     lengths=None if lengths is None
-                     else np.asarray(lengths).reshape(-1),
-                     n_rows=n_rows)
+        item = _Item(list(values), list(attributes))
+        n_rows = item.n_rows
         with self._cond:
             if self._stop:
                 raise Overloaded("batcher is shut down")
@@ -214,10 +226,10 @@ class MicroBatcher:
             self._cond.notify_all()
         return item.future
 
-    def predict(self, features: Mapping[str, np.ndarray],
-                lengths: np.ndarray | None = None) -> BatchResult:
+    def predict(self, values: Sequence[str],
+                attributes: Sequence[str]) -> BatchResult:
         """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(features, lengths).result()
+        return self.submit(values, attributes).result()
 
     # -- the batcher thread -------------------------------------------------
 
@@ -270,42 +282,44 @@ class MicroBatcher:
     def _execute(self, batch: list[_Item]) -> None:
         model = self._model
         try:
-            if len(batch) == 1:
-                features = batch[0].features
-                lengths = batch[0].lengths
-            else:
-                features = {
-                    name: np.concatenate(
-                        [item.features[name] for item in batch], axis=0)
-                    for name in batch[0].features
-                }
-                parts = [item.lengths for item in batch]
-                lengths = (None if any(p is None for p in parts)
-                           else np.concatenate(parts))
-            total_rows = sum(item.n_rows for item in batch)
-            # The swap lock pins one weights version for the whole
-            # batch: a concurrent swap blocks until the batch completes,
-            # so a micro-batch can never mix old and new weights.
+            # One swap lock for the whole batch: the served detector
+            # encodes, its engine scores and its version stamps, and a
+            # concurrent swap waits until the batch completes.
             with model.lock:
-                version = model.version
+                known = frozenset(model.detector.prepared.attributes)
+                ready = []
+                for item in batch:
+                    error = _unknown_attribute(item.attributes, known)
+                    if error is None:
+                        ready.append(item)
+                    else:
+                        item.future.set_exception(error)
+                if not ready:
+                    return
+                features, lengths = session._encode(
+                    model.detector,
+                    [value for item in ready for value in item.values],
+                    [name for item in ready for name in item.attributes])
                 probabilities = model.engine.predict_proba(features,
                                                            lengths=lengths)
+                version = model.version
+            total_rows = sum(item.n_rows for item in ready)
             self._batch_id += 1
             self.stats.n_batches += 1
-            self.stats.n_items += len(batch)
+            self.stats.n_items += len(ready)
             self.stats.n_rows += total_rows
             if telemetry.enabled():
                 registry = telemetry.get_registry()
                 registry.counter("serve.batches").inc()
-                registry.counter("serve.batch_items").inc(len(batch))
+                registry.counter("serve.batch_items").inc(len(ready))
                 registry.counter("serve.batch_rows").inc(total_rows)
             offset = 0
-            for item in batch:
+            for item in ready:
                 item.future.set_result(BatchResult(
                     probabilities=probabilities[offset:offset + item.n_rows],
                     weights_version=version,
                     batch_id=self._batch_id,
-                    batch_items=len(batch),
+                    batch_items=len(ready),
                     batch_rows=total_rows,
                 ))
                 offset += item.n_rows
@@ -313,3 +327,15 @@ class MicroBatcher:
             for item in batch:
                 if not item.future.done():
                     item.future.set_exception(exc)
+
+
+def _unknown_attribute(attributes: list[str],
+                       known: frozenset[str]) -> ConfigurationError | None:
+    """The error for a request's first cell whose attribute the served
+    model never saw, or ``None``."""
+    for i, name in enumerate(attributes):
+        if name not in known:
+            return ConfigurationError(
+                f"cells[{i}]: the model never saw attribute {name!r} "
+                f"(knows {sorted(known)})")
+    return None

@@ -2,14 +2,15 @@
 
 :class:`ServingDaemon` binds a local socket and serves concurrent
 clients with a thread per connection (``socketserver.ThreadingTCPServer``).
-Handler threads never touch the network weights themselves: they parse,
-validate and encode, then block on the
+Handler threads never touch the model themselves: they parse and
+validate, then hand raw cells to the
 :class:`~repro.serving.batcher.MicroBatcher`, which coalesces every
-concurrent request into deadline-bounded micro-batches on one scoring
-thread.  Table state lives in named :class:`~repro.serving.session.TableSession`
-objects so a later ``update`` re-scores only the edited cell's feature
-rows; the one model lives in a :class:`~repro.serving.model.ServedModel`
-and hot-swaps with zero downtime on ``swap_model``.
+concurrent request into deadline-bounded micro-batches and encodes and
+scores each one on one scoring thread, under the swap lock.  Table
+state lives in named :class:`~repro.serving.session.TableSession`
+objects so a later ``update`` re-scores only the edited cell; the one
+model lives in a :class:`~repro.serving.model.ServedModel` and
+hot-swaps with zero downtime on ``swap_model``.
 
 Backpressure: the batcher's queue is bounded, and a request arriving
 past the bound is rejected immediately with a 429-style reply
@@ -233,13 +234,11 @@ class ServingDaemon:
     def _op_score(self, request: dict) -> dict:
         """Score ad-hoc cells: ``{"op": "score", "cells": [{"attribute",
         "value"}, ...]}`` -- the micro-batched hot path."""
-        detector = self.model.detector
         cells = request.get("cells")
         if not isinstance(cells, list) or not cells:
             raise ConfigurationError(
                 "score needs a non-empty 'cells' list of "
                 "{attribute, value} objects")
-        known = set(detector.prepared.attributes)
         attributes, values = [], []
         for i, cell in enumerate(cells):
             if not (isinstance(cell, dict)
@@ -247,16 +246,10 @@ class ServingDaemon:
                 raise ConfigurationError(
                     f"cells[{i}] must be an object with 'attribute' "
                     "and 'value'")
-            if cell["attribute"] not in known:
-                raise ConfigurationError(
-                    f"cells[{i}]: the model never saw attribute "
-                    f"{cell['attribute']!r} (knows {sorted(known)})")
             attributes.append(cell["attribute"])
             value = cell.get("value")
             values.append("" if value is None else str(value))
-        from repro.serving.session import _encode
-        features, lengths = _encode(detector, values, attributes)
-        result = self.batcher.predict(features, lengths)
+        result = self.batcher.predict(values, attributes)
         predictions = result.probabilities.argmax(axis=1)
         if telemetry.enabled():
             telemetry.get_registry().counter("serve.scored_cells").inc(
@@ -339,7 +332,7 @@ class ServingDaemon:
         return session
 
     def _op_update(self, request: dict) -> dict:
-        """Apply one cell edit; re-scores only the edit's context window."""
+        """Apply one cell edit; re-scores only the edited cell."""
         session = self._session(request)
         for key in ("row", "column"):
             if key not in request:

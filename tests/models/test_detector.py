@@ -188,6 +188,28 @@ class TestDedupInference:
                                       naive.argmax(axis=1))
         assert memoized.inference.n_rows == test.n_cells
 
+    def test_refit_scores_with_the_refit_model(self):
+        """A refit of the same topology for as many steps ends at the
+        previous model's weights version; its scores must still be its
+        own, not the previous model's cache entries."""
+        pair = load("hospital", n_rows=60, seed=1)
+
+        def detector():
+            return ErrorDetector(architecture="etsb", n_label_tuples=6,
+                                 training_config=TrainingConfig(epochs=2),
+                                 seed=1)
+
+        refit = detector().fit(pair, labeled_rows=range(6))
+        first = refit.score_cells(pair.dirty)
+        first_version = refit.model.weights_version
+        refit.fit(pair, labeled_rows=range(10, 16))
+        assert refit.model.weights_version == first_version
+        scores = refit.score_cells(pair.dirty)
+        assert refit.inference_stats.cache_hits == 0
+        fresh = detector().fit(pair, labeled_rows=range(10, 16))
+        assert scores.tobytes() == fresh.score_cells(pair.dirty).tobytes()
+        assert scores.tobytes() != first.tobytes()
+
     def test_cache_entries_keyed_to_current_weights(self, fitted):
         fitted.evaluate()
         assert len(fitted.prediction_cache) > 0

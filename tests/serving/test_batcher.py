@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.inference import InferenceEngine
 from repro.models import ModelConfig
 from repro.serving import MicroBatcher, Overloaded, ServedModel
-from repro.serving.session import _encode
 
-from tests.serving.conftest import encode_cells
+from tests.serving.conftest import cells, engine_scores
 
 
 def queue_then_start(batcher, requests):
@@ -26,10 +24,8 @@ def queue_then_start(batcher, requests):
 
 class TestCoalescing:
     def test_concurrent_requests_share_one_batch(self, detector, batcher):
-        features, lengths = encode_cells(detector, ["abc", "xy", "1", "qq"])
-        requests = [({k: v[i:i + 1] for k, v in features.items()},
-                     lengths[i:i + 1])
-                    for i in range(4)]
+        requests = [cells(detector, [value])
+                    for value in ("abc", "xy", "1", "qq")]
         results = queue_then_start(batcher, requests)
         assert len({r.batch_id for r in results}) == 1
         assert all(r.batch_items == 4 for r in results)
@@ -54,7 +50,7 @@ class TestCoalescing:
             values = [pool[i] for i in rng.integers(0, len(pool), size=size)]
             attributes = [prepared.attributes[i] for i in
                           rng.integers(0, len(prepared.attributes), size=size)]
-            requests.append(_encode(detector, values, attributes))
+            requests.append((values, attributes))
         batcher = MicroBatcher(ServedModel(detector=detector),
                                max_delay_s=0.002)
         try:
@@ -64,19 +60,15 @@ class TestCoalescing:
         assert batcher.stats.n_batches == 1
 
         # Reference: each request alone through a fresh engine.
-        engine = InferenceEngine(detector.model)
-        for (features, lengths), result in zip(requests, results):
-            solo = engine.predict_proba(features, lengths=lengths)
+        for (values, attributes), result in zip(requests, results):
+            solo = engine_scores(detector, values, attributes)
             assert result.probabilities.tobytes() == solo.tobytes()
 
     def test_coalesce_off_means_one_request_per_batch(self, detector,
                                                       served):
         batcher = MicroBatcher(served, max_batch_rows=1)
         try:
-            features, lengths = encode_cells(detector, ["a", "b"])
-            requests = [({k: v[i:i + 1] for k, v in features.items()},
-                         lengths[i:i + 1])
-                        for i in range(2)]
+            requests = [cells(detector, [value]) for value in "ab"]
             results = queue_then_start(batcher, requests)
             assert results[0].batch_id != results[1].batch_id
             assert all(r.batch_items == 1 for r in results)
@@ -87,10 +79,7 @@ class TestCoalescing:
     def test_size_bound_splits_batches(self, detector, served):
         batcher = MicroBatcher(served, max_batch_rows=3, max_delay_s=0.002)
         try:
-            features, lengths = encode_cells(detector, list("abcde"))
-            requests = [({k: v[i:i + 1] for k, v in features.items()},
-                         lengths[i:i + 1])
-                        for i in range(5)]
+            requests = [cells(detector, [value]) for value in "abcde"]
             results = queue_then_start(batcher, requests)
             assert batcher.stats.n_batches == 2
             assert sorted(r.batch_rows for r in results) == [2, 2, 3, 3, 3]
@@ -101,10 +90,10 @@ class TestCoalescing:
 class TestAdmissionControl:
     def test_full_queue_sheds_load(self, detector, served):
         batcher = MicroBatcher(served, max_queue_rows=2)
-        features, lengths = encode_cells(detector, ["a", "b"])
-        batcher.submit(features, lengths)  # fills the bound
+        request = cells(detector, ["a", "b"])
+        batcher.submit(*request)  # fills the bound
         with pytest.raises(Overloaded):
-            batcher.submit(features, lengths)
+            batcher.submit(*request)
         assert batcher.stats.n_rejected == 1
         # The queued request still completes once the thread runs.
         batcher.start()
@@ -114,18 +103,17 @@ class TestAdmissionControl:
                                                             served):
         batcher = MicroBatcher(served, max_queue_rows=2)
         try:
-            features, lengths = encode_cells(detector, list("abcdef"))
-            result = queue_then_start(batcher, [(features, lengths)])[0]
+            request = cells(detector, list("abcdef"))
+            result = queue_then_start(batcher, [request])[0]
             assert result.batch_rows == 6
         finally:
             batcher.close()
 
     def test_submit_after_close_is_rejected(self, detector, batcher):
-        features, lengths = encode_cells(detector, ["a"])
         batcher.start()
         batcher.close()
         with pytest.raises(Overloaded):
-            batcher.submit(features, lengths)
+            batcher.submit(*cells(detector, ["a"]))
 
 
 class TestValidation:
@@ -135,20 +123,37 @@ class TestValidation:
             raise RuntimeError("forward failed")
 
         monkeypatch.setattr(served.engine, "predict_proba", broken)
-        features, lengths = encode_cells(detector, ["a", "b"])
-        futures = [batcher.submit({k: v[i:i + 1] for k, v in features.items()},
-                                  lengths[i:i + 1])
-                   for i in range(2)]
+        futures = [batcher.submit(*cells(detector, [value]))
+                   for value in "ab"]
         batcher.start()
         for future in futures:
             with pytest.raises(RuntimeError, match="forward failed"):
                 future.result(timeout=10)
 
+    def test_unknown_attribute_fails_only_its_request(self, detector,
+                                                      batcher):
+        """The batch checks every request against the served detector:
+        a request naming an attribute it lacks fails alone, and the
+        rest of the batch is scored as if it had never been queued."""
+        good = cells(detector, ["80,000", "abc"], "Sal")
+        bad = (["x", "y"], ["A", "ghost"])
+        futures = [batcher.submit(*request) for request in (bad, good)]
+        batcher.start()
+        with pytest.raises(ConfigurationError,
+                           match=r"cells\[1\]: .*'ghost'"):
+            futures[0].result(timeout=10)
+        result = futures[1].result(timeout=10)
+        assert result.probabilities.tobytes() \
+            == engine_scores(detector, *good).tobytes()
+        assert (result.batch_items, result.batch_rows) == (1, 2)
+        assert batcher.stats.n_batches == 1
+        assert batcher.stats.n_items == 1
+
     def test_empty_request_rejected(self, batcher):
         with pytest.raises(ConfigurationError):
-            batcher.submit({})
-        with pytest.raises(ConfigurationError):
-            batcher.submit({"values": np.zeros((0, 4), dtype=np.int64)})
+            batcher.submit([], [])
+        with pytest.raises(ConfigurationError, match="2 values but 1"):
+            batcher.submit(["a", "b"], ["A"])
 
     def test_bounds_validated(self, served):
         with pytest.raises(ConfigurationError):

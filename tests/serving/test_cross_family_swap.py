@@ -16,7 +16,7 @@ import numpy as np
 from repro.inference import InferenceEngine, PredictionCache, model_fingerprint
 from repro.serving import MicroBatcher, ServedModel
 
-from tests.serving.conftest import build_detector, encode_cells
+from tests.serving.conftest import build_detector, cells, encode_cells
 
 
 class TestCrossFamilySwap:
@@ -58,6 +58,7 @@ class TestCrossFamilySwap:
         attn = build_detector(prepared, architecture="attn", seed=1)
         values = ["80,000", "98000", "zzz", "8000"]
         features, lengths = encode_cells(etsb, values)
+        request = cells(etsb, values)
 
         references = {}
         for name, detector in (("etsb", etsb), ("attn", attn)):
@@ -75,7 +76,7 @@ class TestCrossFamilySwap:
         def worker():
             try:
                 for _ in range(20):
-                    result = batcher.predict(features, lengths)
+                    result = batcher.predict(*request)
                     with results_lock:
                         results.append(result)
             except Exception as exc:  # noqa: BLE001 -- surfaced below

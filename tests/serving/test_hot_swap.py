@@ -2,7 +2,8 @@
 
 The batcher executes each micro-batch under the served model's swap
 lock, so a swap can never interleave with a half-executed batch: every
-row of a batch is scored under exactly one ``weights_version``.  These tests
+row of a batch is encoded and scored by exactly one served model, whose
+version (its swap count) the batch reports.  These tests
 hammer that invariant -- worker threads score continuously while the
 main thread hot-swaps back and forth between two known weight sets, and
 every returned slice must be byte-identical to the single-version
@@ -16,7 +17,7 @@ import numpy as np
 from repro.inference import InferenceEngine
 from repro.serving import MicroBatcher, ServedModel
 
-from tests.serving.conftest import build_detector, encode_cells
+from tests.serving.conftest import build_detector, cells, encode_cells
 
 N_WORKERS = 4
 N_REQUESTS = 25
@@ -28,6 +29,7 @@ class TestConcurrentHotSwap:
         values = ["80,000", "98000", "zzz", "8000"]
         detector = build_detector(prepared, seed=0)
         features, lengths = encode_cells(detector, values)
+        request = cells(detector, values)
 
         # Single-version references: version parity identifies the
         # weight set (swap i serves version i with seed 1 when i is odd,
@@ -49,7 +51,7 @@ class TestConcurrentHotSwap:
         def worker():
             try:
                 for _ in range(N_REQUESTS):
-                    result = batcher.predict(features, lengths)
+                    result = batcher.predict(*request)
                     with results_lock:
                         results.append(result)
             except Exception as exc:  # noqa: BLE001 -- surfaced below
@@ -89,16 +91,17 @@ class TestConcurrentHotSwap:
 
     def test_cache_invalidations_bounded_by_swaps(self, prepared):
         detector = build_detector(prepared, seed=0)
-        features, lengths = encode_cells(detector, ["abc", "xyz"])
+        request = cells(detector, ["abc", "xyz"])
         served = ServedModel(detector=detector)
         batcher = MicroBatcher(served, max_delay_s=0.001).start()
         try:
             for i in range(1, N_SWAPS + 1):
-                batcher.predict(features, lengths)
+                batcher.predict(*request)
                 served.swap(detector=build_detector(prepared, seed=i % 2))
-            batcher.predict(features, lengths)
+            batcher.predict(*request)
         finally:
             batcher.close()
-        # One flush per swap, never more (the atomic check-and-clear in
-        # PredictionCache.sync_version).
+        # One flush per swap, never more: the swap empties the cache,
+        # and both weight sets report weights_version 0, so
+        # PredictionCache.sync_version never flushes again.
         assert served.cache.stats()["invalidations"] == N_SWAPS

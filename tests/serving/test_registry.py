@@ -43,9 +43,10 @@ class TestRegistration:
         save_detector(detector, path)
         served = ServedModel(path=path)
         assert served.source == str(path)
-        # load_detector restores via load_state_dict, which bumps
-        # the fresh model's version 0 -> 1.
-        assert served.version == 1
+        # The served version counts swaps, whatever weights_version the
+        # archive loads at (load_state_dict bumps a fresh model to 1).
+        assert served.detector.model.weights_version == 1
+        assert served.version == 0
 
 
 class TestHotSwap:
@@ -78,9 +79,9 @@ class TestHotSwap:
 
     def test_replace_swap_version_strictly_increases(self, prepared, detector,
                                                      tmp_path):
-        # Every archive-loaded model sits at weights_version 1, so
-        # swapping archives back and forth must still move the served
-        # version forward each time.
+        # Every archive-loaded model sits at weights_version 1, yet
+        # swapping archives back and forth moves the served version
+        # forward each time.
         path_a = tmp_path / "a.npz"
         path_b = tmp_path / "b.npz"
         save_detector(detector, path_a)
@@ -177,6 +178,22 @@ class TestHotSwap:
             after = served.cache.stats()
             assert (after["invalidations"]
                     == before["invalidations"] + 1)
+
+    def test_swap_empties_the_cache_and_leaves_the_model_alone(
+            self, prepared, detector):
+        # The incoming model keeps its own weights_version; the kept
+        # cache is emptied instead, so no entry of the outgoing model
+        # can answer for the incoming one at an equal version.
+        served = ServedModel(detector=detector)
+        features, lengths = encode_cells(detector, ["abc", "xyz"])
+        served.engine.predict_proba(features, lengths=lengths)
+        assert len(served.cache) > 0
+        incoming = build_detector(prepared, seed=1)
+        assert incoming.model.weights_version == detector.model.weights_version
+        served.swap(detector=incoming)
+        assert len(served.cache) == 0
+        assert incoming.model.weights_version == 0
+        assert served.version == 1
 
     def test_stats_shape(self, detector):
         stats = ServedModel(detector=detector).stats()

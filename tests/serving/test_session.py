@@ -3,23 +3,27 @@
 import numpy as np
 import pytest
 
+from repro.dataprep.encoding import table_cells
 from repro.errors import ConfigurationError
 from repro.serving.session import TableSession
 from repro.table import Table
 
-from tests.serving.conftest import build_detector, paper_tables
+from tests.serving.conftest import (
+    build_detector,
+    engine_scores,
+    wide_prepared,
+)
 
 
-def _wider_prepared():
-    """A prepared dataset over the same columns with a larger max_length."""
-    from repro.dataprep import prepare
-
-    dirty, clean = paper_tables()
-    wide_dirty = {c: list(dirty.column(c).values) for c in dirty.column_names}
-    wide_clean = {c: list(clean.column(c).values) for c in clean.column_names}
-    wide_dirty["City"][0] = "Sankt Peter-Ording an der Nordsee"
-    wide_clean["City"][0] = "Sankt Peter-Ording an der Nordsee"
-    return prepare(Table(wide_dirty), Table(wide_clean))
+def edited_scores(detector, table, row, column, value):
+    """``detector``'s one-shot scores of ``table`` with one cell edited,
+    in a session's cell order."""
+    columns = {name: list(table.column(name).values)
+               for name in table.column_names}
+    columns[column][row] = value
+    _, values, attributes = table_cells(Table(columns),
+                                        detector.prepared.attributes)
+    return engine_scores(detector, values, attributes)
 
 
 @pytest.fixture
@@ -43,11 +47,6 @@ class TestGeometry:
     def test_row_out_of_range_rejected(self, session):
         with pytest.raises(ConfigurationError):
             session.feature_row(99, session.columns[0])
-
-    def test_affected_rows_is_the_edited_cell(self, session):
-        affected = session.affected_feature_rows(2, session.columns[1])
-        np.testing.assert_array_equal(
-            affected, [session.feature_row(2, session.columns[1])])
 
     def test_no_matching_columns_rejected(self, served, batcher):
         batcher.start()
@@ -85,47 +84,56 @@ class TestIncrementalUpdate:
         assert record["n_rescored"] == 1
 
     def test_replace_swap_with_wider_encoder_recovers(self, served,
-                                                      session):
-        # A swap that changes the encoder's max_length must
-        # rebuild the session's feature arrays wholesale; writing into
-        # the old-width arrays would raise and wedge the session.
-        wide = _wider_prepared()
-        old_width = session.features["values"].shape[1]
-        assert wide.max_length > old_width
-        served.swap(detector=build_detector(wide))
-        record = session.update(0, session.columns[0], "x")
+                                                      session, dirty_table):
+        # A swap that widens the encoding (max_length 6 -> 46) re-scores
+        # the whole table under the new model: the session then holds
+        # exactly the new model's one-shot scores of the edited table.
+        wide = build_detector(wide_prepared())
+        assert wide.prepared.max_length > served.detector.prepared.max_length
+        served.swap(detector=wide)
+        column = session.columns[0]
+        record = session.update(0, column, "x")
         assert record["full_rescore"] is True
-        assert session.features["values"].shape[1] == wide.max_length
+        assert record["n_rescored"] == session.n_feature_rows
+        assert record["weights_version"] == 1
+        want = edited_scores(wide, dirty_table, 0, column, "x")
+        assert session.probabilities.tobytes() == want.tobytes()
         # The session keeps working incrementally afterwards.
         record = session.update(1, session.columns[0], "y")
         assert record["full_rescore"] is False
         assert record["n_rescored"] == 1
 
-    def test_mid_update_width_change_falls_back_to_full(self, served,
-                                                        session):
-        wide = _wider_prepared()
-        served.swap(detector=build_detector(wide))
-        # Simulate the swap landing after update()'s version check: the
-        # incremental re-encode then produces rows of the new width,
-        # which must trigger the full-rescore fallback, not a crash.
-        session.scored_version = served.version
-        record = session.update(0, session.columns[0], "x")
+    def test_mid_update_width_change_falls_back_to_full(
+            self, served, batcher, session, dirty_table):
+        # The swap lands after update()'s version check and before its
+        # one-cell batch runs: the batch reports the new version, so the
+        # untouched rows, scored by the old model, are re-scored too.
+        wide = build_detector(wide_prepared())
+
+        def submit_then_swap(*request):
+            del batcher.submit  # the full pass that follows submits plainly
+            # Holding the swap lock keeps the batch from running before
+            # the swap.
+            with served.lock:
+                future = batcher.submit(*request)
+                served.swap(detector=wide)
+            return future
+
+        batcher.submit = submit_then_swap
+        column = session.columns[0]
+        record = session.update(0, column, "x")
         assert record["full_rescore"] is True
-        assert session.features["values"].shape[1] == wide.max_length
+        assert record["n_rescored"] == 1 + session.n_feature_rows
+        assert record["weights_version"] == 1
+        want = edited_scores(wide, dirty_table, 0, column, "x")
+        assert session.probabilities.tobytes() == want.tobytes()
 
     def test_swap_dropping_a_served_column_is_rejected(self, served,
                                                        session):
-        from repro.dataprep import prepare
-
-        dirty, clean = paper_tables()
         dropped = session.columns[0]
-        narrow = prepare(
-            Table({c: list(dirty.column(c).values)
-                   for c in dirty.column_names if c != dropped}),
-            Table({c: list(clean.column(c).values)
-                   for c in clean.column_names if c != dropped}))
-        served.swap(detector=build_detector(narrow))
-        with pytest.raises(ConfigurationError, match="reload the session"):
+        served.swap(detector=build_detector(wide_prepared(without=dropped)))
+        with pytest.raises(ConfigurationError,
+                           match=f"never saw attribute '{dropped}'"):
             session.update(0, session.columns[1], "x")
 
     def test_swap_forces_full_rescore(self, prepared, served, session):
@@ -142,7 +150,7 @@ class TestIncrementalUpdate:
 
 class TestFeedbackAndStats:
     def test_flagged_matches_predictions(self, session):
-        predictions = session.predictions()
+        predictions = session.probabilities.argmax(axis=1)
         flagged = session.flagged()
         assert len(flagged) == int((predictions == 1).sum())
         for row, attribute, value in flagged:
